@@ -60,7 +60,6 @@ from .hochster import (
     duality_check,
     format_poincare,
     hochster_table,
-    poincare_series,
 )
 from .linalg import (
     INT,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cellular import RK_MAX_VERTICES, ZK_MAX_VERTICES, rk_betti, zk_betti
@@ -33,6 +34,7 @@ from .errors import (
     InputError,
     InternalInvariant,
     MomangleError,
+    ParseError,
     TooManyVertices,
 )
 from .hochster import (
@@ -81,7 +83,14 @@ def _load_complex(args) -> SimplicialComplex:
     path = getattr(args, "input", None)
     if not path:
         raise BadParams("provide a complex file or --gen FAMILY ARGS")
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc.reason}") from None
     return from_json(text)
 
 
@@ -182,6 +191,9 @@ def _fmt_pairs(pairs) -> str:
 
 
 def _cmd_hochster(args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise BadParams(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
     K = _load_complex(args)
     table = hochster_table(
         K, _field(args), max_vertices=args.max_vertices, jobs=args.jobs

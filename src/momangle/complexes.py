@@ -320,6 +320,8 @@ def from_json(text: str) -> SimplicialComplex:
         raise ParseError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     return from_dict(data)
 
 

@@ -184,11 +184,6 @@ def _pool_worker(args):
     return _subset_profiles(*args)
 
 
-def poincare_series(table: HochsterTable) -> tuple[int, ...]:
-    """Coefficients of the Poincare polynomial of H*(Z_K), degree 0 up."""
-    return table.betti
-
-
 def format_poincare(betti) -> str:
     terms = []
     for k, b in enumerate(betti):

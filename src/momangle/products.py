@@ -31,7 +31,7 @@ from .errors import (
     NotAField,
     TooManyVertices,
 )
-from .hochster import DEFAULT_MAX_VERTICES, hochster_table
+from .hochster import DEFAULT_MAX_VERTICES, HochsterTable, hochster_table
 from .linalg import (
     INT,
     MAX_FIELD_PRIME,
@@ -40,6 +40,7 @@ from .linalg import (
     Coefficients,
     cocycle_basis,
     field_ops,
+    reduced_homology,
 )
 
 
@@ -102,12 +103,22 @@ def _lift_mask(mask: int, verts: tuple[int, ...]) -> int:
 def _subset_classes(
     K: SimplicialComplex, subset: int, coeffs: Coefficients
 ) -> tuple[tuple[int, tuple[tuple[int, object], ...]], ...]:
-    """(degree, lifted cochain) pairs for a basis of H~*(K_subset)."""
+    """(degree, lifted cochain) pairs for a basis of H~*(K_subset).
+
+    Follows the Hochster table: cocycle_basis runs only in the degrees
+    where the field Betti numbers of K_subset, derived from its cached
+    integral homology, are nonzero.
+    """
     verts = vertices_of(subset)
     KI = K.full_subcomplex(verts)
+    profile = reduced_homology(KI, INT).over_field(coeffs)
     out = []
-    for degree in range(-1, KI.dim + 1):
+    for degree, rank in profile.ranks:
         basis = cocycle_basis(KI, degree, coeffs)
+        if len(basis) != rank:
+            raise InternalInvariant(
+                f"cocycle basis of rank {len(basis)} where the table has {rank}"
+            )
         for vec in basis.vectors:
             lifted = tuple(
                 sorted(
@@ -128,8 +139,10 @@ def tor_basis(
 ) -> tuple[TorClass, ...]:
     """Deterministic basis of H*(Z_K) over a field, unit class included.
 
-    Classes are ordered by (subset mask, degree, basis index); the unit
-    is the empty-subset class in total degree 0.
+    Follows the Hochster table: only the subsets whose reduced homology
+    over the field is nonzero are visited.  Classes are ordered by
+    (subset mask, degree, basis index); the unit is the empty-subset
+    class in total degree 0.
     """
     if not coeffs.is_field:
         raise NotAField("cup products need field coefficients")
@@ -139,8 +152,9 @@ def tor_basis(
             m=K.m,
             cap=max_vertices,
         )
+    table = hochster_table(K, INT, max_vertices=max_vertices).over(coeffs)
     classes = []
-    for mask in range(1 << K.m):
+    for mask, _ in table.subsets:
         per_degree: dict[int, int] = {}
         for degree, lifted in _subset_classes(K, mask, coeffs):
             idx = per_degree.get(degree, 0)
@@ -346,35 +360,66 @@ def product_table(
     return ProductTable(K, coeffs, classes, entries)
 
 
+def _component_pairs(components):
+    """Pairs of components whose cup product can be nonzero.
+
+    components lists the (subset, degree) keys of the nonzero components
+    H~^degree(K_subset) on nonempty subsets, in increasing order.  Classes
+    on (I, d1) and (J, d2) multiply into H~^(d1+d2+1)(K_{I u J}), so their
+    product can be nonzero only when I and J are disjoint and that target
+    is a component too.  Yields (first, second, target) keys, first
+    before second.
+    """
+    present = set(components)
+    for a, (I, d1) in enumerate(components):
+        for J, d2 in components[a + 1 :]:
+            if I & J:
+                continue
+            target = (I | J, d1 + d2 + 1)
+            if target in present:
+                yield (I, d1), (J, d2), target
+
+
+def _may_multiply(table: HochsterTable) -> bool:
+    """Whether a field table has any pair of components with a nonzero target."""
+    components = [
+        (mask, degree)
+        for mask, prof in table.subsets
+        if mask
+        for degree in prof.degrees()
+    ]
+    return next(_component_pairs(components), None) is not None
+
+
 def _iter_nonzero_products(K: SimplicialComplex, classes):
     """Yield (i, j, coords) for the nonzero products among the classes.
 
-    Pairs whose target component H~^d(K_{I u J}) is zero are skipped
-    outright; the rest are resolved into basis coordinates.
+    classes are positive-degree classes in tor_basis order.  Only the
+    pairs that _component_pairs admits are multiplied, in increasing
+    (i, j) order; the products are resolved into basis coordinates.
     """
     by_component: dict[tuple[int, int], list[int]] = {}
     for t, c in enumerate(classes):
         by_component.setdefault((c.subset, c.degree), []).append(t)
+    partners: dict[tuple[int, int], list] = {}
+    for first, second, target in _component_pairs(list(by_component)):
+        partners.setdefault(first, []).append(
+            (by_component[second], by_component[target])
+        )
     for i, x in enumerate(classes):
-        for j in range(i, len(classes)):
-            y = classes[j]
-            if x.subset & y.subset:
-                continue
-            key = (x.subset | y.subset, x.degree + y.degree + 1)
-            targets = by_component.get(key)
-            if not targets:
-                continue
-            prod = multiply(K, x, y)
-            if prod.is_zero:
-                continue
-            coords = cochain_class_coords(K, prod)
-            nz = tuple(
-                (targets[pos], val)
-                for pos, val in enumerate(coords)
-                if val != 0
-            )
-            if nz:
-                yield i, j, nz
+        for others, targets in partners.get((x.subset, x.degree), ()):
+            for j in others:
+                prod = multiply(K, x, classes[j])
+                if prod.is_zero:
+                    continue
+                coords = cochain_class_coords(K, prod)
+                nz = tuple(
+                    (targets[pos], val)
+                    for pos, val in enumerate(coords)
+                    if val != 0
+                )
+                if nz:
+                    yield i, j, nz
 
 
 DEFAULT_GOLOD_FIELDS = (RAT, PRIME(2), PRIME(3), PRIME(5), PRIME(7))
@@ -417,6 +462,10 @@ def is_cup_golod(
     any torsion prime discovered in the subset table.  Torsion primes
     beyond MAX_FIELD_PRIME cannot be tested and downgrade a clean result
     to UNKNOWN.
+
+    Follows the Hochster table: a field whose table has no pair of
+    disjoint components with a nonzero target component is product-free
+    and is checked without building its basis.
     """
     table = hochster_table(K, INT, max_vertices=max_vertices)
     battery = list(fields) if fields is not None else list(DEFAULT_GOLOD_FIELDS)
@@ -440,9 +489,11 @@ def is_cup_golod(
     for field in battery:
         if not field.is_field:
             raise NotAField("the Golod battery must consist of fields")
+        checked.append(str(field))
+        if not _may_multiply(table.over(field)):
+            continue
         basis = tor_basis(K, field, max_vertices=max_vertices)
         classes = tuple(c for c in basis if c.subset)
-        checked.append(str(field))
         found = next(_iter_nonzero_products(K, classes), None)
         if found is not None:
             i, j, coords = found

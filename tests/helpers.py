@@ -4,12 +4,27 @@ Everything here is deliberately naive: dense matrices over Fraction or
 modular integers, faces enumerated by brute-force membership tests.  The
 only package API the oracles lean on is the facet-based face membership
 test, so agreement with the fast paths is meaningful.
+
+The reference_* functions are the exception: they enumerate every subset,
+every degree and every pair with the package's own cocycle bases and
+products, so they check which work the Hochster table lets the package
+skip, not the linear algebra itself.
 """
 
 from __future__ import annotations
 
 import itertools as it
 from fractions import Fraction
+
+from momangle import (
+    GolodReport,
+    ProductTable,
+    TorClass,
+    cocycle_basis,
+    multiply,
+    vertices_of,
+)
+from momangle.products import CUP_CAVEAT, cochain_class_coords
 
 # 6-vertex triangulation of the real projective plane: 10 facets, every
 # edge in exactly two triangles, Euler characteristic 1, H~_1 = Z/2
@@ -163,3 +178,79 @@ def matmul(A, B):
         [sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
         for row in A
     ]
+
+
+def reference_tor_basis(K, coeffs):
+    """tor_basis by the full enumeration: every subset, every degree.
+
+    Builds the relabelled K_I for all 2^m subsets and asks for a cocycle
+    basis in each degree -1..dim K_I, whatever the Hochster table says.
+    """
+    classes = []
+    for mask in range(1 << K.m):
+        verts = vertices_of(mask)
+        KI = K.full_subcomplex(verts)
+        for degree in range(-1, KI.dim + 1):
+            basis = cocycle_basis(KI, degree, coeffs)
+            for index, vec in enumerate(basis.vectors):
+                lifted = []
+                for f, val in zip(basis.faces, vec):
+                    if val != 0:
+                        ambient = sum(
+                            1 << (verts[i] - 1)
+                            for i in range(len(verts))
+                            if f >> i & 1
+                        )
+                        lifted.append((ambient, val))
+                classes.append(
+                    TorClass(mask, degree, index, coeffs, tuple(sorted(lifted)))
+                )
+    return tuple(classes)
+
+
+def reference_products(K, classes):
+    """Every nonzero product among the classes, by trying every pair.
+
+    Each disjoint pair is multiplied and resolved, whether or not its
+    target component carries classes; yields (i, j, coords) like
+    ProductTable.products.
+    """
+    by_component = {}
+    for t, c in enumerate(classes):
+        by_component.setdefault((c.subset, c.degree), []).append(t)
+    for i, x in enumerate(classes):
+        for j in range(i, len(classes)):
+            if x.subset & classes[j].subset:
+                continue
+            prod = multiply(K, x, classes[j])
+            if prod.is_zero:
+                continue
+            coords = cochain_class_coords(K, prod)
+            targets = by_component.get((prod.subset, prod.degree), [])
+            assert len(coords) == len(targets)
+            nz = tuple(
+                (targets[pos], val) for pos, val in enumerate(coords) if val
+            )
+            if nz:
+                yield i, j, nz
+
+
+def reference_product_table(K, coeffs):
+    """ProductTable built from the full enumeration and every pair."""
+    classes = tuple(c for c in reference_tor_basis(K, coeffs) if c.subset)
+    return ProductTable(K, coeffs, classes, tuple(reference_products(K, classes)))
+
+
+def reference_golod(pt):
+    """GolodReport that is_cup_golod(K, fields=[field]) should give, from a
+    reference product table over that field."""
+    if not pt.products:
+        return GolodReport("CUP_GOLOD", (str(pt.coeffs),), None, (CUP_CAVEAT,))
+    i, j, coords = pt.products[0]
+    witness = {
+        "field": str(pt.coeffs),
+        "x": pt.classes[i].describe(),
+        "y": pt.classes[j].describe(),
+        "product": [[t, str(v)] for t, v in coords],
+    }
+    return GolodReport("NON_GOLOD", (str(pt.coeffs),), witness, (CUP_CAVEAT,))

@@ -13,7 +13,9 @@ from momangle import (
     TooManyVertices,
     disjoint_points,
     from_facets,
+    hochster_table,
     is_cup_golod,
+    is_gorenstein_star,
     mask_of,
     multiply,
     polygon,
@@ -23,9 +25,16 @@ from momangle import (
     tor_basis,
 )
 from momangle.linalg import field_ops
-from momangle.products import CUP_CAVEAT, cochain_class_coords
+from momangle.products import CUP_CAVEAT, _may_multiply, cochain_class_coords
 
-from helpers import RP2_FACETS, is_cocycle
+from helpers import (
+    RP2_FACETS,
+    dense_rank,
+    is_cocycle,
+    reference_golod,
+    reference_product_table,
+    reference_tor_basis,
+)
 
 PYRAMID = from_facets(5, [(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)])
 
@@ -46,8 +55,6 @@ def test_tor_basis_square():
 
 
 def test_tor_basis_counts_match_table(random_corpus):
-    from momangle import hochster_table
-
     for K in [polygon(5), PYRAMID, *random_corpus[:6]]:
         for coeffs in (RAT, PRIME(2)):
             classes = tor_basis(K, coeffs)
@@ -218,3 +225,61 @@ def test_golod_report_dict():
     assert data["verdict"] == "NON_GOLOD"
     assert data["witness"]["field"] == "q"
     assert data["caveats"]
+
+
+ORACLE_FIELDS = (RAT, PRIME(2), PRIME(3))
+
+
+@pytest.mark.parametrize("coeffs", ORACLE_FIELDS, ids=str)
+def test_table_driven_products_match_full_enumeration(corpus, coeffs):
+    """The Hochster-table-driven basis, products and Golod search agree
+    exactly with enumerating every subset, degree and pair."""
+    # Over Q the enumeration's dense Fraction elimination takes about 40 s
+    # on the 19 members with 8 vertices, so those are checked over F_p only.
+    members = [K for K in corpus if coeffs != RAT or K.m <= 7]
+    assert len(members) >= 270
+    for K in members:
+        ref = reference_product_table(K, coeffs)
+        assert tor_basis(K, coeffs) == reference_tor_basis(K, coeffs), K
+        assert product_table(K, coeffs).to_dict() == ref.to_dict(), K
+        rep = is_cup_golod(K, fields=[coeffs])
+        assert rep.to_dict() == reference_golod(ref).to_dict(), K
+        if ref.products:
+            # the field-skip rule never hides a nonzero product
+            assert _may_multiply(hochster_table(K, INT).over(coeffs)), K
+
+
+@pytest.mark.parametrize("coeffs", ORACLE_FIELDS, ids=str)
+def test_poincare_duality_pairing_is_perfect(corpus, coeffs):
+    """For Gorenstein* K, Z_K is a closed orientable manifold, so the cup
+    pairing H^k x H^(N-k) -> H^N must be perfect over every field."""
+    spheres = [K for K in corpus if is_gorenstein_star(K).value]
+    assert len(spheres) >= 30
+    for K in spheres:
+        N = hochster_table(K, INT).top_degree
+        pt = product_table(K, coeffs)
+        by_degree = {}
+        for t, c in enumerate(pt.classes):
+            by_degree.setdefault(c.total_degree, []).append(t)
+        if N == 0:  # the empty sphere: Z_K is a point
+            assert not pt.classes
+            continue
+        (top,) = by_degree[N]
+        top_coeff = {
+            (i, j): dict(coords).get(top, 0) for i, j, coords in pt.products
+        }
+        for k in range(1, N):
+            rows, cols = by_degree.get(k, []), by_degree.get(N - k, [])
+            assert len(rows) == len(cols), (K, k)
+            # x_b x_a = (-1)^(k(N-k)) x_a x_b for the pairs stored as (b, a)
+            flip = -1 if k * (N - k) % 2 else 1
+            pairing = [
+                [
+                    top_coeff.get((a, b), 0)
+                    if a <= b
+                    else flip * top_coeff.get((b, a), 0)
+                    for b in cols
+                ]
+                for a in rows
+            ]
+            assert dense_rank(pairing, coeffs.p) == len(rows), (K, k)
