@@ -70,14 +70,11 @@ from .linalg import (
     Coefficients,
     CocycleBasis,
     HomologyProfile,
-    SNFResult,
-    boundary_matrix,
     cocycle_basis,
     coefficients_from_token,
     homology_profile,
     reduced_chain_complex,
     reduced_homology,
-    smith_normal_form,
 )
 from .products import (
     Cochain,

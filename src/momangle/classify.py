@@ -18,9 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .cellular import RK_MAX_VERTICES, rk_betti
+from .cellular import rk_betti
 from .complexes import SimplicialComplex, from_facets, mask_of, vertices_of
-from .errors import EmptySubset, FieldMismatch, OutOfRange
+from .errors import EmptySubset, OutOfRange
 from .hochster import DEFAULT_MAX_VERTICES, hochster_table
 from .linalg import INT, RAT, field_ops, reduced_homology, rref
 from .products import (
@@ -121,7 +121,7 @@ def is_gorenstein_star(K: SimplicialComplex) -> GorensteinReport:
     n = K.dim
     for face in sorted(K.faces(), key=lambda f: (f.bit_count(), vertices_of(f))):
         size = face.bit_count()
-        prof = reduced_homology(K.link(vertices_of(face)), INT)
+        prof = reduced_homology(K.link(vertices_of(face)))
         if not prof.is_sphere(n - size):
             return GorensteinReport(
                 False,
@@ -249,10 +249,7 @@ class RecognitionReport:
 
 
 def recognize_connected_sum(
-    K: SimplicialComplex,
-    coeffs=RAT,
-    *,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
+    K: SimplicialComplex, *, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> RecognitionReport:
     """Match H*(Z_K; Q) against a sphere or a connected sum of S^a x S^b.
 
@@ -261,8 +258,6 @@ def recognize_connected_sum(
     the top degree, and nondegenerate complementary pairings.  The
     verdict is about the cohomology ring, not the homeomorphism type.
     """
-    if coeffs != RAT:
-        raise FieldMismatch("recognition is defined over the rationals")
     table = hochster_table(K, RAT, max_vertices=max_vertices)
     b = table.betti
     N = max((k for k, v in enumerate(b) if v), default=0)
@@ -375,7 +370,7 @@ def verify_theorem_1_1(
 ) -> VerificationReport:
     """If Z_K is a connected sum of sphere products (ring level) and K is
     Gorenstein*, then K must be minimally non-Golod."""
-    rec = recognize_connected_sum(K, RAT, max_vertices=max_vertices)
+    rec = recognize_connected_sum(K, max_vertices=max_vertices)
     gor = is_gorenstein_star(K)
     hyp = {
         "connected_sum": rec.kind == "CONNECTED_SUM",
@@ -399,7 +394,7 @@ def verify_theorem_1_2(
     """If Z_K is a connected sum of sphere products (ring level), then K
     splits as a simplex joined with its core, the core is Gorenstein*,
     and the core is minimally non-Golod."""
-    rec = recognize_connected_sum(K, RAT, max_vertices=max_vertices)
+    rec = recognize_connected_sum(K, max_vertices=max_vertices)
     hyp = {
         "connected_sum": rec.kind == "CONNECTED_SUM",
         "recognition": rec.to_dict(),
@@ -428,12 +423,11 @@ def verify_theorem_4_2(
     K: SimplicialComplex,
     *,
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    rk_max_vertices: int = RK_MAX_VERTICES,
 ) -> VerificationReport:
     """If the real moment-angle complex has the rational Betti profile of
     a connected sum (1, middle, 1 with duality), then the core of K is
     minimally non-Golod."""
-    b = rk_betti(K, RAT, max_vertices=rk_max_vertices)
+    b = rk_betti(K, RAT)
     n = len(b) - 1
     middle = sum(b[1:n]) if n >= 1 else 0
     pattern = (

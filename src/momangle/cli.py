@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .cellular import RK_MAX_VERTICES, ZK_MAX_VERTICES, rk_betti, zk_betti
@@ -43,7 +42,7 @@ from .hochster import (
     format_poincare,
     hochster_table,
 )
-from .linalg import INT, RAT, coefficients_from_token
+from .linalg import INT, coefficients_from_token
 from .products import is_cup_golod, product_table
 
 
@@ -121,7 +120,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hochster", help="subset-sum cohomology table of Z_K")
     _add_input_args(p)
     p.add_argument("--field", default="int", help="int, q, or f<p> (default int)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
     p = sub.add_parser("betti-zk", help="Betti numbers of Z_K from its cells")
     _add_input_args(p, max_vertices=ZK_MAX_VERTICES)
@@ -191,13 +189,8 @@ def _fmt_pairs(pairs) -> str:
 
 
 def _cmd_hochster(args) -> int:
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        raise BadParams(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
     K = _load_complex(args)
-    table = hochster_table(
-        K, _field(args), max_vertices=args.max_vertices, jobs=args.jobs
-    )
+    table = hochster_table(K, _field(args), max_vertices=args.max_vertices)
     lines = [
         f"vertices: {table.m}  dim: {K.dim}  coeffs: {table.coeffs}",
         "betti: " + " ".join(map(str, table.betti)),
@@ -322,7 +315,7 @@ def _cmd_gorenstein(args) -> int:
 
 def _cmd_recognize(args) -> int:
     K = _load_complex(args)
-    rep = recognize_connected_sum(K, RAT, max_vertices=args.max_vertices)
+    rep = recognize_connected_sum(K, max_vertices=args.max_vertices)
     lines = [f"kind: {rep.kind}"]
     if rep.kind == "SPHERE":
         lines.append(f"sphere dimension: {rep.top_degree}")
@@ -375,7 +368,7 @@ def _cmd_analyze(args) -> int:
     golod = is_cup_golod(K, max_vertices=args.max_vertices)
     mng = is_minimally_non_golod(K, max_vertices=args.max_vertices)
     gor = is_gorenstein_star(K)
-    rec = recognize_connected_sum(K, RAT, max_vertices=args.max_vertices)
+    rec = recognize_connected_sum(K, max_vertices=args.max_vertices)
     payload = {
         "complex": K.to_dict(),
         "dim": K.dim,

@@ -6,6 +6,10 @@ homology profile per subset with nonzero contribution; everything else
 (total Betti numbers, the bigraded and Tor-style gradings, torsion
 primes) is read off from it.
 
+There is one walk over the 2^m subsets, over the integers, cached per
+complex.  A table over Q or F_p is derived from the integral one by
+universal coefficients (HochsterTable.over), never walked again.
+
 The empty subset contributes the unit in degree 0, so b_0 = 1 and
 b_1 = b_2 = 0 for every complex.
 """
@@ -13,7 +17,6 @@ b_1 = b_2 = 0 for every complex.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -129,29 +132,18 @@ class HochsterTable:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _subset_profiles(K: SimplicialComplex, masks, coeffs: Coefficients):
-    out = []
-    for mask in masks:
-        prof = reduced_homology(
-            K.full_subcomplex(vertices_of(mask)), coeffs
-        )
-        if not prof.is_trivial:
-            out.append((mask, prof))
-    return out
-
-
 def hochster_table(
     K: SimplicialComplex,
     coeffs: Coefficients = INT,
     *,
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    jobs: int = 1,
 ) -> HochsterTable:
     """Reduced homology of every full subcomplex of K, assembled per subset.
 
-    Walks all 2^m vertex subsets, so the vertex count is capped by
-    max_vertices (raising TooManyVertices beyond it).  jobs > 1 spreads
-    the subsets over worker processes.
+    Walks all 2^m vertex subsets over the integers, so the vertex count
+    is capped by max_vertices (raising TooManyVertices beyond it).  The
+    integral table is cached per complex; a field table is derived from
+    it by universal coefficients.
     """
     if K.m > max_vertices:
         raise TooManyVertices(
@@ -160,28 +152,17 @@ def hochster_table(
             m=K.m,
             cap=max_vertices,
         )
-    if jobs > 1 and K.m >= 10:
-        masks = range(1 << K.m)
-        chunks = [list(masks)[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
-                _pool_worker, [(K, chunk, coeffs) for chunk in chunks]
-            )
-            found = [pair for part in parts for pair in part]
-        found.sort(key=lambda pair: pair[0])
-        return HochsterTable(K, coeffs, tuple(found))
-    return _sequential_table(K, coeffs)
+    return _integral_table(K).over(coeffs)
 
 
 @lru_cache(maxsize=10_000)
-def _sequential_table(K: SimplicialComplex, coeffs: Coefficients) -> HochsterTable:
-    found = _subset_profiles(K, range(1 << K.m), coeffs)
-    found.sort(key=lambda pair: pair[0])
-    return HochsterTable(K, coeffs, tuple(found))
-
-
-def _pool_worker(args):
-    return _subset_profiles(*args)
+def _integral_table(K: SimplicialComplex) -> HochsterTable:
+    found = []
+    for mask in range(1 << K.m):
+        prof = reduced_homology(K.full_subcomplex(vertices_of(mask)))
+        if not prof.is_trivial:
+            found.append((mask, prof))
+    return HochsterTable(K, INT, tuple(found))
 
 
 def format_poincare(betti) -> str:

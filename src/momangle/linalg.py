@@ -401,138 +401,6 @@ def rank_mod_p(cols: Sequence[Sequence[tuple[int, int]]], p: int) -> int:
     return rank
 
 
-# -- dense Smith normal form with transforms ---------------------------------
-
-
-@dataclass(frozen=True)
-class SNFResult:
-    """Invariant factors, with optional unimodular transforms L*A*R = D."""
-
-    factors: tuple[int, ...]
-    nrows: int
-    ncols: int
-    left: tuple[tuple[int, ...], ...] | None = None
-    right: tuple[tuple[int, ...], ...] | None = None
-
-    @property
-    def rank(self) -> int:
-        return len(self.factors)
-
-
-def smith_normal_form(
-    matrix: Sequence[Sequence[int]], want_transforms: bool = False
-) -> SNFResult:
-    """Smith normal form of a dense integer matrix.
-
-    Returns the nonzero invariant factors in divisibility order and, when
-    requested, unimodular matrices L and R with L*A*R equal to the padded
-    diagonal.  Intended for explicit matrices; the homology pipeline uses
-    the sparse :func:`int_invariant_factors` instead.
-    """
-    A = [[int(v) for v in row] for row in matrix]
-    n = len(A)
-    m = len(A[0]) if n else 0
-    if any(len(row) != m for row in A):
-        raise BadParams("matrix rows must all have the same length")
-    L = [[int(i == j) for j in range(n)] for i in range(n)] if want_transforms else None
-    R = [[int(i == j) for j in range(m)] for i in range(m)] if want_transforms else None
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        Ai, Aj = A[i], A[j]
-        for k in range(m):
-            Ai[k] -= q * Aj[k]
-        if L is not None:
-            Li, Lj = L[i], L[j]
-            for k in range(n):
-                Li[k] -= q * Lj[k]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in A:
-            row[i] -= q * row[j]
-        if R is not None:
-            for row in R:
-                row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        if L is not None:
-            L[i], L[j] = L[j], L[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        if R is not None:
-            for row in R:
-                row[i], row[j] = row[j], row[i]
-
-    def negate_row(i):
-        A[i] = [-v for v in A[i]]
-        if L is not None:
-            L[i] = [-v for v in L[i]]
-
-    t = 0
-    while True:
-        pos = None
-        for i in range(t, n):
-            for j in range(t, m):
-                v = A[i][j]
-                if v and (pos is None or abs(v) < best):
-                    pos, best = (i, j), abs(v)
-        if pos is None:
-            break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
-        while True:
-            if A[t][t] < 0:
-                negate_row(t)
-            v = A[t][t]
-            retry = False
-            for i in range(n):
-                if i == t or not A[i][t]:
-                    continue
-                q = A[i][t] // v
-                if q:
-                    row_op(i, t, q)
-                if A[i][t]:
-                    swap_rows(t, i)
-                    retry = True
-                    break
-            if retry:
-                continue
-            for j in range(m):
-                if j == t or not A[t][j]:
-                    continue
-                q = A[t][j] // v
-                if q:
-                    col_op(j, t, q)
-                if A[t][j]:
-                    swap_cols(t, j)
-                    retry = True
-                    break
-            if retry:
-                continue
-            bad = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, m):
-                    if A[i][j] % v:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            row_op(t, bad, -1)  # pull the offending row into the pivot row
-        t += 1
-    factors = tuple(A[i][i] for i in range(t))
-    return SNFResult(
-        factors,
-        n,
-        m,
-        tuple(map(tuple, L)) if L is not None else None,
-        tuple(map(tuple, R)) if R is not None else None,
-    )
-
-
 # -- dense field elimination ---------------------------------------------------
 
 
@@ -583,26 +451,6 @@ def nullspace(rows: Sequence[Sequence], ncols: int, ops) -> list[list]:
                 vec[pc] = ops.neg(row[free])
         basis.append(vec)
     return basis
-
-
-def solve_in_span(columns: Sequence[Sequence], target: Sequence, ops):
-    """Coefficients expressing target as a combination of the columns.
-
-    Returns None when the target lies outside the span.  Free variables
-    are set to zero, so the answer is deterministic.
-    """
-    k = len(columns)
-    nrows = len(target)
-    aug = [
-        [col[i] for col in columns] + [target[i]] for i in range(nrows)
-    ]
-    aug, pivots = rref(aug, ops)
-    coeffs = [ops.zero] * k
-    for row, pc in zip(aug, pivots):
-        if pc == k:
-            return None  # pivot in the target column: inconsistent
-        coeffs[pc] = row[k]
-    return coeffs
 
 
 # -- chain complexes and homology profiles -------------------------------------
@@ -786,26 +634,6 @@ def _face_index(faces: Sequence[int]) -> dict[int, int]:
     return {f: i for i, f in enumerate(faces)}
 
 
-def boundary_matrix(K: SimplicialComplex, d: int) -> list[list[int]]:
-    """Dense boundary matrix C_d -> C_{d-1} of the augmented complex.
-
-    Rows are the (d-1)-faces and columns the d-faces, both in lex order;
-    boundary_matrix(K, 0) is the single augmentation row of ones.
-    """
-    if d < 0:
-        raise BadParams("boundary_matrix needs d >= 0")
-    cols = K.k_faces(d)
-    rows = K.k_faces(d - 1)
-    idx = _face_index(rows)
-    out = [[0] * len(cols) for _ in rows]
-    for j, face in enumerate(cols):
-        for pos, v in enumerate(vertices_of(face)):
-            child = face & ~(1 << (v - 1))
-            out[idx[child]][j] = -1 if pos % 2 else 1
-    return out
-
-
-@lru_cache(maxsize=200_000)
 def reduced_chain_complex(K: SimplicialComplex) -> ChainComplex:
     """Augmented simplicial chain complex, degrees -1..dim."""
     degrees = tuple(range(-1, K.dim + 1))
@@ -829,11 +657,10 @@ def reduced_chain_complex(K: SimplicialComplex) -> ChainComplex:
 
 
 @lru_cache(maxsize=200_000)
-def reduced_homology(
-    K: SimplicialComplex, coeffs: Coefficients = INT
-) -> HomologyProfile:
-    """Reduced homology of K; the empty complex has rank one in degree -1."""
-    return homology_profile(reduced_chain_complex(K), coeffs)
+def reduced_homology(K: SimplicialComplex) -> HomologyProfile:
+    """Integral reduced homology of K; the empty complex has rank one in
+    degree -1.  Field Betti numbers follow by HomologyProfile.over_field."""
+    return homology_profile(reduced_chain_complex(K), INT)
 
 
 @dataclass(frozen=True)

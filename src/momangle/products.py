@@ -111,7 +111,7 @@ def _subset_classes(
     """
     verts = vertices_of(subset)
     KI = K.full_subcomplex(verts)
-    profile = reduced_homology(KI, INT).over_field(coeffs)
+    profile = reduced_homology(KI).over_field(coeffs)
     out = []
     for degree, rank in profile.ranks:
         basis = cocycle_basis(KI, degree, coeffs)

@@ -7,21 +7,32 @@ test, so agreement with the fast paths is meaningful.
 
 The reference_* functions are the exception: they enumerate every subset,
 every degree and every pair with the package's own cocycle bases and
-products, so they check which work the Hochster table lets the package
-skip, not the linear algebra itself.
+products, or walk every subset over a field with the package's own
+elimination, so they check which work the Hochster table lets the package
+skip, and its universal-coefficients derivation, not the linear algebra
+itself.
+
+smith_normal_form and boundary_matrix are dense oracles for the sparse
+integer elimination and the chain complexes; the package never calls them.
 """
 
 from __future__ import annotations
 
 import itertools as it
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from momangle import (
+    BadParams,
     GolodReport,
+    HochsterTable,
     ProductTable,
     TorClass,
     cocycle_basis,
+    homology_profile,
     multiply,
+    reduced_chain_complex,
     vertices_of,
 )
 from momangle.products import CUP_CAVEAT, cochain_class_coords
@@ -180,6 +191,22 @@ def matmul(A, B):
     ]
 
 
+def reference_field_table(K, coeffs):
+    """Hochster table over a field by a direct field walk.
+
+    Eliminates the chain complex of every full subcomplex K_I over the
+    field itself, instead of deriving the field Betti numbers from the
+    integral table by universal coefficients.
+    """
+    subsets = []
+    for mask in range(1 << K.m):
+        KI = K.full_subcomplex(vertices_of(mask))
+        prof = homology_profile(reduced_chain_complex(KI), coeffs)
+        if not prof.is_trivial:
+            subsets.append((mask, prof))
+    return HochsterTable(K, coeffs, tuple(subsets))
+
+
 def reference_tor_basis(K, coeffs):
     """tor_basis by the full enumeration: every subset, every degree.
 
@@ -254,3 +281,150 @@ def reference_golod(pt):
         "product": [[t, str(v)] for t, v in coords],
     }
     return GolodReport("NON_GOLOD", (str(pt.coeffs),), witness, (CUP_CAVEAT,))
+
+
+@dataclass(frozen=True)
+class SNFResult:
+    """Invariant factors, with optional unimodular transforms L*A*R = D."""
+
+    factors: tuple[int, ...]
+    nrows: int
+    ncols: int
+    left: tuple[tuple[int, ...], ...] | None = None
+    right: tuple[tuple[int, ...], ...] | None = None
+
+    @property
+    def rank(self) -> int:
+        return len(self.factors)
+
+
+def smith_normal_form(
+    matrix: Sequence[Sequence[int]], want_transforms: bool = False
+) -> SNFResult:
+    """Smith normal form of a dense integer matrix.
+
+    Returns the nonzero invariant factors in divisibility order and, when
+    requested, unimodular matrices L and R with L*A*R equal to the padded
+    diagonal.  Intended for explicit matrices; the homology pipeline uses
+    the sparse ``int_invariant_factors`` instead.
+    """
+    A = [[int(v) for v in row] for row in matrix]
+    n = len(A)
+    m = len(A[0]) if n else 0
+    if any(len(row) != m for row in A):
+        raise BadParams("matrix rows must all have the same length")
+    L = [[int(i == j) for j in range(n)] for i in range(n)] if want_transforms else None
+    R = [[int(i == j) for j in range(m)] for i in range(m)] if want_transforms else None
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        Ai, Aj = A[i], A[j]
+        for k in range(m):
+            Ai[k] -= q * Aj[k]
+        if L is not None:
+            Li, Lj = L[i], L[j]
+            for k in range(n):
+                Li[k] -= q * Lj[k]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for row in A:
+            row[i] -= q * row[j]
+        if R is not None:
+            for row in R:
+                row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        if L is not None:
+            L[i], L[j] = L[j], L[i]
+
+    def swap_cols(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        if R is not None:
+            for row in R:
+                row[i], row[j] = row[j], row[i]
+
+    def negate_row(i):
+        A[i] = [-v for v in A[i]]
+        if L is not None:
+            L[i] = [-v for v in L[i]]
+
+    t = 0
+    while True:
+        pos = None
+        for i in range(t, n):
+            for j in range(t, m):
+                v = A[i][j]
+                if v and (pos is None or abs(v) < best):
+                    pos, best = (i, j), abs(v)
+        if pos is None:
+            break
+        swap_rows(t, pos[0])
+        swap_cols(t, pos[1])
+        while True:
+            if A[t][t] < 0:
+                negate_row(t)
+            v = A[t][t]
+            retry = False
+            for i in range(n):
+                if i == t or not A[i][t]:
+                    continue
+                q = A[i][t] // v
+                if q:
+                    row_op(i, t, q)
+                if A[i][t]:
+                    swap_rows(t, i)
+                    retry = True
+                    break
+            if retry:
+                continue
+            for j in range(m):
+                if j == t or not A[t][j]:
+                    continue
+                q = A[t][j] // v
+                if q:
+                    col_op(j, t, q)
+                if A[t][j]:
+                    swap_cols(t, j)
+                    retry = True
+                    break
+            if retry:
+                continue
+            bad = None
+            for i in range(t + 1, n):
+                for j in range(t + 1, m):
+                    if A[i][j] % v:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            row_op(t, bad, -1)  # pull the offending row into the pivot row
+        t += 1
+    factors = tuple(A[i][i] for i in range(t))
+    return SNFResult(
+        factors,
+        n,
+        m,
+        tuple(map(tuple, L)) if L is not None else None,
+        tuple(map(tuple, R)) if R is not None else None,
+    )
+
+
+def boundary_matrix(K, d):
+    """Dense boundary matrix C_d -> C_{d-1} of the augmented complex.
+
+    Rows are the (d-1)-faces and columns the d-faces, both in lex order;
+    boundary_matrix(K, 0) is the single augmentation row of ones.
+    """
+    if d < 0:
+        raise BadParams("boundary_matrix needs d >= 0")
+    cols = K.k_faces(d)
+    idx = {f: i for i, f in enumerate(K.k_faces(d - 1))}
+    out = [[0] * len(cols) for _ in idx]
+    for j, face in enumerate(cols):
+        for pos, v in enumerate(vertices_of(face)):
+            child = face & ~(1 << (v - 1))
+            out[idx[child]][j] = -1 if pos % 2 else 1
+    return out

@@ -3,10 +3,7 @@ import json
 import pytest
 
 from momangle import (
-    PRIME,
-    RAT,
     EmptySubset,
-    FieldMismatch,
     OutOfRange,
     boundary_simplex,
     cone,
@@ -185,11 +182,6 @@ def test_recognize_example_is_ring_level():
     rep = recognize_connected_sum(PYRAMID)
     assert rep.kind == "CONNECTED_SUM"
     assert rep.pairs == ((3, 3),)
-
-
-def test_recognize_field_restriction():
-    with pytest.raises(FieldMismatch):
-        recognize_connected_sum(polygon(4), PRIME(2))
 
 
 def test_recognize_report_dict():

@@ -1,6 +1,5 @@
 import io
 import json
-import os
 import subprocess
 import sys
 
@@ -94,23 +93,6 @@ def test_deeply_nested_json_is_bad_input(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error:") and "nested too deeply" in err
     assert out == ""
-
-
-def test_jobs_out_of_range_is_rejected(capsys, monkeypatch):
-    import momangle.hochster
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(momangle.hochster, "ProcessPoolExecutor", no_pool)
-    too_many = (os.cpu_count() or 1) + 1
-    for jobs in ("0", "-3", str(too_many)):
-        code, out, err = run(
-            capsys, "hochster", "--gen", "polygon", "10", "--jobs", jobs
-        )
-        assert code == 2, jobs
-        assert err.startswith("error:") and "--jobs" in err
-        assert out == ""
 
 
 # -- analysis subcommands --------------------------------------------------

@@ -11,7 +11,6 @@ from momangle import (
     ChainComplex,
     Coefficients,
     NotAField,
-    boundary_matrix,
     boundary_simplex,
     cocycle_basis,
     coefficients_from_token,
@@ -22,7 +21,6 @@ from momangle import (
     reduced_chain_complex,
     reduced_homology,
     simplex,
-    smith_normal_form,
 )
 from momangle.linalg import (
     field_ops,
@@ -32,10 +30,15 @@ from momangle.linalg import (
     nullspace,
     rank_mod_p,
     rref,
-    solve_in_span,
 )
 
-from helpers import RP2_FACETS, dense_rank, matmul
+from helpers import (
+    RP2_FACETS,
+    boundary_matrix,
+    dense_rank,
+    matmul,
+    smith_normal_form,
+)
 
 
 def _columns(matrix):
@@ -179,14 +182,6 @@ def test_nullspace_mod_p():
         assert sum(vec) % 3 == 0
 
 
-def test_solve_in_span():
-    ops = field_ops(RAT)
-    cols = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
-    sol = solve_in_span(cols, [Fraction(3), Fraction(2)], ops)
-    assert sol == [Fraction(1), Fraction(2)]
-    assert solve_in_span([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)], ops) is None
-
-
 # -- chain complexes and homology -------------------------------------------
 
 
@@ -242,10 +237,10 @@ def test_over_field_universal_coefficients():
 
 
 def test_field_homology_computed_directly():
-    rp2 = from_facets(6, RP2_FACETS)
-    assert reduced_homology(rp2, PRIME(2)).ranks == ((1, 1), (2, 1))
-    assert reduced_homology(rp2, RAT).is_trivial
-    assert reduced_homology(rp2, PRIME(7)).is_trivial
+    cc = reduced_chain_complex(from_facets(6, RP2_FACETS))
+    assert homology_profile(cc, PRIME(2)).ranks == ((1, 1), (2, 1))
+    assert homology_profile(cc, RAT).is_trivial
+    assert homology_profile(cc, PRIME(7)).is_trivial
 
 
 def test_profile_helpers():
