@@ -18,17 +18,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .cellular import rk_betti
 from .complexes import SimplicialComplex, from_facets, mask_of, vertices_of
 from .errors import EmptySubset, OutOfRange
 from .hochster import DEFAULT_MAX_VERTICES, hochster_table
 from .linalg import INT, RAT, field_ops, reduced_homology, rref
-from .products import (
-    CUP_CAVEAT,
-    GolodReport,
-    is_cup_golod,
-    product_table,
-)
+from .products import is_cup_golod, product_table
 
 # -- minimal non-Golodness ----------------------------------------------------
 
@@ -426,8 +420,10 @@ def verify_theorem_4_2(
 ) -> VerificationReport:
     """If the real moment-angle complex has the rational Betti profile of
     a connected sum (1, middle, 1 with duality), then the core of K is
-    minimally non-Golod."""
-    b = rk_betti(K, RAT)
+    minimally non-Golod.
+
+    The Betti numbers of R_K are read off the Hochster table over Q."""
+    b = hochster_table(K, RAT, max_vertices=max_vertices).rk_betti
     n = len(b) - 1
     middle = sum(b[1:n]) if n >= 1 else 0
     pattern = (

@@ -81,6 +81,16 @@ class HochsterTable:
         return tuple(out)
 
     @cached_property
+    def rk_betti(self) -> tuple[int, ...]:
+        """Betti numbers of the real moment-angle complex R_K in degrees
+        0..dim+1: b_p sums the rank of H~_(p-1)(K_I) over all subsets I."""
+        out = [0] * (self.complex.dim + 2)
+        for _, prof in self.subsets:
+            for d, r in prof.ranks:
+                out[d + 1] += r
+        return tuple(out)
+
+    @cached_property
     def tor_bigraded(self) -> dict[tuple[int, int], int]:
         """The same ranks in Tor grading (-i, 2j): i = |I|-d-1, j = |I|."""
         return {

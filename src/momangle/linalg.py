@@ -2,8 +2,15 @@
 
 All integer computations use Python's arbitrary-precision integers; field
 computations run over Q (via fractions.Fraction) or a prime field F_p.
-Boundary matrices are sparse with tiny entries, so elimination keeps
-row dictionaries and prefers unit pivots from the shortest rows.
+Matrices are sparse with tiny entries and kept as dictionaries.  There
+are three eliminations:
+
+* int_invariant_factors, a sparse Smith form over Z that prefers unit
+  pivots from the shortest rows; integral homology and int_rank use it;
+* Echelon, a fully reduced sparse echelon over a field; cocycle bases,
+  class coordinates and every other field computation of the pipeline
+  use it;
+* rank_mod_p, a rank-only elimination over F_p for the cellular oracles.
 
 Homology is reduced throughout: the chain complex of a simplicial complex
 is augmented, so the empty complex has a single class in degree -1 and a
@@ -13,14 +20,14 @@ nonempty complex has betti_0 counting components minus one.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import SimplicialComplex, vertices_of
-from .errors import BadParams, NotAField
+from .errors import BadParams, InternalInvariant, NotAField
 
 # -- coefficient systems ----------------------------------------------------
 
@@ -81,6 +88,7 @@ def coefficients_from_token(token: str) -> Coefficients:
 
 
 class _RatOps:
+    p = None  # characteristic zero
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -144,8 +152,6 @@ def field_ops(coeffs: Coefficients):
 
 # -- sparse integer elimination ----------------------------------------------
 
-_STRIP_BOUND = 1 << 96
-
 
 def _rows_from_columns(cols):
     rows: dict[int, dict[int, int]] = {}
@@ -167,71 +173,9 @@ def _rows_from_columns(cols):
     return rows, col_rows
 
 
-def _strip_content(row: dict[int, int]) -> None:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    if g > 1:
-        for c in row:
-            row[c] //= g
-
-
 def int_rank(cols: Sequence[Sequence[tuple[int, int]]]) -> int:
     """Rank over Q of a sparse integer matrix given as columns of (row, val)."""
-    rows, col_rows = _rows_from_columns(cols)
-    heap = [(len(row), r) for r, row in rows.items()]
-    heapq.heapify(heap)
-    rank = 0
-    while rows:
-        while heap:
-            ln, r = heapq.heappop(heap)
-            if r in rows and len(rows[r]) == ln:
-                break
-        else:
-            break
-        pr = rows.pop(r)
-        for c in pr:
-            s = col_rows[c]
-            s.discard(r)
-            if not s:
-                del col_rows[c]
-        c = min(
-            pr, key=lambda cc: (abs(pr[cc]), len(col_rows.get(cc, ())), cc)
-        )
-        v = pr[c]
-        for r2 in list(col_rows.get(c, ())):
-            row2 = rows[r2]
-            a = row2[c]
-            g = gcd(v, a)
-            mv, ma = v // g, a // g
-            if mv != 1:
-                for cc in row2:
-                    row2[cc] *= mv
-            big = False
-            for cc, pv in pr.items():
-                val = row2.get(cc, 0) - ma * pv
-                if val:
-                    if cc not in row2:
-                        col_rows.setdefault(cc, set()).add(r2)
-                    row2[cc] = val
-                    if val > _STRIP_BOUND or -val > _STRIP_BOUND:
-                        big = True
-                elif cc in row2:
-                    del row2[cc]
-                    s = col_rows[cc]
-                    s.discard(r2)
-                    if not s:
-                        del col_rows[cc]
-            if not row2:
-                del rows[r2]
-            else:
-                if big or mv != 1:
-                    _strip_content(row2)
-                heapq.heappush(heap, (len(row2), r2))
-        rank += 1
-    return rank
+    return len(int_invariant_factors(cols))
 
 
 def _divisibility_chain(diag: Iterable[int]) -> list[int]:
@@ -401,56 +345,132 @@ def rank_mod_p(cols: Sequence[Sequence[tuple[int, int]]], p: int) -> int:
     return rank
 
 
-# -- dense field elimination ---------------------------------------------------
+# -- sparse field elimination --------------------------------------------------
+
+
+class Echelon:
+    """Fully reduced row echelon form over a field, built one row at a time.
+
+    Rows are sparse {column: value} dicts, keyed by their pivot: the least
+    column, where the row holds 1, and no other row holds anything.  So
+    the normal form of a vector modulo the span is unique, and one pass
+    over its pivot columns finds it.  A row inserted with a tag is that
+    tag's vector, and every row records its combination {tag: coefficient}
+    over the tagged rows, so a vector in the span can be expressed in the
+    tagged vectors modulo the untagged ones.
+    """
+
+    def __init__(self, ops):
+        self.ops = ops
+        self.p = ops.p  # None over Q
+        self.rows: dict[int, dict[int, object]] = {}
+        self.combos: dict[int, dict[object, object]] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _sub(self, w: dict, a, row: Mapping) -> None:
+        """w -= a * row in place, dropping the entries that vanish."""
+        p = self.p
+        for c, rv in row.items():
+            val = w.get(c, 0) - a * rv
+            if p:
+                val %= p
+            if val:
+                w[c] = val
+            else:
+                w.pop(c, None)
+
+    def _scale(self, w: dict, a) -> None:
+        p = self.p
+        for c in w:
+            w[c] = w[c] * a % p if p else w[c] * a
+
+    def _eliminate(self, v: Mapping, combo: dict | None) -> dict:
+        of_int = self.ops.of_int
+        w = {}
+        for c, a in v.items():
+            a = of_int(a)
+            if a:
+                w[c] = a
+        # rows vanish on each other's pivots, so one pass suffices
+        for c in [c for c in w if c in self.rows]:
+            a = w[c]
+            self._sub(w, a, self.rows[c])
+            if combo is not None:
+                self._sub(combo, a, self.combos[c])
+        return w
+
+    def reduce(self, v: Mapping) -> dict:
+        """Normal form of v modulo the span of the rows."""
+        return self._eliminate(v, None)
+
+    def express(self, v: Mapping) -> tuple[dict, dict]:
+        """(normal form of v, combination over the tags): v is the normal
+        form plus that combination of the tagged vectors, modulo the
+        untagged ones."""
+        combo: dict = {}
+        w = self._eliminate(v, combo)
+        self._scale(combo, -1)
+        return w, combo
+
+    def insert(self, v: Mapping, tag=None) -> dict | None:
+        """Add v to the span and return the row it becomes: its normal form
+        scaled to a unit pivot, or None when v already lies in the span.
+        With a tag, that row itself is the tagged vector."""
+        combo = {} if tag is None else None
+        w = self._eliminate(v, combo)
+        if not w:
+            return None
+        lead = min(w)
+        inv = self.ops.inv(w[lead])
+        self._scale(w, inv)
+        if tag is None:
+            self._scale(combo, inv)
+        else:
+            combo = {tag: self.ops.one}
+        for pc, row in self.rows.items():
+            a = row.get(lead)
+            if a is not None:
+                self._sub(row, a, w)
+                self._sub(self.combos[pc], a, combo)
+        self.rows[lead] = w
+        self.combos[lead] = combo
+        return dict(w)
+
+    def kernel(self, ncols: int) -> list[dict]:
+        """Basis of the vectors of length ncols that every row annihilates,
+        one per free column, in increasing order of it."""
+        one, p = self.ops.one, self.p
+        basis = {c: {c: one} for c in range(ncols) if c not in self.rows}
+        for pc, row in self.rows.items():
+            for c, a in row.items():
+                if c != pc:
+                    basis[c][pc] = -a % p if p else -a
+        return list(basis.values())
 
 
 def rref(rows: list[list], ops) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form (in place) and the pivot columns."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    rank = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(rank, len(rows)):
-            if rows[i][c] != ops.zero:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = ops.inv(rows[rank][c])
-        rows[rank] = [ops.mul(inv, v) for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != ops.zero:
-                f = rows[i][c]
-                rows[i] = [
-                    ops.sub(a, ops.mul(f, b))
-                    for a, b in zip(rows[i], rows[rank])
-                ]
-        pivots.append(c)
-        rank += 1
-    del rows[rank:]
-    return rows, pivots
+    """Reduced row echelon form of dense rows, and the pivot columns."""
+    ech = Echelon(ops)
+    for row in rows:
+        ech.insert(dict(enumerate(row)))
+    ncols = len(rows[0]) if rows else 0
+    pivots = sorted(ech.rows)
+    reduced = [
+        [ech.rows[pc].get(c, ops.zero) for c in range(ncols)] for pc in pivots
+    ]
+    return reduced, pivots
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int, ops) -> list[list]:
     """Basis of the kernel of the linear map given by the rows."""
-    work = [list(r) for r in rows]
-    work, pivots = rref(work, ops)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [ops.zero] * ncols
-        vec[free] = ops.one
-        for row, pc in zip(work, pivots):
-            if row[free] != ops.zero:
-                vec[pc] = ops.neg(row[free])
-        basis.append(vec)
-    return basis
+    ech = Echelon(ops)
+    for row in rows:
+        ech.insert(dict(enumerate(row)))
+    return [
+        [vec.get(c, ops.zero) for c in range(ncols)] for vec in ech.kernel(ncols)
+    ]
 
 
 # -- chain complexes and homology profiles -------------------------------------
@@ -634,6 +654,17 @@ def _face_index(faces: Sequence[int]) -> dict[int, int]:
     return {f: i for i, f in enumerate(faces)}
 
 
+def _boundary_columns(faces: Sequence[int], index: Mapping[int, int]):
+    """Boundary of each face, as (index of a codimension-one face, sign)."""
+    cols = []
+    for face in faces:
+        col = []
+        for pos, v in enumerate(vertices_of(face)):
+            col.append((index[face & ~(1 << (v - 1))], -1 if pos % 2 else 1))
+        cols.append(tuple(col))
+    return tuple(cols)
+
+
 def reduced_chain_complex(K: SimplicialComplex) -> ChainComplex:
     """Augmented simplicial chain complex, degrees -1..dim."""
     degrees = tuple(range(-1, K.dim + 1))
@@ -645,14 +676,7 @@ def reduced_chain_complex(K: SimplicialComplex) -> ChainComplex:
             boundaries.append(((),))  # d on the empty face is zero
             continue
         idx = _face_index(faces_by_deg[d - 1])
-        cols = []
-        for face in faces_by_deg[d]:
-            col = []
-            for pos, v in enumerate(vertices_of(face)):
-                child = face & ~(1 << (v - 1))
-                col.append((idx[child], -1 if pos % 2 else 1))
-            cols.append(tuple(col))
-        boundaries.append(tuple(cols))
+        boundaries.append(_boundary_columns(faces_by_deg[d], idx))
     return ChainComplex(degrees, dims, tuple(boundaries))
 
 
@@ -665,12 +689,19 @@ def reduced_homology(K: SimplicialComplex) -> HomologyProfile:
 
 @dataclass(frozen=True)
 class CocycleBasis:
-    """Deterministic representatives of a cohomology basis in one degree."""
+    """Deterministic representatives of a cohomology basis in one degree.
+
+    Each representative is the normal form of a cocycle modulo the
+    coboundaries and the representatives before it, scaled to leading
+    coefficient 1.  echelon spans all cocycles, with representative i
+    tagged i, so it also gives a cocycle's coordinates (coords).
+    """
 
     degree: int
     coeffs: Coefficients
     faces: tuple[int, ...]  # masks of the d-faces, lex order
     vectors: tuple[tuple, ...]  # one scalar row per basis class
+    echelon: Echelon = field(compare=False, repr=False)
 
     def as_cochains(self) -> list[dict[int, object]]:
         out = []
@@ -683,20 +714,14 @@ class CocycleBasis:
     def __len__(self) -> int:
         return len(self.vectors)
 
-
-def _coboundary_rows(K: SimplicialComplex, d: int, ops) -> list[list]:
-    """Rows of delta_d : C^d -> C^(d+1) (one row per (d+1)-face)."""
-    faces_d = K.k_faces(d)
-    faces_up = K.k_faces(d + 1)
-    idx = _face_index(faces_d)
-    rows = []
-    for tau in faces_up:
-        row = [ops.zero] * len(faces_d)
-        for pos, v in enumerate(vertices_of(tau)):
-            child = tau & ~(1 << (v - 1))
-            row[idx[child]] = ops.neg(ops.one) if pos % 2 else ops.one
-        rows.append(row)
-    return rows
+    def coords(self, cochain: Mapping[int, object]) -> tuple:
+        """Coordinates in this basis of a cocycle given as {column: value},
+        columns indexing faces; raises InternalInvariant if it is not closed."""
+        rest, combo = self.echelon.express(cochain)
+        if rest:
+            raise InternalInvariant("cochain is not closed")
+        zero = self.echelon.ops.zero
+        return tuple(combo.get(i, zero) for i in range(len(self.vectors)))
 
 
 def cocycle_basis(
@@ -704,44 +729,32 @@ def cocycle_basis(
 ) -> CocycleBasis:
     """Basis of reduced H^degree(K) over a field, as explicit cocycles.
 
-    Representatives are fully reduced against the coboundary space and
-    normalized, so the output depends only on (K, degree, coeffs).
+    The kernel of delta_degree gives the cocycles, one per free column;
+    each is reduced modulo the image of delta_(degree-1) and the classes
+    chosen before it, and kept when it is not zero there.  The output
+    depends only on (K, degree, coeffs).
     """
     ops = field_ops(coeffs)
-    faces_d = K.k_faces(degree) if degree >= -1 else ()
-    n = len(faces_d)
+    span = Echelon(ops)
+    faces = K.k_faces(degree)
+    n = len(faces)
     if n == 0:
-        return CocycleBasis(degree, coeffs, (), ())
-    kernel = nullspace(_coboundary_rows(K, degree, ops), n, ops)
-    # span of coboundaries from one degree down
-    if degree == -1:
-        image_rows: list[list] = []
-    else:
-        below = _coboundary_rows(K, degree - 1, ops)
-        image_rows = [list(r) for r in zip(*below)]
-    work: list[list] = [r for r in image_rows if any(v != ops.zero for v in r)]
-    work, pivots = rref(work, ops)
-    chosen = []
-    for vec in kernel:
-        v = list(vec)
-        for row, pc in zip(work, pivots):
-            if v[pc] != ops.zero:
-                f = v[pc]
-                v = [ops.sub(a, ops.mul(f, b)) for a, b in zip(v, row)]
-        lead = next((i for i, a in enumerate(v) if a != ops.zero), None)
-        if lead is None:
-            continue
-        inv = ops.inv(v[lead])
-        v = [ops.mul(inv, a) for a in v]
-        # insert into the echelon, keeping it reduced
-        for i, (row, pc) in enumerate(zip(work, pivots)):
-            if row[lead] != ops.zero:
-                f = row[lead]
-                work[i] = [ops.sub(a, ops.mul(f, b)) for a, b in zip(row, v)]
-        work.append(v)
-        pivots.append(lead)
-        order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-        work = [work[i] for i in order]
-        pivots = [pivots[i] for i in order]
-        chosen.append(tuple(v))
-    return CocycleBasis(degree, coeffs, faces_d, tuple(chosen))
+        return CocycleBasis(degree, coeffs, (), (), span)
+    index = _face_index(faces)
+    closed = Echelon(ops)  # rows of delta_degree: boundaries of (d+1)-faces
+    for col in _boundary_columns(K.k_faces(degree + 1), index):
+        closed.insert(dict(col))
+    image: dict[int, dict[int, int]] = {}
+    if degree >= 0:
+        below = _face_index(K.k_faces(degree - 1))
+        for t, col in enumerate(_boundary_columns(faces, below)):
+            for g, sign in col:
+                image.setdefault(g, {})[t] = sign
+    for vec in image.values():
+        span.insert(vec)
+    vectors = []
+    for vec in closed.kernel(n):
+        rep = span.insert(vec, tag=len(vectors))
+        if rep is not None:
+            vectors.append(tuple(rep.get(i, ops.zero) for i in range(n)))
+    return CocycleBasis(degree, coeffs, faces, tuple(vectors), span)

@@ -40,7 +40,6 @@ from .linalg import (
     Coefficients,
     cocycle_basis,
     field_ops,
-    reduced_homology,
 )
 
 
@@ -100,35 +99,23 @@ def _lift_mask(mask: int, verts: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=50_000)
-def _subset_classes(
-    K: SimplicialComplex, subset: int, coeffs: Coefficients
-) -> tuple[tuple[int, tuple[tuple[int, object], ...]], ...]:
-    """(degree, lifted cochain) pairs for a basis of H~*(K_subset).
+def _component(
+    K: SimplicialComplex, subset: int, degree: int, coeffs: Coefficients
+):
+    """Cocycle basis of H~^degree(K_subset), with its faces in ambient labels.
 
-    Follows the Hochster table: cocycle_basis runs only in the degrees
-    where the field Betti numbers of K_subset, derived from its cached
-    integral homology, are nonzero.
+    Returns the basis, a map from each ambient face mask to its column in
+    the basis, and the basis cocycles as sorted (ambient face, value)
+    tuples.  tor_basis and cochain_class_coords both read this one entry.
     """
     verts = vertices_of(subset)
-    KI = K.full_subcomplex(verts)
-    profile = reduced_homology(KI).over_field(coeffs)
-    out = []
-    for degree, rank in profile.ranks:
-        basis = cocycle_basis(KI, degree, coeffs)
-        if len(basis) != rank:
-            raise InternalInvariant(
-                f"cocycle basis of rank {len(basis)} where the table has {rank}"
-            )
-        for vec in basis.vectors:
-            lifted = tuple(
-                sorted(
-                    (_lift_mask(f, verts), val)
-                    for f, val in zip(basis.faces, vec)
-                    if val != 0
-                )
-            )
-            out.append((degree, lifted))
-    return tuple(out)
+    basis = cocycle_basis(K.full_subcomplex(verts), degree, coeffs)
+    ambient = [_lift_mask(f, verts) for f in basis.faces]
+    cochains = tuple(
+        tuple(sorted((a, val) for a, val in zip(ambient, vec) if val != 0))
+        for vec in basis.vectors
+    )
+    return basis, {a: col for col, a in enumerate(ambient)}, cochains
 
 
 def tor_basis(
@@ -139,10 +126,10 @@ def tor_basis(
 ) -> tuple[TorClass, ...]:
     """Deterministic basis of H*(Z_K) over a field, unit class included.
 
-    Follows the Hochster table: only the subsets whose reduced homology
-    over the field is nonzero are visited.  Classes are ordered by
-    (subset mask, degree, basis index); the unit is the empty-subset
-    class in total degree 0.
+    Follows the Hochster table: cocycle bases are built only for the
+    subsets and degrees where the reduced homology over the field is
+    nonzero.  Classes are ordered by (subset mask, degree, basis index);
+    the unit is the empty-subset class in total degree 0.
     """
     if not coeffs.is_field:
         raise NotAField("cup products need field coefficients")
@@ -154,12 +141,16 @@ def tor_basis(
         )
     table = hochster_table(K, INT, max_vertices=max_vertices).over(coeffs)
     classes = []
-    for mask, _ in table.subsets:
-        per_degree: dict[int, int] = {}
-        for degree, lifted in _subset_classes(K, mask, coeffs):
-            idx = per_degree.get(degree, 0)
-            per_degree[degree] = idx + 1
-            classes.append(TorClass(mask, degree, idx, coeffs, lifted))
+    for mask, prof in table.subsets:
+        for degree, rank in prof.ranks:
+            _, _, cochains = _component(K, mask, degree, coeffs)
+            if len(cochains) != rank:
+                raise InternalInvariant(
+                    f"cocycle basis of rank {len(cochains)} where the table"
+                    f" has {rank}"
+                )
+            for idx, cochain in enumerate(cochains):
+                classes.append(TorClass(mask, degree, idx, coeffs, cochain))
     return tuple(classes)
 
 
@@ -203,71 +194,6 @@ def multiply(K: SimplicialComplex, x, y) -> Cochain:
     return Cochain(I | J, degree, cx.coeffs, tuple(sorted(acc.items())))
 
 
-def _faces_within(K: SimplicialComplex, subset: int, size: int):
-    return sorted(
-        (f for f in K.faces() if not f & ~subset and f.bit_count() == size),
-        key=vertices_of,
-    )
-
-
-@lru_cache(maxsize=50_000)
-def _component_solver(
-    K: SimplicialComplex, subset: int, degree: int, coeffs: Coefficients
-):
-    """Echelonized generators of the cocycle space of one component.
-
-    Generators are the basis cocycles followed by the coboundaries of the
-    (degree-1)-faces; each echelon entry keeps the combination that
-    produced it, so expressing a cochain is a single reduction pass.
-    """
-    ops = field_ops(coeffs)
-    faces = _faces_within(K, subset, degree + 1)
-    index = {f: i for i, f in enumerate(faces)}
-    gens: list[list] = []
-    n_basis = 0
-    for deg, lifted in _subset_classes(K, subset, coeffs):
-        if deg != degree:
-            continue
-        col = [ops.zero] * len(faces)
-        for f, val in lifted:
-            col[index[f]] = val
-        gens.append(col)
-        n_basis += 1
-    for g in _faces_within(K, subset, degree):
-        col = [ops.zero] * len(faces)
-        hit = False
-        for f in faces:
-            extra = f & ~g
-            if extra and not extra & (extra - 1) and not g & ~f:
-                pos = (f & (extra - 1)).bit_count()
-                col[index[f]] = ops.neg(ops.one) if pos % 2 else ops.one
-                hit = True
-        if hit:
-            gens.append(col)
-    echelon: list[tuple[int, tuple, tuple]] = []
-    width = len(gens)
-    for g, vec in enumerate(gens):
-        v = list(vec)
-        combo = [ops.zero] * width
-        combo[g] = ops.one
-        for pivot, row, tvec in echelon:
-            a = v[pivot]
-            if a != ops.zero:
-                v = [ops.sub(x, ops.mul(a, y)) for x, y in zip(v, row)]
-                combo = [
-                    ops.sub(x, ops.mul(a, y)) for x, y in zip(combo, tvec)
-                ]
-        lead = next((i for i, a in enumerate(v) if a != ops.zero), None)
-        if lead is None:
-            continue
-        inv = ops.inv(v[lead])
-        v = [ops.mul(inv, a) for a in v]
-        combo = [ops.mul(inv, a) for a in combo]
-        echelon.append((lead, tuple(v), tuple(combo)))
-    echelon.sort(key=lambda e: e[0])
-    return tuple(faces), n_basis, width, tuple(echelon)
-
-
 def cochain_class_coords(
     K: SimplicialComplex, c: Cochain
 ) -> tuple[object, ...]:
@@ -276,29 +202,13 @@ def cochain_class_coords(
     Raises InternalInvariant if the cochain is not a cocycle modulo
     coboundaries (a product failing to close up would be a sign bug).
     """
-    ops = field_ops(c.coeffs)
-    faces, n_basis, width, echelon = _component_solver(
-        K, c.subset, c.degree, c.coeffs
-    )
-    if not faces:
-        if c.values:
-            raise InternalInvariant("cochain supported outside the complex")
-        return ()
-    index = {f: i for i, f in enumerate(faces)}
-    v = [ops.zero] * len(faces)
+    basis, columns, _ = _component(K, c.subset, c.degree, c.coeffs)
+    values = {}
     for f, val in c.values:
-        if f not in index:
+        if f not in columns:
             raise InternalInvariant("cochain supported outside the complex")
-        v[index[f]] = val
-    combo = [ops.zero] * width
-    for pivot, row, tvec in echelon:
-        a = v[pivot]
-        if a != ops.zero:
-            v = [ops.sub(x, ops.mul(a, y)) for x, y in zip(v, row)]
-            combo = [ops.add(x, ops.mul(a, y)) for x, y in zip(combo, tvec)]
-    if any(a != ops.zero for a in v):
-        raise InternalInvariant("product cochain is not closed")
-    return tuple(combo[:n_basis])
+        values[columns[f]] = val
+    return basis.coords(values)
 
 
 @dataclass(frozen=True)

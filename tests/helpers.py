@@ -13,7 +13,9 @@ skip, and its universal-coefficients derivation, not the linear algebra
 itself.
 
 smith_normal_form and boundary_matrix are dense oracles for the sparse
-integer elimination and the chain complexes; the package never calls them.
+integer elimination and the chain complexes, and dense_rref and
+dense_nullspace for the sparse field echelon; the package never calls
+them.
 """
 
 from __future__ import annotations
@@ -90,6 +92,56 @@ def dense_rank(rows, p=None):
                     mat[i] = [(a - f * b) % p for a, b in zip(mat[i], row)]
         rank += 1
     return rank
+
+
+def dense_rref(rows, ops):
+    """Reduced row echelon form of dense rows over a field (field_ops),
+    computed in place, and the pivot columns."""
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    rank = 0
+    for c in range(ncols):
+        sel = None
+        for i in range(rank, len(rows)):
+            if rows[i][c] != ops.zero:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        inv = ops.inv(rows[rank][c])
+        rows[rank] = [ops.mul(inv, v) for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c] != ops.zero:
+                f = rows[i][c]
+                rows[i] = [
+                    ops.sub(a, ops.mul(f, b))
+                    for a, b in zip(rows[i], rows[rank])
+                ]
+        pivots.append(c)
+        rank += 1
+    del rows[rank:]
+    return rows, pivots
+
+
+def dense_nullspace(rows, ncols, ops):
+    """Kernel basis of the map given by dense rows, one vector per free
+    column of their reduced row echelon form."""
+    work, pivots = dense_rref([list(r) for r in rows], ops)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [ops.zero] * ncols
+        vec[free] = ops.one
+        for row, pc in zip(work, pivots):
+            if row[free] != ops.zero:
+                vec[pc] = ops.neg(row[free])
+        basis.append(vec)
+    return basis
 
 
 def faces_by_size(K, verts):

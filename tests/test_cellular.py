@@ -111,3 +111,11 @@ def test_vertex_caps():
 def test_field_ranks_agree_on_torsion_free():
     for K in (polygon(5), PYRAMID):
         assert zk_betti(K, RAT) == zk_betti(K, PRIME(2)) == zk_betti(K, INT)
+
+
+@pytest.mark.parametrize("coeffs", [INT, RAT, PRIME(2), PRIME(3)], ids=str)
+def test_rk_betti_regrades_the_hochster_table(corpus, coeffs):
+    """H_p(R_K) is the sum of H~_(p-1)(K_I) over all subsets I, so the
+    table's rk_betti must agree with the cellular R_K complex."""
+    for K in [*corpus, from_facets(6, RP2_FACETS)]:
+        assert hochster_table(K, coeffs).rk_betti == rk_betti(K, coeffs), K

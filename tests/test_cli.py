@@ -203,6 +203,20 @@ def test_max_vertices_cap(capsys):
     assert code == 3
 
 
+def test_verify_thm42_honours_max_vertices(capsys):
+    code, _, err = run(
+        capsys,
+        "verify",
+        "thm4.2",
+        "--gen",
+        "disjoint_points",
+        "6",
+        "--max-vertices",
+        "5",
+    )
+    assert code == 3 and "exceed" in err
+
+
 def test_analyze_command(capsys):
     code, out, _ = run(capsys, "analyze", "--gen", "polygon", "4", "--json")
     assert code == 0

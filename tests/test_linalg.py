@@ -23,6 +23,7 @@ from momangle import (
     simplex,
 )
 from momangle.linalg import (
+    Echelon,
     field_ops,
     int_invariant_factors,
     int_rank,
@@ -35,7 +36,9 @@ from momangle.linalg import (
 from helpers import (
     RP2_FACETS,
     boundary_matrix,
+    dense_nullspace,
     dense_rank,
+    dense_rref,
     matmul,
     smith_normal_form,
 )
@@ -159,7 +162,94 @@ def test_invariant_factors_match_dense_smith():
         assert tuple(sparse) == smith_normal_form(mat).factors, mat
 
 
-# -- field elimination helpers ----------------------------------------------
+# -- the sparse field echelon against the dense references -------------------
+
+ENGINE_FIELDS = (RAT, PRIME(2), PRIME(3), PRIME(97))
+
+
+def _field_matrices(rng, ops):
+    """Empty, zero and seeded random matrices, entries in the field."""
+    yield [], 3
+    yield [[], []], 0
+    yield [[ops.zero] * 4 for _ in range(3)], 4
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        mat = _random_matrix(rng, nrows, ncols, density=rng.random())
+        yield [[ops.of_int(v) for v in row] for row in mat], ncols
+
+
+def _dense(vec, ncols, ops):
+    return [vec.get(c, ops.zero) for c in range(ncols)]
+
+
+def _echelon_of(rows, ops):
+    ech = Echelon(ops)
+    for row in rows:
+        ech.insert(dict(enumerate(row)))
+    return ech
+
+
+@pytest.mark.parametrize("coeffs", ENGINE_FIELDS, ids=str)
+def test_echelon_matches_dense_rref(coeffs):
+    ops = field_ops(coeffs)
+    rng = random.Random(11)
+    for mat, ncols in _field_matrices(rng, ops):
+        ech = _echelon_of(mat, ops)
+        want, pivots = dense_rref([list(r) for r in mat], ops)
+        assert len(ech) == len(pivots), mat
+        assert sorted(ech.rows) == pivots
+        assert [_dense(ech.rows[pc], ncols, ops) for pc in pivots] == want
+        assert rref([list(r) for r in mat], ops) == (want, pivots)
+        kernel = [_dense(v, ncols, ops) for v in ech.kernel(ncols)]
+        assert kernel == dense_nullspace(mat, ncols, ops)
+        assert nullspace(mat, ncols, ops) == kernel
+        for _ in range(5):
+            v = [ops.of_int(rng.randint(-5, 5)) for _ in range(ncols)]
+            normal = list(v)
+            for row, pc in zip(want, pivots):
+                a = normal[pc]
+                normal = [ops.sub(x, ops.mul(a, y)) for x, y in zip(normal, row)]
+            assert _dense(ech.reduce(dict(enumerate(v))), ncols, ops) == normal
+
+
+@pytest.mark.parametrize("coeffs", ENGINE_FIELDS, ids=str)
+def test_echelon_expresses_in_tagged_rows(coeffs):
+    ops = field_ops(coeffs)
+    rng = random.Random(12)
+    for _ in range(30):
+        ncols = rng.randint(1, 8)
+        ech = Echelon(ops)
+        untagged, tagged = [], []
+        for _ in range(rng.randint(0, 4)):
+            v = {c: ops.of_int(rng.randint(-3, 3)) for c in range(ncols)}
+            if ech.insert(v) is not None:
+                untagged.append(v)
+        for _ in range(rng.randint(0, 4)):
+            v = {c: ops.of_int(rng.randint(-3, 3)) for c in range(ncols)}
+            normal = ech.reduce(v)
+            row = ech.insert(v, tag=len(tagged))
+            if not normal:
+                assert row is None
+                continue
+            inv = ops.inv(normal[min(normal)])
+            assert row == {c: ops.mul(inv, a) for c, a in normal.items()}
+            tagged.append(row)
+        assert len(ech) == len(untagged) + len(tagged)
+        x = [ops.of_int(rng.randint(-4, 4)) for _ in tagged]
+        target = [ops.zero] * ncols
+        for coeff, vec in zip(x, tagged):
+            for c, a in vec.items():
+                target[c] = ops.add(target[c], ops.mul(coeff, a))
+        for vec in untagged:
+            coeff = ops.of_int(rng.randint(-4, 4))
+            for c, a in vec.items():
+                target[c] = ops.add(target[c], ops.mul(coeff, a))
+        rest, combo = ech.express(dict(enumerate(target)))
+        assert rest == {}
+        assert [combo.get(t, ops.zero) for t in range(len(tagged))] == x
+        for free in range(ncols):
+            if free not in ech.rows:
+                assert ech.express({free: ops.one})[0] == {free: ops.one}
 
 
 def test_rref_and_nullspace():

@@ -2,9 +2,11 @@
 
 perfbench/tracing.py wraps each (layer, function) pair of its TRACED
 list by name, so a refactor that renames or drops one of them would only
-show up when the benchmark runs.  This test fails first.
+show up when the benchmark runs.  This test fails first.  The same module checks that no module of the
+package imports a name it does not use.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -31,3 +33,32 @@ def test_traced_names_resolve():
         assert callable(owner), (layer, attr)
     # the traced run checks its reduced_homology calls against cache_info()
     assert linalg.reduced_homology.cache_info().maxsize
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "momangle"
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(
+        (line, name) for name, line in imported.items() if name not in used
+    )
+
+
+def test_no_unused_imports():
+    """Every name a module imports is used in it; the package __init__
+    only re-exports, so it is exempt."""
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {p.name: _unused_imports(p) for p in modules}
+    assert not {name: found for name, found in unused.items() if found}
