@@ -55,7 +55,7 @@ from .errors import (
     TooManyVertices,
 )
 from .hochster import (
-    DEFAULT_MAX_VERTICES,
+    HOCHSTER_MAX_VERTICES,
     HochsterTable,
     duality_check,
     format_poincare,

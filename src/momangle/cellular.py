@@ -63,16 +63,14 @@ def _assemble(cells_by_dim: dict[int, list], boundary_of) -> ChainComplex:
     return ChainComplex(degrees, dims, tuple(boundaries))
 
 
-def zk_chain_complex(
-    K: SimplicialComplex, *, max_vertices: int = ZK_MAX_VERTICES
-) -> ChainComplex:
+def zk_chain_complex(K: SimplicialComplex) -> ChainComplex:
     """Cellular chain complex of Z_K.
 
     The boundary moves one disc factor to its bounding circle:
     d(sigma, omega) = sum over j in sigma of
     (-1)^{#(omega below j)} (sigma - j, omega + j).
     """
-    _check_cap(K, max_vertices, "Z_K")
+    _check_cap(K, ZK_MAX_VERTICES, "Z_K")
     full = (1 << K.m) - 1
     cells_by_dim: dict[int, list] = {}
     for sigma in K.faces():
@@ -92,9 +90,7 @@ def zk_chain_complex(
     return _assemble(cells_by_dim, boundary_of)
 
 
-def rk_chain_complex(
-    K: SimplicialComplex, *, max_vertices: int = RK_MAX_VERTICES
-) -> ChainComplex:
+def rk_chain_complex(K: SimplicialComplex) -> ChainComplex:
     """Cellular chain complex of the real moment-angle complex R_K.
 
     eps is stored as the set of coordinates pinned at +1; a cleared bit
@@ -102,7 +98,7 @@ def rk_chain_complex(
     endpoints: d(sigma, eps) = sum over j in sigma of
     (-1)^{#(sigma below j)} [(sigma - j, eps + j) - (sigma - j, eps)].
     """
-    _check_cap(K, max_vertices, "R_K")
+    _check_cap(K, RK_MAX_VERTICES, "R_K")
     full = (1 << K.m) - 1
     cells_by_dim: dict[int, list] = {}
     for sigma in K.faces():
@@ -128,48 +124,30 @@ def _betti_vector(cc: ChainComplex, coeffs: Coefficients) -> tuple[int, ...]:
 
 
 def zk_betti(
-    K: SimplicialComplex,
-    coeffs: Coefficients = INT,
-    *,
-    max_vertices: int = ZK_MAX_VERTICES,
+    K: SimplicialComplex, coeffs: Coefficients = INT
 ) -> tuple[int, ...]:
     """Betti numbers of Z_K in degrees 0..m+dim+1, from the cell structure."""
-    cc = zk_chain_complex(K, max_vertices=max_vertices)
-    b = _betti_vector(cc, coeffs)
+    b = _betti_vector(zk_chain_complex(K), coeffs)
     want = K.m + K.dim + 2  # ordinary homology: degrees 0..m+dim+1
     return b + (0,) * (want - len(b))
 
 
 def rk_betti(
-    K: SimplicialComplex,
-    coeffs: Coefficients = INT,
-    *,
-    max_vertices: int = RK_MAX_VERTICES,
+    K: SimplicialComplex, coeffs: Coefficients = INT
 ) -> tuple[int, ...]:
     """Betti numbers of R_K in degrees 0..dim+1."""
-    cc = rk_chain_complex(K, max_vertices=max_vertices)
-    b = _betti_vector(cc, coeffs)
+    b = _betti_vector(rk_chain_complex(K), coeffs)
     want = K.dim + 2
     return b + (0,) * (want - len(b))
 
 
 def zk_homology(
-    K: SimplicialComplex,
-    coeffs: Coefficients = INT,
-    *,
-    max_vertices: int = ZK_MAX_VERTICES,
+    K: SimplicialComplex, coeffs: Coefficients = INT
 ) -> HomologyProfile:
-    return homology_profile(
-        zk_chain_complex(K, max_vertices=max_vertices), coeffs
-    )
+    return homology_profile(zk_chain_complex(K), coeffs)
 
 
 def rk_homology(
-    K: SimplicialComplex,
-    coeffs: Coefficients = INT,
-    *,
-    max_vertices: int = RK_MAX_VERTICES,
+    K: SimplicialComplex, coeffs: Coefficients = INT
 ) -> HomologyProfile:
-    return homology_profile(
-        rk_chain_complex(K, max_vertices=max_vertices), coeffs
-    )
+    return homology_profile(rk_chain_complex(K), coeffs)

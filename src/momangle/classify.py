@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .complexes import SimplicialComplex, from_facets, mask_of, vertices_of
 from .errors import EmptySubset, OutOfRange
-from .hochster import DEFAULT_MAX_VERTICES, hochster_table
+from .hochster import hochster_table
 from .linalg import INT, RAT, field_ops, reduced_homology, rref
 from .products import is_cup_golod, product_table
 
@@ -45,15 +45,13 @@ class MNGReport:
         }
 
 
-def is_minimally_non_golod(
-    K: SimplicialComplex, *, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> MNGReport:
+def is_minimally_non_golod(K: SimplicialComplex) -> MNGReport:
     """K has a nonzero cup product but every vertex deletion has none.
 
     False comes with a witness: either K itself is product-free, or some
     deletion still carries a product (witness_vertex names it).
     """
-    own = is_cup_golod(K, max_vertices=max_vertices)
+    own = is_cup_golod(K)
     caveats = own.caveats
     if own.verdict == "UNKNOWN":
         return MNGReport(None, caveats=caveats)
@@ -66,7 +64,7 @@ def is_minimally_non_golod(
     undecided = False
     for v in range(1, K.m + 1):
         sub = K.delete_vertex(v)
-        rep = is_cup_golod(sub, max_vertices=max_vertices)
+        rep = is_cup_golod(sub)
         if rep.verdict == "NON_GOLOD":
             return MNGReport(
                 False,
@@ -165,12 +163,7 @@ class TFAEReport:
         return d
 
 
-def tfae_check(
-    K: SimplicialComplex,
-    subset,
-    *,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> TFAEReport:
+def tfae_check(K: SimplicialComplex, subset) -> TFAEReport:
     """Evaluate all five cone-vertex characterizations for the subset.
 
     The five answers are provably equal; a disagreement in the report
@@ -186,7 +179,7 @@ def tfae_check(
     imask = mask_of(I)
     outside = [v for v in range(1, K.m + 1) if v not in set(I)]
 
-    table = hochster_table(K, INT, max_vertices=max_vertices)
+    table = hochster_table(K, INT)
     a = all(mask & ~imask == 0 for mask, _ in table.subsets)
 
     core_verts, _ = K.core()
@@ -201,14 +194,12 @@ def tfae_check(
         K.link([v]) == K.delete_vertex(v) for v in outside
     )
 
+    # from_facets drops the contained generators; smask is disjoint from
+    # I, so adding it keeps containment among the restricted facets
     smask = ((1 << K.m) - 1) & ~imask
-    restricted = {f & imask for f in K.facets}
-    keep = [
-        g
-        for g in restricted
-        if not any(g != h and g & ~h == 0 for h in restricted)
-    ]
-    cand = from_facets(K.m, [vertices_of(smask | g) for g in keep])
+    cand = from_facets(
+        K.m, [vertices_of(smask | (f & imask)) for f in K.facets]
+    )
     e = cand == K
 
     return TFAEReport(
@@ -242,9 +233,7 @@ class RecognitionReport:
         }
 
 
-def recognize_connected_sum(
-    K: SimplicialComplex, *, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> RecognitionReport:
+def recognize_connected_sum(K: SimplicialComplex) -> RecognitionReport:
     """Match H*(Z_K; Q) against a sphere or a connected sum of S^a x S^b.
 
     Necessary and sufficient ring conditions: Betti numbers 1, .., 1 with
@@ -252,7 +241,7 @@ def recognize_connected_sum(
     the top degree, and nondegenerate complementary pairings.  The
     verdict is about the cohomology ring, not the homeomorphism type.
     """
-    table = hochster_table(K, RAT, max_vertices=max_vertices)
+    table = hochster_table(K, RAT)
     b = table.betti
     N = max((k for k, v in enumerate(b) if v), default=0)
     if N == 0:
@@ -283,7 +272,7 @@ def recognize_connected_sum(
             N,
             reason="odd-rank middle degree cannot split into products",
         )
-    pt = product_table(K, RAT, max_vertices=max_vertices)
+    pt = product_table(K, RAT)
     classes = pt.classes
     for i, j, coords in pt.products:
         if classes[i].total_degree + classes[j].total_degree < N:
@@ -359,12 +348,10 @@ def _conclusion_status(mng: MNGReport, extra_ok: bool = True) -> str:
     return "CONFIRMED" if (mng.value and extra_ok) else "VIOLATION"
 
 
-def verify_theorem_1_1(
-    K: SimplicialComplex, *, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> VerificationReport:
+def verify_theorem_1_1(K: SimplicialComplex) -> VerificationReport:
     """If Z_K is a connected sum of sphere products (ring level) and K is
     Gorenstein*, then K must be minimally non-Golod."""
-    rec = recognize_connected_sum(K, max_vertices=max_vertices)
+    rec = recognize_connected_sum(K)
     gor = is_gorenstein_star(K)
     hyp = {
         "connected_sum": rec.kind == "CONNECTED_SUM",
@@ -373,7 +360,7 @@ def verify_theorem_1_1(
     }
     if rec.kind != "CONNECTED_SUM" or not gor.value:
         return VerificationReport("thm1.1", "HYPOTHESIS_NOT_MET", hyp)
-    mng = is_minimally_non_golod(K, max_vertices=max_vertices)
+    mng = is_minimally_non_golod(K)
     return VerificationReport(
         "thm1.1",
         _conclusion_status(mng),
@@ -382,13 +369,11 @@ def verify_theorem_1_1(
     )
 
 
-def verify_theorem_1_2(
-    K: SimplicialComplex, *, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> VerificationReport:
+def verify_theorem_1_2(K: SimplicialComplex) -> VerificationReport:
     """If Z_K is a connected sum of sphere products (ring level), then K
     splits as a simplex joined with its core, the core is Gorenstein*,
     and the core is minimally non-Golod."""
-    rec = recognize_connected_sum(K, max_vertices=max_vertices)
+    rec = recognize_connected_sum(K)
     hyp = {
         "connected_sum": rec.kind == "CONNECTED_SUM",
         "recognition": rec.to_dict(),
@@ -397,7 +382,7 @@ def verify_theorem_1_2(
         return VerificationReport("thm1.2", "HYPOTHESIS_NOT_MET", hyp)
     cone_verts, core = K.core()
     gor = is_gorenstein_star(core)
-    mng = is_minimally_non_golod(core, max_vertices=max_vertices)
+    mng = is_minimally_non_golod(core)
     details = {
         "cone_vertices": list(cone_verts),
         "simplex_dim": len(cone_verts) - 1,
@@ -413,17 +398,13 @@ def verify_theorem_1_2(
     )
 
 
-def verify_theorem_4_2(
-    K: SimplicialComplex,
-    *,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> VerificationReport:
+def verify_theorem_4_2(K: SimplicialComplex) -> VerificationReport:
     """If the real moment-angle complex has the rational Betti profile of
     a connected sum (1, middle, 1 with duality), then the core of K is
     minimally non-Golod.
 
     The Betti numbers of R_K are read off the Hochster table over Q."""
-    b = hochster_table(K, RAT, max_vertices=max_vertices).rk_betti
+    b = hochster_table(K, RAT).rk_betti
     n = len(b) - 1
     middle = sum(b[1:n]) if n >= 1 else 0
     pattern = (
@@ -443,7 +424,7 @@ def verify_theorem_4_2(
     if not pattern:
         return VerificationReport("thm4.2", "HYPOTHESIS_NOT_MET", hyp)
     cone_verts, core = K.core()
-    mng = is_minimally_non_golod(core, max_vertices=max_vertices)
+    mng = is_minimally_non_golod(core)
     details = {
         "cone_vertices": list(cone_verts),
         "simplex_dim": len(cone_verts) - 1,

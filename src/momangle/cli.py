@@ -17,8 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
-from .cellular import RK_MAX_VERTICES, ZK_MAX_VERTICES, rk_betti, zk_betti
+from .cellular import rk_betti, zk_betti
 from .classify import (
     is_gorenstein_star,
     is_minimally_non_golod,
@@ -36,12 +37,7 @@ from .errors import (
     ParseError,
     TooManyVertices,
 )
-from .hochster import (
-    DEFAULT_MAX_VERTICES,
-    duality_check,
-    format_poincare,
-    hochster_table,
-)
+from .hochster import duality_check, format_poincare, hochster_table
 from .linalg import INT, coefficients_from_token
 from .products import is_cup_golod, product_table
 
@@ -93,7 +89,7 @@ def _load_complex(args) -> SimplicialComplex:
     return from_json(text)
 
 
-def _add_input_args(p, *, max_vertices=DEFAULT_MAX_VERTICES):
+def _add_input_args(p):
     p.add_argument("input", nargs="?", help="complex JSON file, or - for stdin")
     p.add_argument(
         "--gen",
@@ -101,16 +97,12 @@ def _add_input_args(p, *, max_vertices=DEFAULT_MAX_VERTICES):
         metavar="TOKEN",
         help="build a complex inline: FAMILY ARGS (cone/join nest)",
     )
-    p.add_argument(
-        "--max-vertices",
-        type=int,
-        default=max_vertices,
-        help=f"vertex cap for subset enumeration (default {max_vertices})",
-    )
     p.add_argument("--json", action="store_true", help="emit JSON")
 
 
+@lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused."""
     ap = argparse.ArgumentParser(
         prog="momangle",
         description="Cohomology rings of moment-angle complexes",
@@ -122,11 +114,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default="int", help="int, q, or f<p> (default int)")
 
     p = sub.add_parser("betti-zk", help="Betti numbers of Z_K from its cells")
-    _add_input_args(p, max_vertices=ZK_MAX_VERTICES)
+    _add_input_args(p)
     p.add_argument("--field", default="int", help="int, q, or f<p> (default int)")
 
     p = sub.add_parser("betti-rk", help="Betti numbers of R_K from its cells")
-    _add_input_args(p, max_vertices=RK_MAX_VERTICES)
+    _add_input_args(p)
     p.add_argument("--field", default="int", help="int, q, or f<p> (default int)")
 
     p = sub.add_parser("products", help="nonzero cup products over a field")
@@ -190,7 +182,7 @@ def _fmt_pairs(pairs) -> str:
 
 def _cmd_hochster(args) -> int:
     K = _load_complex(args)
-    table = hochster_table(K, _field(args), max_vertices=args.max_vertices)
+    table = hochster_table(K, _field(args))
     lines = [
         f"vertices: {table.m}  dim: {K.dim}  coeffs: {table.coeffs}",
         "betti: " + " ".join(map(str, table.betti)),
@@ -214,10 +206,11 @@ def _cmd_hochster(args) -> int:
 
 def _cmd_betti_zk(args) -> int:
     K = _load_complex(args)
-    b = zk_betti(K, _field(args), max_vertices=args.max_vertices)
+    coeffs = _field(args)
+    b = zk_betti(K, coeffs)
     _emit(
         args,
-        {"coeffs": args.field, "betti": list(b)},
+        {"coeffs": str(coeffs), "betti": list(b)},
         ["zk betti: " + " ".join(map(str, b))],
     )
     return 0
@@ -225,10 +218,11 @@ def _cmd_betti_zk(args) -> int:
 
 def _cmd_betti_rk(args) -> int:
     K = _load_complex(args)
-    b = rk_betti(K, _field(args), max_vertices=args.max_vertices)
+    coeffs = _field(args)
+    b = rk_betti(K, coeffs)
     _emit(
         args,
-        {"coeffs": args.field, "betti": list(b)},
+        {"coeffs": str(coeffs), "betti": list(b)},
         ["rk betti: " + " ".join(map(str, b))],
     )
     return 0
@@ -236,7 +230,7 @@ def _cmd_betti_rk(args) -> int:
 
 def _cmd_products(args) -> int:
     K = _load_complex(args)
-    pt = product_table(K, _field(args), max_vertices=args.max_vertices)
+    pt = product_table(K, _field(args))
     lines = [f"field: {pt.coeffs}", f"classes: {len(pt.classes)}"]
     for t, c in enumerate(pt.classes):
         verts = ",".join(map(str, vertices_of(c.subset)))
@@ -256,7 +250,7 @@ def _cmd_products(args) -> int:
 
 def _cmd_golod(args) -> int:
     K = _load_complex(args)
-    rep = is_cup_golod(K, max_vertices=args.max_vertices)
+    rep = is_cup_golod(K)
     lines = [f"verdict: {rep.verdict}"]
     lines.append("fields checked: " + " ".join(rep.fields_checked))
     if rep.witness:
@@ -273,7 +267,7 @@ def _cmd_golod(args) -> int:
 
 def _cmd_mng(args) -> int:
     K = _load_complex(args)
-    rep = is_minimally_non_golod(K, max_vertices=args.max_vertices)
+    rep = is_minimally_non_golod(K)
     value = {True: "true", False: "false", None: "undecided"}[rep.value]
     lines = [f"minimally non-Golod: {value}"]
     if rep.witness_vertex is not None:
@@ -315,7 +309,7 @@ def _cmd_gorenstein(args) -> int:
 
 def _cmd_recognize(args) -> int:
     K = _load_complex(args)
-    rep = recognize_connected_sum(K, max_vertices=args.max_vertices)
+    rep = recognize_connected_sum(K)
     lines = [f"kind: {rep.kind}"]
     if rep.kind == "SPHERE":
         lines.append(f"sphere dimension: {rep.top_degree}")
@@ -335,7 +329,7 @@ def _cmd_verify(args) -> int:
         "thm1.2": verify_theorem_1_2,
         "thm4.2": verify_theorem_4_2,
     }[args.theorem]
-    rep = fn(K, max_vertices=args.max_vertices)
+    rep = fn(K)
     lines = [f"{rep.theorem}: {rep.status}"]
     if rep.status == "HYPOTHESIS_NOT_MET":
         for key, val in rep.hypothesis.items():
@@ -363,12 +357,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_analyze(args) -> int:
     K = _load_complex(args)
-    table = hochster_table(K, INT, max_vertices=args.max_vertices)
+    table = hochster_table(K, INT)
     cone_verts, core = K.core()
-    golod = is_cup_golod(K, max_vertices=args.max_vertices)
-    mng = is_minimally_non_golod(K, max_vertices=args.max_vertices)
+    golod = is_cup_golod(K)
+    mng = is_minimally_non_golod(K)
     gor = is_gorenstein_star(K)
-    rec = recognize_connected_sum(K, max_vertices=args.max_vertices)
+    rec = recognize_connected_sum(K)
     payload = {
         "complex": K.to_dict(),
         "dim": K.dim,

@@ -12,6 +12,8 @@ Operations that pass to a subcomplex on fewer vertices (links, deletions,
 full subcomplexes, stars, cores) relabel the result to contiguous labels
 1..m' and retain the original labels in ``vertex_labels``; equality and
 hashing ignore that metadata and compare the labeled face structure only.
+They are built straight from facet masks; only input and the generators
+that can grow m go through the validating :func:`from_facets`.
 """
 
 from __future__ import annotations
@@ -64,15 +66,33 @@ def _submasks(mask: int):
         s = (s - 1) & mask
 
 
-def _canonical_facets(masks: Iterable[int]) -> tuple[int, ...]:
-    """Drop duplicates and faces contained in another facet; sort lex."""
+def _compress(mask: int, support: int) -> int:
+    """``mask`` (a subset of ``support``) with the vertices of ``support``
+    renumbered 1..|support| in order."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << (support & (low - 1)).bit_count()
+        mask ^= low
+    return out
+
+
+def _from_masks(
+    m: int, masks: Iterable[int], labels: tuple[int, ...] | None = None
+) -> SimplicialComplex:
+    """The complex on 1..m generated by facet masks, unchecked.
+
+    Drops duplicates and faces contained in another facet and sorts the
+    rest lex; no masks give the empty complex.  The caller guarantees
+    that the masks cover 1..m and that m is within the vertex cap.
+    """
     uniq = sorted(set(masks), key=lambda f: -f.bit_count())
     out: list[int] = []
     for f in uniq:
         if not any(f & ~g == 0 for g in out):
             out.append(f)
     out.sort(key=vertices_of)
-    return tuple(out)
+    return SimplicialComplex(m, tuple(out) or (0,), labels)
 
 
 @dataclass(frozen=True)
@@ -195,11 +215,13 @@ class SimplicialComplex:
         """Rename vertex i to new_labels[i-1]; must be a bijection on 1..m."""
         if sorted(new_labels) != list(range(1, self.m + 1)):
             raise BadParams("relabeling must be a bijection onto 1..m")
-        facets = [
-            mask_of(new_labels[v - 1] for v in vertices_of(f))
-            for f in self.facets
-        ]
-        return from_facets(self.m, map(vertices_of, facets))
+        return _from_masks(
+            self.m,
+            [
+                mask_of(new_labels[v - 1] for v in vertices_of(f))
+                for f in self.facets
+            ],
+        )
 
     def minimal_non_faces(self) -> tuple[tuple[int, ...], ...]:
         """Inclusion-minimal subsets of [m] that are not faces."""
@@ -245,14 +267,14 @@ class SimplicialComplex:
         self, facet_masks: Iterable[int], support: int
     ) -> SimplicialComplex:
         """Normalize generator masks onto contiguous labels over ``support``."""
-        old = vertices_of(support)
-        pos = {v: i + 1 for i, v in enumerate(old)}
-        gens = [
-            mask_of(pos[v] for v in vertices_of(f)) for f in facet_masks
-        ]
-        new = from_facets(len(old), map(vertices_of, gens))
-        labels = tuple(self.label_of(v) for v in old)
-        return SimplicialComplex(new.m, new.facets, labels or None)
+        labels = vertices_of(support)
+        if self.vertex_labels is not None:
+            labels = tuple(self.vertex_labels[v - 1] for v in labels)
+        return _from_masks(
+            len(labels),
+            [_compress(f, support) for f in set(facet_masks)],
+            labels or None,
+        )
 
 
 @lru_cache(maxsize=4096)
@@ -287,13 +309,13 @@ def from_facets(m: int, facets: Iterable[Iterable[int]]) -> SimplicialComplex:
             if not (1 <= v <= m):
                 raise OutOfRange(f"vertex {v} not in 1..{m}")
         masks.append(mask_of(vs))
-    canon = _canonical_facets(masks) if masks else (0,)
-    covered = reduce(int.__or__, canon, 0)
+    K = _from_masks(m, masks)
+    covered = reduce(int.__or__, K.facets)
     full = (1 << m) - 1
     if covered != full:
         missing = vertices_of(full & ~covered)
         raise GhostVertex(f"vertices {missing} appear in no facet")
-    return SimplicialComplex(m, canon)
+    return K
 
 
 def from_dict(data: object) -> SimplicialComplex:

@@ -8,7 +8,8 @@ primes) is read off from it.
 
 There is one walk over the 2^m subsets, over the integers, cached per
 complex.  A table over Q or F_p is derived from the integral one by
-universal coefficients (HochsterTable.over), never walked again.
+universal coefficients (HochsterTable.over), never walked again, and
+cached with it.
 
 The empty subset contributes the unit in degree 0, so b_0 = 1 and
 b_1 = b_2 = 0 for every complex.
@@ -29,7 +30,7 @@ from .linalg import (
     reduced_homology,
 )
 
-DEFAULT_MAX_VERTICES = 20
+HOCHSTER_MAX_VERTICES = 20
 
 
 @dataclass(frozen=True)
@@ -143,30 +144,29 @@ class HochsterTable:
 
 
 def hochster_table(
-    K: SimplicialComplex,
-    coeffs: Coefficients = INT,
-    *,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
+    K: SimplicialComplex, coeffs: Coefficients = INT
 ) -> HochsterTable:
     """Reduced homology of every full subcomplex of K, assembled per subset.
 
     Walks all 2^m vertex subsets over the integers, so the vertex count
-    is capped by max_vertices (raising TooManyVertices beyond it).  The
+    is capped at HOCHSTER_MAX_VERTICES (TooManyVertices beyond it).  The
     integral table is cached per complex; a field table is derived from
-    it by universal coefficients.
+    it by universal coefficients, once, and cached beside it.
     """
-    if K.m > max_vertices:
+    if K.m > HOCHSTER_MAX_VERTICES:
         raise TooManyVertices(
-            f"{K.m} vertices exceed the cap of {max_vertices} "
+            f"{K.m} vertices exceed the cap of {HOCHSTER_MAX_VERTICES} "
             f"(2^m subsets are enumerated)",
             m=K.m,
-            cap=max_vertices,
+            cap=HOCHSTER_MAX_VERTICES,
         )
-    return _integral_table(K).over(coeffs)
+    return _table(K, coeffs)
 
 
 @lru_cache(maxsize=10_000)
-def _integral_table(K: SimplicialComplex) -> HochsterTable:
+def _table(K: SimplicialComplex, coeffs: Coefficients) -> HochsterTable:
+    if coeffs.kind != "int":
+        return _table(K, INT).over(coeffs)
     found = []
     for mask in range(1 << K.m):
         prof = reduced_homology(K.full_subcomplex(vertices_of(mask)))

@@ -25,13 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .complexes import SimplicialComplex, vertices_of
-from .errors import (
-    FieldMismatch,
-    InternalInvariant,
-    NotAField,
-    TooManyVertices,
-)
-from .hochster import DEFAULT_MAX_VERTICES, HochsterTable, hochster_table
+from .errors import FieldMismatch, InternalInvariant, NotAField
+from .hochster import HochsterTable, hochster_table
 from .linalg import (
     INT,
     MAX_FIELD_PRIME,
@@ -51,9 +46,6 @@ class Cochain:
     degree: int
     coeffs: Coefficients
     values: tuple[tuple[int, object], ...]  # (face mask, scalar), sorted
-
-    def as_dict(self) -> dict[int, object]:
-        return dict(self.values)
 
     @property
     def is_zero(self) -> bool:
@@ -119,10 +111,7 @@ def _component(
 
 
 def tor_basis(
-    K: SimplicialComplex,
-    coeffs: Coefficients = RAT,
-    *,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
+    K: SimplicialComplex, coeffs: Coefficients = RAT
 ) -> tuple[TorClass, ...]:
     """Deterministic basis of H*(Z_K) over a field, unit class included.
 
@@ -133,13 +122,7 @@ def tor_basis(
     """
     if not coeffs.is_field:
         raise NotAField("cup products need field coefficients")
-    if K.m > max_vertices:
-        raise TooManyVertices(
-            f"{K.m} vertices exceed the cap of {max_vertices}",
-            m=K.m,
-            cap=max_vertices,
-        )
-    table = hochster_table(K, INT, max_vertices=max_vertices).over(coeffs)
+    table = hochster_table(K, coeffs)
     classes = []
     for mask, prof in table.subsets:
         for degree, rank in prof.ranks:
@@ -254,17 +237,14 @@ class ProductTable:
 
 
 def product_table(
-    K: SimplicialComplex,
-    coeffs: Coefficients = RAT,
-    *,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
+    K: SimplicialComplex, coeffs: Coefficients = RAT
 ) -> ProductTable:
     """Multiply every disjoint-support pair of positive-degree classes.
 
     Pairs whose target component H~^d(K_{I u J}) is zero are skipped
     outright; the remaining products are resolved into basis coordinates.
     """
-    basis = tor_basis(K, coeffs, max_vertices=max_vertices)
+    basis = tor_basis(K, coeffs)
     classes = tuple(c for c in basis if c.subset)
     entries = tuple(_iter_nonzero_products(K, classes))
     return ProductTable(K, coeffs, classes, entries)
@@ -360,12 +340,7 @@ class GolodReport:
         }
 
 
-def is_cup_golod(
-    K: SimplicialComplex,
-    fields=None,
-    *,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> GolodReport:
+def is_cup_golod(K: SimplicialComplex, fields=None) -> GolodReport:
     """Cup-level Golod test over a battery of fields.
 
     The default battery is Q and F_p for p in {2, 3, 5, 7}, extended by
@@ -377,7 +352,7 @@ def is_cup_golod(
     disjoint components with a nonzero target component is product-free
     and is checked without building its basis.
     """
-    table = hochster_table(K, INT, max_vertices=max_vertices)
+    table = hochster_table(K, INT)
     battery = list(fields) if fields is not None else list(DEFAULT_GOLOD_FIELDS)
     caveats = [CUP_CAVEAT]
     untestable = []
@@ -400,9 +375,9 @@ def is_cup_golod(
         if not field.is_field:
             raise NotAField("the Golod battery must consist of fields")
         checked.append(str(field))
-        if not _may_multiply(table.over(field)):
+        if not _may_multiply(hochster_table(K, field)):
             continue
-        basis = tor_basis(K, field, max_vertices=max_vertices)
+        basis = tor_basis(K, field)
         classes = tuple(c for c in basis if c.subset)
         found = next(_iter_nonzero_products(K, classes), None)
         if found is not None:

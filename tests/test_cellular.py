@@ -102,10 +102,11 @@ def test_vertex_caps():
     assert exc.value.cap == 14
     with pytest.raises(TooManyVertices):
         rk_chain_complex(disjoint_points(21))
+    with pytest.raises(TooManyVertices) as exc:
+        rk_betti(polygon(21))
+    assert exc.value.cap == 20
     with pytest.raises(TooManyVertices):
-        zk_betti(polygon(5), max_vertices=4)
-    # explicit higher cap overrides the default
-    assert zk_betti(disjoint_points(2), max_vertices=2) == (1, 0, 0, 1)
+        zk_betti(polygon(15))
 
 
 def test_field_ranks_agree_on_torsion_free():

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from momangle import from_facets, polygon
-from momangle.cli import main
+from momangle.cli import _parser, main
 
 PYRAMID_JSON = from_facets(
     5, [(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)]
@@ -49,6 +49,15 @@ def test_gen_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "gen", "polygon", "4", "7")
     assert code == 2 and "unused" in err
+
+
+def test_gen_past_the_vertex_cap(capsys):
+    code, out, err = run(capsys, "gen", "stacked_sphere", "2", "30")
+    assert code == 3 and "exceeds" in err and not out
+    code, out, err = run(
+        capsys, "gen", "join", "polygon", "13", "polygon", "13"
+    )
+    assert code == 3 and "exceeds" in err and not out
 
 
 def test_input_from_file(tmp_path, capsys):
@@ -125,6 +134,7 @@ def test_betti_commands(capsys):
     assert code == 0 and "zk betti: 1 0 0 2 0 0 1" in out
     code, out, _ = run(capsys, "betti-rk", "--gen", "polygon", "5", "--json")
     assert code == 0 and json.loads(out)["betti"] == [1, 10, 1]
+    assert _parser() is _parser()
 
 
 def test_products_command(capsys):
@@ -195,26 +205,44 @@ def test_verify_rejects_unknown_theorem(capsys):
 
 
 def test_max_vertices_cap(capsys):
-    code, _, err = run(
-        capsys, "hochster", "--gen", "polygon", "6", "--max-vertices", "5"
-    )
-    assert code == 3 and "exceed" in err
-    code, _, err = run(capsys, "betti-zk", "--gen", "disjoint_points", "15")
-    assert code == 3
+    for argv in (
+        ["hochster", "--gen", "polygon", "21"],
+        ["products", "--gen", "polygon", "21"],
+        ["golod", "--gen", "polygon", "21"],
+        ["betti-zk", "--gen", "disjoint_points", "15"],
+        ["betti-rk", "--gen", "disjoint_points", "21"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and "exceed" in err and not out, argv
+    # the caps are fixed: there is no option to move them
+    with pytest.raises(SystemExit) as exc:
+        main(["hochster", "--gen", "polygon", "6", "--max-vertices", "7"])
+    assert exc.value.code == 2
 
 
 def test_verify_thm42_honours_max_vertices(capsys):
     code, _, err = run(
-        capsys,
-        "verify",
-        "thm4.2",
-        "--gen",
-        "disjoint_points",
-        "6",
-        "--max-vertices",
-        "5",
+        capsys, "verify", "thm4.2", "--gen", "disjoint_points", "21"
     )
     assert code == 3 and "exceed" in err
+
+
+def test_consecutive_calls_share_one_parser(capsys):
+    code, out, _ = run(capsys, "hochster", "--gen", "polygon", "4")
+    assert code == 0 and "betti: 1 0 0 2 0 0 1" in out
+    code, out, _ = run(capsys, "core", "--gen", "cone", "polygon", "4")
+    assert code == 0 and "cone vertices: 5" in out
+    code, out, _ = run(capsys, "betti-rk", "--gen", "polygon", "5", "--json")
+    assert code == 0 and json.loads(out)["betti"] == [1, 10, 1]
+    assert _parser() is _parser()
+
+
+def test_betti_commands_echo_parsed_coefficients(capsys):
+    for command in ("betti-zk", "betti-rk"):
+        code, out, _ = run(
+            capsys, command, "--gen", "polygon", "4", "--field", " Q", "--json"
+        )
+        assert code == 0 and json.loads(out)["coeffs"] == "q", command
 
 
 def test_analyze_command(capsys):

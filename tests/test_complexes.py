@@ -1,4 +1,7 @@
 import json
+import random
+from functools import reduce
+from operator import and_, or_
 
 import pytest
 
@@ -55,6 +58,17 @@ def test_from_facets_validation():
         from_facets(2, [(1, True)])
     with pytest.raises(TooManyVertices) as exc:
         from_facets(25, [range(1, 26)])
+    assert exc.value.m == 25 and exc.value.cap == 24
+
+
+def test_generators_past_the_vertex_cap():
+    """Generators that can grow m keep the validator's cap of 24."""
+    with pytest.raises(TooManyVertices):
+        polygon(13).join(polygon(13))
+    with pytest.raises(TooManyVertices):
+        cone(simplex(23))
+    with pytest.raises(TooManyVertices) as exc:
+        stacked_sphere(2, 30)
     assert exc.value.m == 25 and exc.value.cap == 24
 
 
@@ -243,3 +257,61 @@ def test_dedup_in_corpus_construction():
     # frozen complexes hash on (m, facets) so dict.fromkeys dedupes
     items = [polygon(4), polygon(4), boundary_simplex(2), polygon(3)]
     assert len(dict.fromkeys(items)) == 2
+
+
+def _expected(K, gens, support):
+    """(m, facets, vertex_labels) of a derived complex built the validating
+    way: generator masks relabelled through vertex tuples onto 1..|support|
+    and passed to from_facets."""
+    old = vertices_of(support)
+    pos = {v: i + 1 for i, v in enumerate(old)}
+    ref = from_facets(
+        len(old), [[pos[v] for v in vertices_of(g)] for g in gens]
+    )
+    return ref.m, ref.facets, tuple(K.label_of(v) for v in old) or None
+
+
+def _shape(D):
+    return D.m, D.facets, D.vertex_labels
+
+
+def test_derived_complexes_match_from_facets(corpus):
+    """Every derived complex is what from_facets makes of its generators,
+    with the same facet order and vertex labels."""
+    rng = random.Random(11)
+    for K0 in corpus:
+        # a relabelled K checks that labels compose through a second step
+        for K in [K0, *([K0.delete_vertex(1)] if K0.m > 1 else [])]:
+            full = (1 << K.m) - 1
+            for mask in range(full + 1):
+                D = K.full_subcomplex(vertices_of(mask))
+                gens = [f & mask for f in K.facets]
+                assert _shape(D) == _expected(K, gens, mask), (K, mask)
+                again = from_facets(D.m, map(vertices_of, D.facets))
+                assert again.facets == D.facets
+            for face in K.faces():
+                gens = [f & ~face for f in K.facets if face & ~f == 0]
+                D = K.link(vertices_of(face))
+                assert _shape(D) == _expected(K, gens, reduce(or_, gens, 0))
+            for v in range(1, K.m + 1):
+                bit = 1 << (v - 1)
+                gens = [f for f in K.facets if f & bit]
+                assert _shape(K.star(v)) == _expected(K, gens, reduce(or_, gens))
+                rest = full & ~bit
+                assert _shape(K.delete_vertex(v)) == _expected(
+                    K, [f & rest for f in K.facets], rest
+                )
+            cone_mask = reduce(and_, K.facets)
+            verts, core = K.core()
+            assert verts == vertices_of(cone_mask)
+            rest = full & ~cone_mask
+            assert _shape(core) == _expected(
+                K, [f & rest for f in K.facets], rest
+            )
+            perm = list(range(1, K.m + 1))
+            rng.shuffle(perm)
+            ref = from_facets(
+                K.m,
+                [[perm[v - 1] for v in vertices_of(f)] for f in K.facets],
+            )
+            assert _shape(K.relabel(perm)) == (ref.m, ref.facets, None)

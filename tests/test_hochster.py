@@ -6,6 +6,7 @@ from momangle import (
     INT,
     PRIME,
     RAT,
+    HOCHSTER_MAX_VERTICES,
     BadParams,
     TooManyVertices,
     boundary_simplex,
@@ -83,10 +84,15 @@ def test_field_tables_reuse_the_integral_walk():
     # RP^2 plus a disjoint edge: torsion makes the F_3 and Q tables
     # differ from the F_2 one, and no other test builds this complex
     K = from_facets(8, (*RP2_FACETS, (7, 8)))
-    hochster_table(K, INT)
+    t = hochster_table(K, INT)
     misses = reduced_homology.cache_info().misses
-    assert hochster_table(K, RAT).subsets
+    q = hochster_table(K, RAT)
+    assert q.subsets and q.subsets == t.over(RAT).subsets
     assert hochster_table(K, PRIME(3)).subsets
+    # each field table is derived once: a repeated call returns it
+    assert hochster_table(K, RAT) is q
+    assert hochster_table(K, PRIME(3)) is hochster_table(K, PRIME(3))
+    assert hochster_table(K, INT) is t
     assert reduced_homology.cache_info().misses == misses
 
 
@@ -126,8 +132,10 @@ def test_poincare_formatting():
 
 def test_vertex_cap():
     with pytest.raises(TooManyVertices) as exc:
-        hochster_table(polygon(6), max_vertices=5)
-    assert exc.value.m == 6 and exc.value.cap == 5
+        hochster_table(polygon(21))
+    assert exc.value.m == 21 and exc.value.cap == HOCHSTER_MAX_VERTICES == 20
+    with pytest.raises(TooManyVertices):
+        hochster_table(disjoint_points(21), RAT)
 
 
 def test_json_payload():

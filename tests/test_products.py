@@ -66,7 +66,9 @@ def test_tor_basis_validation():
     with pytest.raises(NotAField):
         tor_basis(polygon(4), INT)
     with pytest.raises(TooManyVertices):
-        tor_basis(polygon(6), max_vertices=5)
+        tor_basis(polygon(21))
+    with pytest.raises(TooManyVertices):
+        product_table(disjoint_points(21), PRIME(2))
 
 
 def test_square_single_product():
