@@ -1,11 +1,17 @@
-"""`momangle products --json` output pinned byte for byte.
+"""CLI JSON output pinned byte for byte.
 
 The stored files under tests/golden/ hold the stdout of
 `products --json --field F` for a few small spheres, a cone, the pyramid
 and RP^2 over Q, F_2 and F_3.  The printed coordinates depend on the
 exact cocycle representatives the package chooses, so any change to the
-field elimination that changes them fails here.  To record the files
-again (only when the representatives are meant to change):
+field elimination that changes them fails here.
+
+They also hold `betti-zk --json` and `betti-rk --json` over Z, Q, F_2
+and F_3 for the same complexes, the Betti numbers of the cellular Z_K
+and R_K.  RP^2 carries a Z/2 that the field answers must shift by one
+degree over F_2 only.
+
+To record the files again (only when the outputs are meant to change):
 
     PYTHONPATH=src:tests python tests/test_golden.py
 """
@@ -22,7 +28,11 @@ from momangle.cli import main
 from helpers import RP2_FACETS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-FIELDS = ("q", "f2", "f3")
+FIELDS = {
+    "products": ("q", "f2", "f3"),
+    "betti-zk": ("int", "q", "f2", "f3"),
+    "betti-rk": ("int", "q", "f2", "f3"),
+}
 
 CASES = {
     **{f"polygon{m}": ["--gen", "polygon", str(m)] for m in range(4, 8)},
@@ -33,8 +43,15 @@ CASES = {
     "rp2": from_facets(6, RP2_FACETS),
 }
 
+RUNS = [
+    (command, name, field)
+    for command, fields in FIELDS.items()
+    for name in sorted(CASES)
+    for field in fields
+]
 
-def _products_stdout(name: str, field: str, tmp_dir: Path) -> str:
+
+def _stdout(command: str, name: str, field: str, tmp_dir: Path) -> str:
     source = CASES[name]
     if not isinstance(source, list):
         path = tmp_dir / f"{name}.json"
@@ -42,20 +59,28 @@ def _products_stdout(name: str, field: str, tmp_dir: Path) -> str:
         source = [str(path)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["products", *source, "--field", field, "--json"])
-    assert code == 0, (name, field)
+        code = main([command, *source, "--field", field, "--json"])
+    assert code == 0, (command, name, field)
     return out.getvalue()
 
 
-def _golden_path(name: str, field: str) -> Path:
-    return GOLDEN / f"products-{name}-{field}.json"
+def _golden_path(command: str, name: str, field: str) -> Path:
+    return GOLDEN / f"{command}-{name}-{field}.json"
 
 
-@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("field", FIELDS["products"])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_products_match_golden(name, field, tmp_path):
-    want = _golden_path(name, field).read_text()
-    assert _products_stdout(name, field, tmp_path) == want
+    want = _golden_path("products", name, field).read_text()
+    assert _stdout("products", name, field, tmp_path) == want
+
+
+@pytest.mark.parametrize("field", FIELDS["betti-zk"])
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("command", ["betti-zk", "betti-rk"])
+def test_betti_match_golden(command, name, field, tmp_path):
+    want = _golden_path(command, name, field).read_text()
+    assert _stdout(command, name, field, tmp_path) == want
 
 
 if __name__ == "__main__":
@@ -63,7 +88,6 @@ if __name__ == "__main__":
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CASES):
-            for field in FIELDS:
-                text = _products_stdout(name, field, Path(tmp))
-                _golden_path(name, field).write_text(text)
+        for command, name, field in RUNS:
+            text = _stdout(command, name, field, Path(tmp))
+            _golden_path(command, name, field).write_text(text)
