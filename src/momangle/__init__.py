@@ -5,10 +5,8 @@ from .cellular import (
     ZK_MAX_VERTICES,
     rk_betti,
     rk_chain_complex,
-    rk_homology,
     zk_betti,
     zk_chain_complex,
-    zk_homology,
 )
 from .classify import (
     GorensteinReport,

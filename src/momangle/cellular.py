@@ -18,13 +18,7 @@ from __future__ import annotations
 
 from .complexes import SimplicialComplex, _submasks, vertices_of
 from .errors import TooManyVertices
-from .linalg import (
-    INT,
-    ChainComplex,
-    Coefficients,
-    HomologyProfile,
-    homology_profile,
-)
+from .linalg import INT, ChainComplex, Coefficients, homology_profile
 
 ZK_MAX_VERTICES = 14
 RK_MAX_VERTICES = 20
@@ -118,36 +112,21 @@ def rk_chain_complex(K: SimplicialComplex) -> ChainComplex:
 
 
 def _betti_vector(cc: ChainComplex, coeffs: Coefficients) -> tuple[int, ...]:
-    prof = homology_profile(cc, coeffs)
-    top = cc.degrees[-1]
-    return tuple(prof.rank(d) for d in range(top + 1))
+    """Betti numbers in degrees 0..top cell, integral homology read over
+    coeffs by universal coefficients."""
+    prof = homology_profile(cc).over_field(coeffs)
+    return prof.betti_vector(0, cc.degrees[-1])
 
 
 def zk_betti(
     K: SimplicialComplex, coeffs: Coefficients = INT
 ) -> tuple[int, ...]:
     """Betti numbers of Z_K in degrees 0..m+dim+1, from the cell structure."""
-    b = _betti_vector(zk_chain_complex(K), coeffs)
-    want = K.m + K.dim + 2  # ordinary homology: degrees 0..m+dim+1
-    return b + (0,) * (want - len(b))
+    return _betti_vector(zk_chain_complex(K), coeffs)
 
 
 def rk_betti(
     K: SimplicialComplex, coeffs: Coefficients = INT
 ) -> tuple[int, ...]:
     """Betti numbers of R_K in degrees 0..dim+1."""
-    b = _betti_vector(rk_chain_complex(K), coeffs)
-    want = K.dim + 2
-    return b + (0,) * (want - len(b))
-
-
-def zk_homology(
-    K: SimplicialComplex, coeffs: Coefficients = INT
-) -> HomologyProfile:
-    return homology_profile(zk_chain_complex(K), coeffs)
-
-
-def rk_homology(
-    K: SimplicialComplex, coeffs: Coefficients = INT
-) -> HomologyProfile:
-    return homology_profile(rk_chain_complex(K), coeffs)
+    return _betti_vector(rk_chain_complex(K), coeffs)

@@ -69,12 +69,20 @@ def _parse_gen(tokens: list[str]):
     return generate(name, *params), rest[arity:]
 
 
+def _gen_complex(tokens: list[str]) -> SimplicialComplex:
+    """The complex that all of ``tokens`` name, or BadParams."""
+    try:
+        K, rest = _parse_gen(tokens)
+    except RecursionError:
+        raise BadParams("cone/join nest too deeply") from None
+    if rest:
+        raise BadParams(f"unused generator tokens: {' '.join(rest)}")
+    return K
+
+
 def _load_complex(args) -> SimplicialComplex:
     if getattr(args, "gen", None):
-        K, rest = _parse_gen(args.gen)
-        if rest:
-            raise BadParams(f"unused --gen tokens: {' '.join(rest)}")
-        return K
+        return _gen_complex(args.gen)
     path = getattr(args, "input", None)
     if not path:
         raise BadParams("provide a complex file or --gen FAMILY ARGS")
@@ -348,10 +356,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    K, rest = _parse_gen(args.tokens)
-    if rest:
-        raise BadParams(f"unused tokens: {' '.join(rest)}")
-    print(K.to_json())
+    print(_gen_complex(args.tokens).to_json())
     return 0
 
 

@@ -371,8 +371,8 @@ def polygon(m: int) -> SimplicialComplex:
     """The m-cycle 1-2-...-m-1."""
     if m < 3:
         raise BadParams(f"polygon needs at least 3 vertices, got {m}")
-    edges = [(i, i + 1) for i in range(1, m)] + [(1, m)]
-    return from_facets(m, edges)
+    edges = it.chain(((i, i + 1) for i in range(1, m)), [(1, m)])
+    return from_facets(m, edges)  # lazy: the cap is checked first
 
 
 def stacked_sphere(d: int, k: int) -> SimplicialComplex:
@@ -400,7 +400,7 @@ def disjoint_points(m: int) -> SimplicialComplex:
     """m isolated vertices."""
     if m < 1:
         raise BadParams(f"disjoint_points needs m >= 1, got {m}")
-    return from_facets(m, [[v] for v in range(1, m + 1)])
+    return from_facets(m, ((v,) for v in range(1, m + 1)))
 
 
 def cone(base: SimplicialComplex) -> SimplicialComplex:

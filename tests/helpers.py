@@ -32,11 +32,11 @@ from momangle import (
     ProductTable,
     TorClass,
     cocycle_basis,
-    homology_profile,
     multiply,
     reduced_chain_complex,
     vertices_of,
 )
+from momangle.linalg import Echelon, field_ops, make_profile, rank_mod_p
 from momangle.products import CUP_CAVEAT, cochain_class_coords
 
 # 6-vertex triangulation of the real projective plane: 10 facets, every
@@ -243,17 +243,43 @@ def matmul(A, B):
     ]
 
 
+def field_rank(cols, coeffs):
+    """Rank of a matrix given as columns of (row, value), eliminated over
+    the field itself (rank_mod_p over F_p, the sparse echelon over Q),
+    never through the integral Smith form."""
+    if coeffs.kind == "prime":
+        return rank_mod_p(cols, coeffs.p)
+    ech = Echelon(field_ops(coeffs))
+    for col in cols:
+        ech.insert(dict(col))
+    return len(ech)
+
+
+def direct_field_profile(cc, coeffs):
+    """Field Betti numbers of a chain complex from field_rank of each
+    boundary map, with no universal coefficients involved."""
+    rank_of_d = {
+        deg: field_rank(cols, coeffs)
+        for deg, cols in zip(cc.degrees, cc.boundaries)
+    }
+    ranks = {
+        deg: n - rank_of_d[deg] - rank_of_d.get(deg + 1, 0)
+        for deg, n in zip(cc.degrees, cc.dims)
+    }
+    return make_profile(coeffs, ranks)
+
+
 def reference_field_table(K, coeffs):
     """Hochster table over a field by a direct field walk.
 
     Eliminates the chain complex of every full subcomplex K_I over the
-    field itself, instead of deriving the field Betti numbers from the
-    integral table by universal coefficients.
+    field itself (direct_field_profile), instead of deriving the field
+    Betti numbers from the integral table by universal coefficients.
     """
     subsets = []
     for mask in range(1 << K.m):
         KI = K.full_subcomplex(vertices_of(mask))
-        prof = homology_profile(reduced_chain_complex(KI), coeffs)
+        prof = direct_field_profile(reduced_chain_complex(KI), coeffs)
         if not prof.is_trivial:
             subsets.append((mask, prof))
     return HochsterTable(K, coeffs, tuple(subsets))

@@ -60,6 +60,20 @@ def test_gen_past_the_vertex_cap(capsys):
     assert code == 3 and "exceeds" in err and not out
 
 
+@pytest.mark.parametrize(
+    "tokens",
+    [
+        ["cone"] * 3000 + ["polygon", "4"],
+        ["join", "simplex", "-1"] * 2000 + ["simplex", "-1"],
+    ],
+    ids=["cones", "joins"],
+)
+def test_gen_nested_too_deeply(capsys, tokens):
+    for argv in (["gen", *tokens], ["hochster", "--gen", *tokens]):
+        code, out, err = run(capsys, *argv)
+        assert code in (2, 3) and err.startswith("error:") and not out
+
+
 def test_input_from_file(tmp_path, capsys):
     path = tmp_path / "k.json"
     path.write_text(PYRAMID_JSON)
@@ -127,6 +141,11 @@ def test_hochster_field_flag(capsys):
         capsys, "hochster", "--gen", "polygon", "4", "--field", "f6"
     )
     assert code == 2
+    huge = "f" + str(2**127 - 1)
+    code, out, err = run(
+        capsys, "hochster", "--gen", "polygon", "4", "--field", huge
+    )
+    assert code == 2 and "error:" in err and not out
 
 
 def test_betti_commands(capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from functools import reduce
 from operator import and_, or_
 
@@ -70,6 +71,20 @@ def test_generators_past_the_vertex_cap():
     with pytest.raises(TooManyVertices) as exc:
         stacked_sphere(2, 30)
     assert exc.value.m == 25 and exc.value.cap == 24
+
+
+@pytest.mark.parametrize("family", [polygon, disjoint_points])
+def test_vertex_cap_checked_before_facets_are_built(family):
+    """from_facets rejects m before it reads a facet, so a huge m costs
+    no facet list."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyVertices):
+            family(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
 
 
 def test_empty_complex():

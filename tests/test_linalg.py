@@ -39,6 +39,7 @@ from helpers import (
     dense_nullspace,
     dense_rank,
     dense_rref,
+    direct_field_profile,
     matmul,
     smith_normal_form,
 )
@@ -80,6 +81,18 @@ def test_coefficient_tokens():
     with pytest.raises(NotAField):
         PRIME(91)  # 7 * 13
     assert not INT.is_field and RAT.is_field and PRIME(2).is_field
+
+
+def test_huge_prime_rejected_before_trial_division():
+    # a Mersenne prime: trial division up to its square root never ends
+    with pytest.raises(NotAField):
+        coefficients_from_token("f" + str(2**127 - 1))
+    with pytest.raises(NotAField):
+        PRIME(2**127 - 1)
+    # digit strings that int() refuses are unknown tokens, not crashes
+    for bad in ("f" + "1" * 5000, "f\u00b2"):
+        with pytest.raises(NotAField):
+            coefficients_from_token(bad)
 
 
 def test_field_ops():
@@ -327,10 +340,15 @@ def test_over_field_universal_coefficients():
 
 
 def test_field_homology_computed_directly():
+    """Field ranks eliminated over the field agree with the universal
+    coefficients derivation from the integral profile."""
     cc = reduced_chain_complex(from_facets(6, RP2_FACETS))
-    assert homology_profile(cc, PRIME(2)).ranks == ((1, 1), (2, 1))
-    assert homology_profile(cc, RAT).is_trivial
-    assert homology_profile(cc, PRIME(7)).is_trivial
+    assert direct_field_profile(cc, PRIME(2)).ranks == ((1, 1), (2, 1))
+    assert direct_field_profile(cc, RAT).is_trivial
+    assert direct_field_profile(cc, PRIME(7)).is_trivial
+    for coeffs in (RAT, PRIME(2), PRIME(3), PRIME(7)):
+        uct = homology_profile(cc).over_field(coeffs)
+        assert uct == direct_field_profile(cc, coeffs), coeffs
 
 
 def test_profile_helpers():
@@ -354,9 +372,10 @@ def test_homology_profile_of_explicit_complex():
             (((0, 1), (1, -1)), ((0, 1), (1, -1))),
         ),
     )
-    prof = homology_profile(cc, INT)
+    prof = homology_profile(cc)
+    assert prof.coeffs == INT
     assert prof.rank(0) == 1 and prof.rank(1) == 1
-    assert homology_profile(cc, PRIME(2)).rank(1) == 1
+    assert prof.over_field(PRIME(2)).rank(1) == 1
 
 
 # -- cocycle representatives -------------------------------------------------

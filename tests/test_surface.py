@@ -2,12 +2,14 @@
 
 perfbench/tracing.py wraps each (layer, function) pair of its TRACED
 list by name, so a refactor that renames or drops one of them would only
-show up when the benchmark runs.  This test fails first.  The same module checks that no module of the
-package imports a name it does not use.
+show up when the benchmark runs.  This test fails first.  The same module
+checks that no module of the package imports a name it does not use, and
+that the package imports nothing outside the standard library.
 """
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 from momangle import linalg
@@ -62,3 +64,26 @@ def test_no_unused_imports():
     assert modules
     unused = {p.name: _unused_imports(p) for p in modules}
     assert not {name: found for name, found in unused.items() if found}
+
+
+def _absolute_imports(path):
+    """Top-level names of the absolute imports of a module; relative
+    imports name the package's own modules and are skipped."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.partition(".")[0]
+
+
+def test_stdlib_only_imports():
+    """The package's arithmetic is pure standard library: every module
+    imports only sys.stdlib_module_names and momangle itself."""
+    allowed = set(sys.stdlib_module_names) | {"momangle"}
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    foreign = {
+        p.name: sorted(set(_absolute_imports(p)) - allowed) for p in modules
+    }
+    assert not {name: found for name, found in foreign.items() if found}
