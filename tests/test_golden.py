@@ -11,6 +11,11 @@ and F_3 for the same complexes, the Betti numbers of the cellular Z_K
 and R_K.  RP^2 carries a Z/2 that the field answers must shift by one
 degree over F_2 only.
 
+And they hold `hochster --json` over the same four coefficient systems:
+the Betti numbers, bigraded ranks and torsion primes read off the
+subset walk, so any change to how the walk settles a subset that moves
+a rank or a torsion prime fails here.
+
 To record the files again (only when the outputs are meant to change):
 
     PYTHONPATH=src:tests python tests/test_golden.py
@@ -32,6 +37,7 @@ FIELDS = {
     "products": ("q", "f2", "f3"),
     "betti-zk": ("int", "q", "f2", "f3"),
     "betti-rk": ("int", "q", "f2", "f3"),
+    "hochster": ("int", "q", "f2", "f3"),
 }
 
 CASES = {
@@ -81,6 +87,13 @@ def test_products_match_golden(name, field, tmp_path):
 def test_betti_match_golden(command, name, field, tmp_path):
     want = _golden_path(command, name, field).read_text()
     assert _stdout(command, name, field, tmp_path) == want
+
+
+@pytest.mark.parametrize("field", FIELDS["hochster"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_hochster_match_golden(name, field, tmp_path):
+    want = _golden_path("hochster", name, field).read_text()
+    assert _stdout("hochster", name, field, tmp_path) == want
 
 
 if __name__ == "__main__":
