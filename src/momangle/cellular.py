@@ -16,6 +16,8 @@ caps here are tighter than elsewhere.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .complexes import SimplicialComplex, _submasks, vertices_of
 from .errors import TooManyVertices
 from .linalg import INT, ChainComplex, Coefficients, homology_profile
@@ -111,22 +113,25 @@ def rk_chain_complex(K: SimplicialComplex) -> ChainComplex:
     return _assemble(cells_by_dim, boundary_of)
 
 
-def _betti_vector(cc: ChainComplex, coeffs: Coefficients) -> tuple[int, ...]:
-    """Betti numbers in degrees 0..top cell, integral homology read over
-    coeffs by universal coefficients."""
-    prof = homology_profile(cc).over_field(coeffs)
-    return prof.betti_vector(0, cc.degrees[-1])
+@lru_cache(maxsize=256)
+def _integral(K: SimplicialComplex, build) -> tuple:
+    """Integral homology of build(K) and its top cell degree, kept for
+    recent complexes: each field reads it by universal coefficients."""
+    cc = build(K)
+    return homology_profile(cc), cc.degrees[-1]
 
 
 def zk_betti(
     K: SimplicialComplex, coeffs: Coefficients = INT
 ) -> tuple[int, ...]:
     """Betti numbers of Z_K in degrees 0..m+dim+1, from the cell structure."""
-    return _betti_vector(zk_chain_complex(K), coeffs)
+    prof, top = _integral(K, zk_chain_complex)
+    return prof.over_field(coeffs).betti_vector(0, top)
 
 
 def rk_betti(
     K: SimplicialComplex, coeffs: Coefficients = INT
 ) -> tuple[int, ...]:
     """Betti numbers of R_K in degrees 0..dim+1."""
-    return _betti_vector(rk_chain_complex(K), coeffs)
+    prof, top = _integral(K, rk_chain_complex)
+    return prof.over_field(coeffs).betti_vector(0, top)

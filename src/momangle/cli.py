@@ -212,26 +212,15 @@ def _cmd_hochster(args) -> int:
     return 0
 
 
-def _cmd_betti_zk(args) -> int:
+def _cmd_betti(args) -> int:
     K = _load_complex(args)
     coeffs = _field(args)
-    b = zk_betti(K, coeffs)
+    kind = args.command[-2:]  # betti-zk or betti-rk
+    b = {"zk": zk_betti, "rk": rk_betti}[kind](K, coeffs)
     _emit(
         args,
         {"coeffs": str(coeffs), "betti": list(b)},
-        ["zk betti: " + " ".join(map(str, b))],
-    )
-    return 0
-
-
-def _cmd_betti_rk(args) -> int:
-    K = _load_complex(args)
-    coeffs = _field(args)
-    b = rk_betti(K, coeffs)
-    _emit(
-        args,
-        {"coeffs": str(coeffs), "betti": list(b)},
-        ["rk betti: " + " ".join(map(str, b))],
+        [f"{kind} betti: " + " ".join(map(str, b))],
     )
     return 0
 
@@ -406,8 +395,8 @@ def _cmd_analyze(args) -> int:
 
 _COMMANDS = {
     "hochster": _cmd_hochster,
-    "betti-zk": _cmd_betti_zk,
-    "betti-rk": _cmd_betti_rk,
+    "betti-zk": _cmd_betti,
+    "betti-rk": _cmd_betti,
     "products": _cmd_products,
     "golod": _cmd_golod,
     "mng": _cmd_mng,

@@ -77,6 +77,18 @@ def _compress(mask: int, support: int) -> int:
     return out
 
 
+def _maximal(masks: Iterable[int]) -> list[int]:
+    """The inclusion-maximal masks among ``masks``, each once, largest first."""
+    out: list[int] = []
+    for f in sorted(set(masks), key=int.bit_count, reverse=True):
+        for g in out:
+            if f | g == g:
+                break
+        else:
+            out.append(f)
+    return out
+
+
 def _from_masks(
     m: int, masks: Iterable[int], labels: tuple[int, ...] | None = None
 ) -> SimplicialComplex:
@@ -86,11 +98,7 @@ def _from_masks(
     rest lex; no masks give the empty complex.  The caller guarantees
     that the masks cover 1..m and that m is within the vertex cap.
     """
-    uniq = sorted(set(masks), key=lambda f: -f.bit_count())
-    out: list[int] = []
-    for f in uniq:
-        if not any(f & ~g == 0 for g in out):
-            out.append(f)
+    out = _maximal(masks)
     out.sort(key=vertices_of)
     return SimplicialComplex(m, tuple(out) or (0,), labels)
 
@@ -137,16 +145,11 @@ class SimplicialComplex:
         return any(mask & ~f == 0 for f in self.facets)
 
     def has_face(self, vertices: Iterable[int]) -> bool:
-        vs = tuple(vertices)
-        for v in vs:
-            if not (1 <= v <= self.m):
-                raise OutOfRange(f"vertex {v} not in 1..{self.m}")
-        return self.contains_mask(mask_of(vs))
+        return self.contains_mask(mask_of(self._check_vertices(vertices)))
 
     def label_of(self, v: int) -> int:
         """Original label of vertex v (identity unless relabeled)."""
-        if not (1 <= v <= self.m):
-            raise OutOfRange(f"vertex {v} not in 1..{self.m}")
+        self._check_vertices([v])
         return v if self.vertex_labels is None else self.vertex_labels[v - 1]
 
     def labels(self) -> tuple[int, ...]:

@@ -1,15 +1,22 @@
 """Cohomology of the moment-angle complex Z_K via full subcomplexes.
 
 H^k(Z_K) splits as the direct sum over vertex subsets I of the reduced
-cohomology of K_I in degree k - |I| - 1.  The table below records one
-homology profile per subset with nonzero contribution; everything else
-(total Betti numbers, the bigraded and Tor-style gradings, torsion
-primes) is read off from it.
+cohomology of K_I in degree k - |I| - 1 (Hochster's formula).  The table
+below records one homology profile per subset with nonzero contribution;
+everything else (total Betti numbers, the bigraded and Tor-style
+gradings, torsion primes) is read off from it.
 
 There is one walk over the 2^m subsets, over the integers, cached per
-complex.  A table over Q or F_p is derived from the integral one by
-universal coefficients (HochsterTable.over), never walked again, and
-cached with it.
+complex.  It takes I in increasing order and reads the facets' traces
+f & I.  If one trace holds the others, I is a face: K_I is contractible.
+If the maximal traces fall into c >= 2 components, H~(K_I) sums their
+(smaller, already walked) profiles plus Z^(c-1) in degree 0.  If the
+maximal traces through some v all hold another vertex, v is dominated:
+K_I strong-collapses onto K_(I - v) (Barmak-Minian, Strong homotopy
+types, nerves and collapses, DCG 2012) and takes its profile; a cone
+vertex dominates all others.  Only the rest builds the relabelled K_I
+for the cached Smith form.  Tables over Q or F_p follow from the
+integral one by universal coefficients (HochsterTable.over).
 
 The empty subset contributes the unit in degree 0, so b_0 = 1 and
 b_1 = b_2 = 0 for every complex.
@@ -19,14 +26,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
-from .complexes import SimplicialComplex, vertices_of
+from .complexes import SimplicialComplex, _maximal, vertices_of
 from .errors import BadParams, TooManyVertices
 from .linalg import (
     INT,
     Coefficients,
     HomologyProfile,
+    make_profile,
     reduced_homology,
 )
 
@@ -167,12 +175,35 @@ def hochster_table(
 def _table(K: SimplicialComplex, coeffs: Coefficients) -> HochsterTable:
     if coeffs.kind != "int":
         return _table(K, INT).over(coeffs)
-    found = []
-    for mask in range(1 << K.m):
-        prof = reduced_homology(K.full_subcomplex(vertices_of(mask)))
-        if not prof.is_trivial:
-            found.append((mask, prof))
-    return HochsterTable(K, INT, tuple(found))
+    found = {0: make_profile(INT, {-1: 1})}  # nonzero profiles; K_0 is empty
+    for I in range(1, 1 << K.m):
+        traces = _maximal(f & I for f in K.facets)
+        if len(traces) == 1:  # I is a face
+            continue
+        comps: list[int] = []  # disjoint vertex sets, merged trace by trace
+        for t in traces:
+            joined = [c for c in comps if c & t]
+            comps = [c for c in comps if not c & t]
+            comps.append(reduce(int.__or__, joined, t))
+        if len(comps) > 1:
+            ranks, torsion = {0: len(comps) - 1}, {}
+            for prof in filter(None, map(found.get, comps)):
+                for d, r in prof.ranks:
+                    ranks[d] = ranks.get(d, 0) + r
+                for d, powers in prof.torsion:
+                    torsion.setdefault(d, []).extend(powers)
+            prof = make_profile(INT, ranks, torsion)
+        else:
+            for u in vertices_of(I):  # a dominated vertex, if any
+                v = 1 << (u - 1)
+                if reduce(int.__and__, [t for t in traces if t & v]) != v:
+                    prof = found.get(I & ~v)
+                    break
+            else:
+                prof = reduced_homology(K.full_subcomplex(vertices_of(I)))
+        if prof is not None and not prof.is_trivial:
+            found[I] = prof
+    return HochsterTable(K, INT, tuple(found.items()))
 
 
 def format_poincare(betti) -> str:

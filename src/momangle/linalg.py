@@ -100,7 +100,9 @@ def coefficients_from_token(token: str) -> Coefficients:
             pass
         else:
             return PRIME(p)
-    raise NotAField(f"unknown coefficient token {token!r}")
+    raise NotAField(
+        f"unknown coefficient token {token[:32]!r}" + "..." * (len(token) > 32)
+    )
 
 
 class _RatOps:

@@ -7,9 +7,10 @@ test, so agreement with the fast paths is meaningful.
 
 The reference_* functions are the exception: they enumerate every subset,
 every degree and every pair with the package's own cocycle bases and
-products, or walk every subset over a field with the package's own
+products, or walk every subset over Z or a field with the package's own
 elimination, so they check which work the Hochster table lets the package
-skip, and its universal-coefficients derivation, not the linear algebra
+skip (the walk's face, component and dominated-vertex rules among it),
+and its universal-coefficients derivation, not the linear algebra
 itself.
 
 smith_normal_form and boundary_matrix are dense oracles for the sparse
@@ -28,12 +29,14 @@ from typing import Sequence
 from momangle import (
     BadParams,
     GolodReport,
+    INT,
     HochsterTable,
     ProductTable,
     TorClass,
     cocycle_basis,
     multiply,
     reduced_chain_complex,
+    reduced_homology,
     vertices_of,
 )
 from momangle.linalg import Echelon, field_ops, make_profile, rank_mod_p
@@ -267,6 +270,20 @@ def direct_field_profile(cc, coeffs):
         for deg, n in zip(cc.degrees, cc.dims)
     }
     return make_profile(coeffs, ranks)
+
+
+def reference_integral_table(K):
+    """Integral Hochster table by the Smith form of every full subcomplex.
+
+    Builds the relabelled K_I for each of the 2^m subsets and asks the
+    cached reduced_homology, settling no subset from smaller ones.
+    """
+    subsets = []
+    for mask in range(1 << K.m):
+        prof = reduced_homology(K.full_subcomplex(vertices_of(mask)))
+        if not prof.is_trivial:
+            subsets.append((mask, prof))
+    return HochsterTable(K, INT, tuple(subsets))
 
 
 def reference_field_table(K, coeffs):

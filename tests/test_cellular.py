@@ -1,5 +1,6 @@
 import pytest
 
+import momangle.cellular as cellular
 from momangle import (
     INT,
     PRIME,
@@ -141,3 +142,22 @@ def test_rk_betti_regrades_the_hochster_table(corpus, coeffs):
     table's rk_betti must agree with the cellular R_K complex."""
     for K in [*corpus, from_facets(6, RP2_FACETS)]:
         assert hochster_table(K, coeffs).rk_betti == rk_betti(K, coeffs), K
+
+
+def test_second_field_reuses_the_integral_cellular_profile(monkeypatch):
+    # each of zk_betti and rk_betti eliminates the cellular complex once
+    # per complex, then reads it over any further field by UCT; RP^2 plus
+    # two disjoint points is built by no other test
+    calls = []
+
+    def counting(cc):
+        calls.append(cc)
+        return homology_profile(cc)
+
+    monkeypatch.setattr(cellular, "homology_profile", counting)
+    K = from_facets(8, (*RP2_FACETS, (7,), (8,)))
+    for betti in (rk_betti, zk_betti):
+        before = len(calls)
+        answers = [betti(K, c) for c in (INT, RAT, PRIME(2), PRIME(3))]
+        assert len(calls) == before + 1
+        assert answers[2] != answers[1]  # the Z/2 shifts over F_2 only

@@ -148,6 +148,16 @@ def test_hochster_field_flag(capsys):
     assert code == 2 and "error:" in err and not out
 
 
+def test_rejected_field_token_is_not_echoed_in_full(capsys):
+    # 5,000 digits are past int()'s limit; the message shows a prefix only
+    token = "f" + "7" * 5000
+    code, out, err = run(
+        capsys, "hochster", "--gen", "polygon", "4", "--field", token
+    )
+    assert code == 2 and not out
+    assert "error:" in err and "f7777" in err and len(err) < 200
+
+
 def test_betti_commands(capsys):
     code, out, _ = run(capsys, "betti-zk", "--gen", "polygon", "4")
     assert code == 0 and "zk betti: 1 0 0 2 0 0 1" in out

@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,19 +13,53 @@ from momangle import (
     BadParams,
     TooManyVertices,
     boundary_simplex,
+    cone,
     disjoint_points,
     duality_check,
     format_poincare,
     from_facets,
+    from_json,
     hochster_table,
     polygon,
     reduced_homology,
     simplex,
+    stacked_sphere,
+)
+from momangle.hochster import _table
+
+from helpers import (
+    RP2_FACETS,
+    brute_hochster_betti,
+    reference_field_table,
+    reference_integral_table,
+    trim,
 )
 
-from helpers import RP2_FACETS, brute_hochster_betti, reference_field_table, trim
-
 PYRAMID = from_facets(5, [(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)])
+
+
+def _rp2_variants():
+    """RP^2, its cone, two disjoint copies and two copies wedged at vertex 1:
+    the Z/2 passes through the walk's component and dominated-vertex rules."""
+    rp2 = from_facets(6, RP2_FACETS)
+    shifted = [tuple(v + 6 for v in f) for f in RP2_FACETS]
+    wedged = [tuple(1 if v == 1 else v + 5 for v in f) for f in RP2_FACETS]
+    return [
+        rp2,
+        cone(rp2),
+        from_facets(12, (*RP2_FACETS, *shifted)),
+        from_facets(11, (*RP2_FACETS, *wedged)),
+    ]
+
+
+def _walk_inputs():
+    """The complexes of the benchmark's walk workload, read from its source."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return [from_json(r.complex_json) for r in module.build("walk", 0)]
 
 
 def test_square_table():
@@ -67,6 +104,33 @@ def test_brute_force_oracle_selection(random_corpus):
         t = hochster_table(K, INT)
         assert tuple(t.betti) == brute_hochster_betti(K), K
         assert tuple(t.over(PRIME(2)).betti) == brute_hochster_betti(K, 2), K
+
+
+def test_walk_matches_the_smith_form_of_every_subset(corpus):
+    # the face, component and dominated-vertex rules settle subsets from
+    # smaller ones; the reference builds and eliminates every K_I
+    for K in [*_rp2_variants(), *corpus]:
+        want = reference_integral_table(K).subsets
+        assert hochster_table(K, INT).subsets == want, K
+
+
+def test_walk_matches_the_smith_form_on_benchmark_inputs():
+    walk = _walk_inputs()
+    assert [K.m for K in walk] == [14, 13, 11, 12, 12]
+    for K in walk:
+        want = reference_integral_table(K).subsets
+        assert hochster_table(K, INT).subsets == want, K
+
+
+def test_walk_settles_subsets_without_the_smith_form():
+    # every subset of a polygon but the whole cycle is a face, a union of
+    # paths, or a path with a dominated end; a stacked sphere collapses
+    # likewise.  reference_integral_table adds thousands of misses here.
+    _table.cache_clear()
+    reduced_homology.cache_clear()
+    hochster_table(polygon(14), INT)
+    hochster_table(stacked_sphere(2, 9), INT)
+    assert reduced_homology.cache_info().misses < 50
 
 
 def test_field_table_derivation_matches_direct(corpus):
