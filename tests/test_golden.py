@@ -16,6 +16,12 @@ the Betti numbers, bigraded ranks and torsion primes read off the
 subset walk, so any change to how the walk settles a subset that moves
 a rank or a torsion prime fails here.
 
+And they hold `verify thm1.1|thm1.2|thm4.2 --json` and `mng --json`,
+the theorem checks and the minimally non-Golod verdict.  These commands
+exit 1 on some cases (a hypothesis not met, a complex that is not
+minimally non-Golod), so their exit code is part of the file name:
+`verify-thm1.1-cone_polygon5-exit1.json`.
+
 To record the files again (only when the outputs are meant to change):
 
     PYTHONPATH=src:tests python tests/test_golden.py
@@ -49,6 +55,14 @@ CASES = {
     "rp2": from_facets(6, RP2_FACETS),
 }
 
+# commands without --field whose exit code is recorded with the output
+VERDICTS = {
+    "verify-thm1.1": ["verify", "thm1.1"],
+    "verify-thm1.2": ["verify", "thm1.2"],
+    "verify-thm4.2": ["verify", "thm4.2"],
+    "mng": ["mng"],
+}
+
 RUNS = [
     (command, name, field)
     for command, fields in FIELDS.items()
@@ -57,7 +71,7 @@ RUNS = [
 ]
 
 
-def _stdout(command: str, name: str, field: str, tmp_dir: Path) -> str:
+def _run(argv: list[str], name: str, tmp_dir: Path) -> tuple[int, str]:
     source = CASES[name]
     if not isinstance(source, list):
         path = tmp_dir / f"{name}.json"
@@ -65,9 +79,14 @@ def _stdout(command: str, name: str, field: str, tmp_dir: Path) -> str:
         source = [str(path)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([command, *source, "--field", field, "--json"])
+        code = main([*argv, *source, "--json"])
+    return code, out.getvalue()
+
+
+def _stdout(command: str, name: str, field: str, tmp_dir: Path) -> str:
+    code, text = _run([command, "--field", field], name, tmp_dir)
     assert code == 0, (command, name, field)
-    return out.getvalue()
+    return text
 
 
 def _golden_path(command: str, name: str, field: str) -> Path:
@@ -96,6 +115,14 @@ def test_hochster_match_golden(name, field, tmp_path):
     assert _stdout("hochster", name, field, tmp_path) == want
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("verdict", sorted(VERDICTS))
+def test_verdicts_match_golden(verdict, name, tmp_path):
+    (path,) = GOLDEN.glob(f"{verdict}-{name}-exit*.json")
+    want = int(path.stem.rpartition("exit")[2]), path.read_text()
+    assert _run(VERDICTS[verdict], name, tmp_path) == want
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -104,3 +131,9 @@ if __name__ == "__main__":
         for command, name, field in RUNS:
             text = _stdout(command, name, field, Path(tmp))
             _golden_path(command, name, field).write_text(text)
+        for verdict, argv in VERDICTS.items():
+            for name in CASES:
+                for old in GOLDEN.glob(f"{verdict}-{name}-exit*.json"):
+                    old.unlink()
+                code, text = _run(argv, name, Path(tmp))
+                (GOLDEN / f"{verdict}-{name}-exit{code}.json").write_text(text)
