@@ -7,16 +7,19 @@ everything else (total Betti numbers, the bigraded and Tor-style
 gradings, torsion primes) is read off from it.
 
 There is one walk over the 2^m subsets, over the integers, cached per
-complex.  It takes I in increasing order and reads the facets' traces
-f & I.  If one trace holds the others, I is a face: K_I is contractible.
-If the maximal traces fall into c >= 2 components, H~(K_I) sums their
-(smaller, already walked) profiles plus Z^(c-1) in degree 0.  If the
-maximal traces through some v all hold another vertex, v is dominated:
-K_I strong-collapses onto K_(I - v) (Barmak-Minian, Strong homotopy
-types, nerves and collapses, DCG 2012) and takes its profile; a cone
-vertex dominates all others.  Only the rest builds the relabelled K_I
-for the cached Smith form.  Tables over Q or F_p follow from the
-integral one by universal coefficients (HochsterTable.over).
+complex.  It takes I in increasing order.  The component C of I's top
+vertex grows over the 1-skeleton of K by bitmask (graph components of
+K_I are its topological ones).  If C != I, K_I is the disjoint union of
+K_C and K_(I - C), both smaller and walked already: H~(K_I) is their sum
+plus Z in degree 0, computed once per pair of profiles.  A connected I
+inside a facet is a face: K_I is contractible.  Only a connected
+non-face reads the maximal traces f & I of the facets.  If the traces
+through some v all hold another vertex, v is dominated: K_I
+strong-collapses onto K_(I - v) (Barmak-Minian, Strong homotopy types,
+nerves and collapses, DCG 2012) and takes its profile; a cone vertex
+dominates all others.  Only the rest builds the relabelled K_I for the
+cached Smith form.  Tables over Q or F_p follow from the integral one by
+universal coefficients (HochsterTable.over).
 
 The empty subset contributes the unit in degree 0, so b_0 = 1 and
 b_1 = b_2 = 0 for every complex.
@@ -175,32 +178,46 @@ def hochster_table(
 def _table(K: SimplicialComplex, coeffs: Coefficients) -> HochsterTable:
     if coeffs.kind != "int":
         return _table(K, INT).over(coeffs)
+    # per vertex bit: the facets through it, and their union (the vertex
+    # and its neighbours in the 1-skeleton of K)
+    star = {1 << v: [f for f in K.facets if f >> v & 1] for v in range(K.m)}
+    edges = {v: reduce(int.__or__, fs) for v, fs in star.items()}
     found = {0: make_profile(INT, {-1: 1})}  # nonzero profiles; K_0 is empty
+    # profiles of disjoint unions, keyed by the pair of summand profiles;
+    # ids are safe keys, as found holds every summand to the end
+    sums: dict[tuple[int, int], HomologyProfile] = {}
     for I in range(1, 1 << K.m):
-        traces = _maximal(f & I for f in K.facets)
-        if len(traces) == 1:  # I is a face
+        top = 1 << (I.bit_length() - 1)
+        C, grow = 0, top  # the component of the top vertex in K_I
+        while grow:
+            v = grow & -grow
+            C |= v
+            grow = (grow | edges[v]) & I & ~C
+        if C != I:  # K_I = K_C + K_(I - C), both walked already
+            pair = found.get(C), found.get(I & ~C)  # None if trivial
+            key = id(pair[0]), id(pair[1])
+            if key not in sums:
+                ranks, torsion = {0: 1}, {}
+                for prof in filter(None, pair):
+                    for d, r in prof.ranks:
+                        ranks[d] = ranks.get(d, 0) + r
+                    for d, powers in prof.torsion:
+                        torsion.setdefault(d, []).extend(powers)
+                sums[key] = make_profile(INT, ranks, torsion)
+            found[I] = sums[key]
             continue
-        comps: list[int] = []  # disjoint vertex sets, merged trace by trace
-        for t in traces:
-            joined = [c for c in comps if c & t]
-            comps = [c for c in comps if not c & t]
-            comps.append(reduce(int.__or__, joined, t))
-        if len(comps) > 1:
-            ranks, torsion = {0: len(comps) - 1}, {}
-            for prof in filter(None, map(found.get, comps)):
-                for d, r in prof.ranks:
-                    ranks[d] = ranks.get(d, 0) + r
-                for d, powers in prof.torsion:
-                    torsion.setdefault(d, []).extend(powers)
-            prof = make_profile(INT, ranks, torsion)
+        if any(not I & ~f for f in star[top]):  # I is a face
+            continue
+        traces = _maximal(f & I for f in K.facets)
+        rest = I
+        while rest:  # a dominated vertex, if any
+            v = rest & -rest
+            rest ^= v
+            if reduce(int.__and__, [t for t in traces if t & v]) != v:
+                prof = found.get(I & ~v)
+                break
         else:
-            for u in vertices_of(I):  # a dominated vertex, if any
-                v = 1 << (u - 1)
-                if reduce(int.__and__, [t for t in traces if t & v]) != v:
-                    prof = found.get(I & ~v)
-                    break
-            else:
-                prof = reduced_homology(K.full_subcomplex(vertices_of(I)))
+            prof = reduced_homology(K.full_subcomplex(vertices_of(I)))
         if prof is not None and not prof.is_trivial:
             found[I] = prof
     return HochsterTable(K, INT, tuple(found.items()))

@@ -25,6 +25,7 @@ from momangle import (
     simplex,
     stacked_sphere,
 )
+from momangle import hochster
 from momangle.hochster import _table
 
 from helpers import (
@@ -131,6 +132,22 @@ def test_walk_settles_subsets_without_the_smith_form():
     hochster_table(polygon(14), INT)
     hochster_table(stacked_sphere(2, 9), INT)
     assert reduced_homology.cache_info().misses < 50
+
+
+def test_walk_builds_traces_only_for_connected_non_faces(monkeypatch):
+    # the connected non-faces of the 14-cycle are its 154 arcs on 3 to 13
+    # vertices and the whole cycle; every other subset is a face or splits
+    calls = []
+
+    def counted(masks):
+        calls.append(None)
+        return maximal(masks)
+
+    maximal = hochster._maximal
+    monkeypatch.setattr(hochster, "_maximal", counted)
+    _table.cache_clear()
+    hochster_table(polygon(14), INT)
+    assert len(calls) < 200
 
 
 def test_field_table_derivation_matches_direct(corpus):
