@@ -269,13 +269,14 @@ class SimplicialComplex:
     def _relabeled_onto(
         self, facet_masks: Iterable[int], support: int
     ) -> SimplicialComplex:
-        """Normalize generator masks onto contiguous labels over ``support``."""
+        """Normalize generator masks onto contiguous labels over ``support``
+        (compressing keeps order, so contained masks can go first)."""
         labels = vertices_of(support)
         if self.vertex_labels is not None:
             labels = tuple(self.vertex_labels[v - 1] for v in labels)
         return _from_masks(
             len(labels),
-            [_compress(f, support) for f in set(facet_masks)],
+            [_compress(f, support) for f in _maximal(facet_masks)],
             labels or None,
         )
 

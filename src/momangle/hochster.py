@@ -112,7 +112,7 @@ class HochsterTable:
     @cached_property
     def torsion_primes(self) -> tuple[int, ...]:
         primes: set[int] = set()
-        for _, prof in self.subsets:
+        for prof in {prof for _, prof in self.subsets if prof.torsion}:
             primes |= prof.torsion_primes()
         return tuple(sorted(primes))
 
@@ -125,9 +125,12 @@ class HochsterTable:
             raise BadParams("field tables derive from an integral table")
         if coeffs.kind == "int":
             return self
-        subsets = []
+        # the walk shares one object per distinct profile: convert each once
+        subsets, converted = [], {}
         for mask, prof in self.subsets:
-            fp = prof.over_field(coeffs)
+            fp = converted.get(id(prof))
+            if fp is None:
+                fp = converted[id(prof)] = prof.over_field(coeffs)
             if not fp.is_trivial:
                 subsets.append((mask, fp))
         return HochsterTable(self.complex, coeffs, tuple(subsets))

@@ -4,6 +4,10 @@ Complexes on at most 10 vertices are drawn as facet lists, with every
 vertex no facet covers added as an isolated point.  Every run draws the
 same examples (derandomize, a fixed seed, no example database), so a
 failure reproduces.
+
+Beside the Smith-form oracle, the walk must respect two topological
+facts: Z of a cone is Z_K times a disk, and Z of a join is the product
+Z_K x Z_L, whose Poincare polynomial is the product of the two.
 """
 
 from hypothesis import given, seed, settings
@@ -12,13 +16,14 @@ from hypothesis import strategies as st
 from momangle import (
     INT,
     PRIME,
+    cone,
     from_facets,
     hochster_table,
     mask_of,
     vertices_of,
 )
 
-from helpers import reference_integral_table
+from helpers import RP2_FACETS, reference_integral_table, trim
 
 MAX_M = 10
 SEED = 20261018
@@ -29,8 +34,8 @@ EXAMPLES = settings(
 
 
 @st.composite
-def complexes(draw):
-    m = draw(st.integers(1, MAX_M))
+def complexes(draw, max_m=MAX_M):
+    m = draw(st.integers(1, max_m))
     vertex = st.integers(1, m)
     facets = draw(
         st.lists(
@@ -69,3 +74,45 @@ def test_tables_are_invariant_under_relabelling(data):
         for mask, prof in hochster_table(K, INT).subsets
     }
     assert moved == dict(hochster_table(L, INT).subsets)
+
+
+@seed(SEED)
+@EXAMPLES
+@given(complexes(MAX_M - 1))
+def test_coning_keeps_the_betti_numbers(K):
+    want = trim(hochster_table(K, INT).betti)
+    assert trim(hochster_table(cone(K), INT).betti) == want
+
+
+def _product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+@seed(SEED)
+@EXAMPLES
+@given(complexes(5), complexes(5))
+def test_join_multiplies_poincare_polynomials(K, L):
+    for coeffs in (INT, PRIME(2)):
+        want = _product(
+            hochster_table(K, coeffs).betti, hochster_table(L, coeffs).betti
+        )
+        assert hochster_table(K.join(L), coeffs).betti == want
+
+
+@seed(SEED)
+@EXAMPLES
+@given(st.data())
+def test_walk_equals_the_smith_form_on_disjoint_unions(data):
+    # RP^2 on one side sends its Z/2 through the split of K_I into the
+    # component of the top vertex and the rest
+    rp2 = from_facets(6, RP2_FACETS)
+    K = data.draw(st.one_of(st.just(rp2), complexes(5)))
+    L = data.draw(complexes(MAX_M - K.m))
+    shifted = [[v + K.m for v in vertices_of(f)] for f in L.facets]
+    U = from_facets(K.m + L.m, [*map(vertices_of, K.facets), *shifted])
+    want = reference_integral_table(U).subsets
+    assert hochster_table(U, INT).subsets == want
