@@ -137,6 +137,7 @@ def test_walk_settles_subsets_without_the_smith_form():
 def test_walk_builds_traces_only_for_connected_non_faces(monkeypatch):
     # the connected non-faces of the 14-cycle are its 154 arcs on 3 to 13
     # vertices and the whole cycle; every other subset is a face or splits
+    # (a walk that reads the traces first builds them for all 16,383)
     calls = []
 
     def counted(masks):
@@ -147,7 +148,7 @@ def test_walk_builds_traces_only_for_connected_non_faces(monkeypatch):
     monkeypatch.setattr(hochster, "_maximal", counted)
     _table.cache_clear()
     hochster_table(polygon(14), INT)
-    assert len(calls) < 200
+    assert len(calls) == 155
 
 
 def test_field_table_derivation_matches_direct(corpus):
