@@ -125,7 +125,7 @@ class HochsterTable:
             raise BadParams("field tables derive from an integral table")
         if coeffs.kind == "int":
             return self
-        # the walk shares one object per distinct profile: convert each once
+        # the walk shares profile objects: convert each object once
         subsets, converted = [], {}
         for mask, prof in self.subsets:
             fp = converted.get(id(prof))
