@@ -20,7 +20,9 @@ And they hold `verify thm1.1|thm1.2|thm4.2 --json` and `mng --json`,
 the theorem checks and the minimally non-Golod verdict.  These commands
 exit 1 on some cases (a hypothesis not met, a complex that is not
 minimally non-Golod), so their exit code is part of the file name:
-`verify-thm1.1-cone_polygon5-exit1.json`.
+`verify-thm1.1-cone_polygon5-exit1.json`.  `analyze --json`, the whole
+report (Betti numbers, core, Golod and minimally non-Golod verdicts with
+their witnesses, Gorenstein*, recognition), is stored the same way.
 
 To record the files again (only when the outputs are meant to change):
 
@@ -61,6 +63,7 @@ VERDICTS = {
     "verify-thm1.2": ["verify", "thm1.2"],
     "verify-thm4.2": ["verify", "thm4.2"],
     "mng": ["mng"],
+    "analyze": ["analyze"],
 }
 
 RUNS = [
