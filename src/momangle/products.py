@@ -20,7 +20,9 @@ caveat repeats); UNKNOWN is reserved for torsion primes too large to test.
 
 from __future__ import annotations
 
+import heapq
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -258,11 +260,23 @@ def _component_pairs(components):
     on (I, d1) and (J, d2) multiply into H~^(d1+d2+1)(K_{I u J}), so their
     product can be nonzero only when I and J are disjoint and that target
     is a component too.  Yields (first, second, target) keys, first
-    before second.
+    before second, each first's partners in list order.  Only degrees d2
+    with a component in degree d1 + d2 + 1 are scanned, so a complex
+    without such a triple of degrees (a Golod one, typically) costs one
+    pass.
     """
     present = set(components)
+    by_degree: dict[int, list[int]] = {}
+    for b, (_, d) in enumerate(components):
+        by_degree.setdefault(d, []).append(b)
     for a, (I, d1) in enumerate(components):
-        for J, d2 in components[a + 1 :]:
+        later = [
+            idx[bisect_right(idx, a) :]
+            for d2, idx in by_degree.items()
+            if d1 + d2 + 1 in by_degree
+        ]
+        for b in heapq.merge(*later):
+            J, d2 = components[b]
             if I & J:
                 continue
             target = (I | J, d1 + d2 + 1)

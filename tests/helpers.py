@@ -357,6 +357,19 @@ def reference_products(K, classes):
                 yield i, j, nz
 
 
+def reference_component_pairs(components):
+    """products._component_pairs by scanning every later component for
+    each component: (first, second, target) keys, in list order."""
+    present = set(components)
+    for a, (I, d1) in enumerate(components):
+        for J, d2 in components[a + 1 :]:
+            if I & J:
+                continue
+            target = (I | J, d1 + d2 + 1)
+            if target in present:
+                yield (I, d1), (J, d2), target
+
+
 def reference_product_table(K, coeffs):
     """ProductTable built from the full enumeration and every pair."""
     classes = tuple(c for c in reference_tor_basis(K, coeffs) if c.subset)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -25,12 +26,18 @@ from momangle import (
     tor_basis,
 )
 from momangle.linalg import field_ops
-from momangle.products import CUP_CAVEAT, _may_multiply, cochain_class_coords
+from momangle.products import (
+    CUP_CAVEAT,
+    _component_pairs,
+    _may_multiply,
+    cochain_class_coords,
+)
 
 from helpers import (
     RP2_FACETS,
     dense_rank,
     is_cocycle,
+    reference_component_pairs,
     reference_golod,
     reference_product_table,
     reference_tor_basis,
@@ -220,6 +227,33 @@ def test_golod_explicit_fields():
 def test_golod_stacked_spheres():
     assert is_cup_golod(stacked_sphere(2, 1)).verdict == "NON_GOLOD"
     assert is_cup_golod(stacked_sphere(2, 0)).verdict == "CUP_GOLOD"
+
+
+def test_component_pairs_match_the_full_scan(corpus):
+    """The degree-indexed pair scan yields the pairs of the scan over
+    every later component, in the same order, on the corpus tables and on
+    seeded random component lists spread over four degrees."""
+    lists = []
+    for K in corpus:
+        for coeffs in (RAT, PRIME(2)):
+            table = hochster_table(K, coeffs)
+            lists.append(
+                [(I, d) for I, prof in table.subsets if I for d in prof.degrees()]
+            )
+    rng = random.Random(5)
+    for _ in range(200):
+        keys = {(rng.randrange(1, 64), rng.randrange(4)) for _ in range(30)}
+        lists.append(sorted(keys))
+    assert sum(1 for c in lists if next(_component_pairs(c), None)) > 100
+    for components in lists:
+        want = list(reference_component_pairs(components))
+        assert list(_component_pairs(components)) == want, components
+
+
+def test_golod_disjoint_points_scans_no_pairs():
+    # every component sits in degree 0 and none in degree 1: 16,369
+    # components that the full scan would pair with each other
+    assert is_cup_golod(disjoint_points(14)).verdict == "CUP_GOLOD"
 
 
 def test_golod_report_dict():
