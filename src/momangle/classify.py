@@ -62,8 +62,9 @@ def is_minimally_non_golod(K: SimplicialComplex) -> MNGReport:
             caveats=caveats,
         )
     undecided = False
+    table = hochster_table(K, INT)
     for v in range(1, K.m + 1):
-        sub = K.delete_vertex(v)
+        sub = table.restrict(((1 << K.m) - 1) & ~(1 << (v - 1))).complex
         rep = is_cup_golod(sub)
         if rep.verdict == "NON_GOLOD":
             return MNGReport(

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 
-from .complexes import SimplicialComplex, _maximal, vertices_of
+from .complexes import SimplicialComplex, _compress, _maximal, vertices_of
 from .errors import BadParams, TooManyVertices
 from .linalg import (
     INT,
@@ -42,6 +42,9 @@ from .linalg import (
 )
 
 HOCHSTER_MAX_VERTICES = 20
+# tables by (complex, coefficients), oldest first: walked or restricted
+TABLE_CACHE_SIZE = 10_000
+_TABLES: dict[tuple[SimplicialComplex, Coefficients], HochsterTable] = {}
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,14 @@ class HochsterTable:
                 subsets.append((mask, fp))
         return HochsterTable(self.complex, coeffs, tuple(subsets))
 
+    def restrict(self, J: int) -> "HochsterTable":
+        """The table of the full subcomplex K_J, which has the same K_I for
+        I inside J: those subsets, masks compressed in order, profiles
+        shared.  Cached as hochster_table(K_J) unless that is already."""
+        sub = self.complex.full_subcomplex(vertices_of(J))
+        subsets = [(_compress(I, J), p) for I, p in self.subsets if not I & ~J]
+        return _remember(HochsterTable(sub, self.coeffs, tuple(subsets)))
+
     def to_dict(self) -> dict:
         d: dict = {
             "coeffs": str(self.coeffs),
@@ -174,13 +185,20 @@ def hochster_table(
             m=K.m,
             cap=HOCHSTER_MAX_VERTICES,
         )
-    return _table(K, coeffs)
+    if (K, coeffs) not in _TABLES:
+        table = _TABLES.get((K, INT)) or _remember(_walk(K))
+        _remember(table.over(coeffs))
+    return _TABLES[K, coeffs]
 
 
-@lru_cache(maxsize=10_000)
-def _table(K: SimplicialComplex, coeffs: Coefficients) -> HochsterTable:
-    if coeffs.kind != "int":
-        return _table(K, INT).over(coeffs)
+def _remember(table: HochsterTable) -> HochsterTable:
+    _TABLES.setdefault((table.complex, table.coeffs), table)
+    if len(_TABLES) > TABLE_CACHE_SIZE:
+        del _TABLES[next(iter(_TABLES))]
+    return table
+
+
+def _walk(K: SimplicialComplex) -> HochsterTable:
     # per vertex bit: the facets through it, and their union (the vertex
     # and its neighbours in the 1-skeleton of K)
     star = {1 << v: [f for f in K.facets if f >> v & 1] for v in range(K.m)}

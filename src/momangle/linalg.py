@@ -1,9 +1,9 @@
 """Exact linear algebra and simplicial homology.
 
 All integer computations use Python's arbitrary-precision integers; field
-computations run over Q (via fractions.Fraction) or a prime field F_p.
-Matrices are sparse with tiny entries and kept as dictionaries.  There
-are two eliminations:
+computations run over Q, in ints until a non-unit pivot makes a Fraction,
+or over a prime field F_p.  Matrices are sparse with tiny entries and
+kept as dictionaries.  There are two eliminations:
 
 * int_invariant_factors, a sparse Smith form over Z that prefers unit
   pivots from the shortest rows.  All homology is integral and comes from
@@ -107,12 +107,12 @@ def coefficients_from_token(token: str) -> Coefficients:
 
 class _RatOps:
     p = None  # characteristic zero
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     @staticmethod
     def of_int(n):
-        return Fraction(n)
+        return n
 
     @staticmethod
     def add(a, b):
@@ -132,7 +132,7 @@ class _RatOps:
 
     @staticmethod
     def inv(a):
-        return 1 / a
+        return a if a in (1, -1) else 1 / Fraction(a)
 
 
 class _FpOps:

@@ -92,6 +92,12 @@ def _lift_mask(mask: int, verts: tuple[int, ...]) -> int:
     return out
 
 
+@lru_cache(maxsize=10_000)
+def _relabelled_basis(KI: SimplicialComplex, degree: int, coeffs: Coefficients):
+    # K_I of K, K - v, cone(K), ... are equal up to labels: one basis
+    return cocycle_basis(KI, degree, coeffs)
+
+
 @lru_cache(maxsize=50_000)
 def _component(
     K: SimplicialComplex, subset: int, degree: int, coeffs: Coefficients
@@ -103,7 +109,7 @@ def _component(
     tuples.  tor_basis and cochain_class_coords both read this one entry.
     """
     verts = vertices_of(subset)
-    basis = cocycle_basis(K.full_subcomplex(verts), degree, coeffs)
+    basis = _relabelled_basis(K.full_subcomplex(verts), degree, coeffs)
     ambient = [_lift_mask(f, verts) for f in basis.faces]
     cochains = tuple(
         tuple(sorted((a, val) for a, val in zip(ambient, vec) if val != 0))
@@ -257,24 +263,18 @@ def _component_pairs(components):
 
     components lists the (subset, degree) keys of the nonzero components
     H~^degree(K_subset) on nonempty subsets, in increasing order.  Classes
-    on (I, d1) and (J, d2) multiply into H~^(d1+d2+1)(K_{I u J}), so their
-    product can be nonzero only when I and J are disjoint and that target
-    is a component too.  Yields (first, second, target) keys, first
-    before second, each first's partners in list order.  Only degrees d2
-    with a component in degree d1 + d2 + 1 are scanned, so a complex
-    without such a triple of degrees (a Golod one, typically) costs one
-    pass.
+    on (I, d1) and (J, d2) multiply into H~^(d1+d2+1)(K_{I u J}): nonzero
+    only when I and J are disjoint and that target is a component (so d2
+    is scanned only if degree d1+d2+1 has one).  Yields (first, second,
+    target) keys, first before second, partners in list order.
     """
     present = set(components)
     by_degree: dict[int, list[int]] = {}
     for b, (_, d) in enumerate(components):
         by_degree.setdefault(d, []).append(b)
     for a, (I, d1) in enumerate(components):
-        later = [
-            idx[bisect_right(idx, a) :]
-            for d2, idx in by_degree.items()
-            if d1 + d2 + 1 in by_degree
-        ]
+        ds = [d2 for d2 in by_degree if d1 + d2 + 1 in by_degree]
+        later = [by_degree[d][bisect_right(by_degree[d], a) :] for d in ds]
         for b in heapq.merge(*later):
             J, d2 = components[b]
             if I & J:
@@ -364,8 +364,12 @@ def is_cup_golod(K: SimplicialComplex, fields=None) -> GolodReport:
 
     Follows the Hochster table: a field whose table has no pair of
     disjoint components with a nonzero target component is product-free
-    and is checked without building its basis.
+    and is checked without building its basis.  Default reports are kept.
     """
+    return _default_golod(K) if fields is None else _cup_golod(K, fields)
+
+
+def _cup_golod(K: SimplicialComplex, fields) -> GolodReport:
     table = hochster_table(K, INT)
     battery = list(fields) if fields is not None else list(DEFAULT_GOLOD_FIELDS)
     caveats = [CUP_CAVEAT]
@@ -407,3 +411,6 @@ def is_cup_golod(K: SimplicialComplex, fields=None) -> GolodReport:
             )
     verdict = "UNKNOWN" if untestable else "CUP_GOLOD"
     return GolodReport(verdict, tuple(checked), None, tuple(caveats))
+
+
+_default_golod = lru_cache(maxsize=10_000)(lambda K: _cup_golod(K, None))

@@ -15,8 +15,8 @@ itself.
 
 smith_normal_form and boundary_matrix are dense oracles for the sparse
 integer elimination and the chain complexes, and dense_rref and
-dense_nullspace for the sparse field echelon; the package never calls
-them.
+dense_nullspace for the sparse field echelon (over Q with FractionOps,
+all in Fractions); the package never calls them.
 """
 
 from __future__ import annotations
@@ -95,6 +95,22 @@ def dense_rank(rows, p=None):
                     mat[i] = [(a - f * b) % p for a, b in zip(mat[i], row)]
         rank += 1
     return rank
+
+
+class FractionOps:
+    """Q with every element a Fraction, whatever its denominator: a
+    reference for the package's Q arithmetic, which keeps integers as
+    ints."""
+
+    p = None
+    zero = Fraction(0)
+    one = Fraction(1)
+    of_int = staticmethod(Fraction)
+    add = staticmethod(lambda a, b: a + b)
+    sub = staticmethod(lambda a, b: a - b)
+    mul = staticmethod(lambda a, b: a * b)
+    neg = staticmethod(lambda a: -a)
+    inv = staticmethod(lambda a: 1 / a)
 
 
 def dense_rref(rows, ops):

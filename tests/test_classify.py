@@ -2,13 +2,16 @@ import json
 
 import pytest
 
+from momangle import hochster, products
 from momangle import (
+    RAT,
     EmptySubset,
     OutOfRange,
     boundary_simplex,
     cone,
     disjoint_points,
     from_facets,
+    hochster_table,
     is_gorenstein_star,
     is_minimally_non_golod,
     polygon,
@@ -19,6 +22,7 @@ from momangle import (
     verify_theorem_1_1,
     verify_theorem_1_2,
     verify_theorem_4_2,
+    vertices_of,
 )
 
 PYRAMID = from_facets(5, [(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)])
@@ -53,6 +57,32 @@ def test_mng_polygons():
     # deleting any polygon vertex leaves a path, which is Golod
     assert is_minimally_non_golod(polygon(5)).value is True
     assert is_minimally_non_golod(polygon(6)).value is True
+
+
+def test_mng_builds_one_basis_per_relabelled_full_subcomplex(monkeypatch):
+    # The 9-cycle is non-Golod over Q, which needs a basis for each of its
+    # 440 rational components; its deletions are paths, product-free
+    # without a basis.  The 440 components have 99 distinct relabelled
+    # K_I, and K and K - v share them: 99 builds from cold caches.
+    K = polygon(9)
+    distinct = {
+        (K.full_subcomplex(vertices_of(I)), d)
+        for I, prof in hochster_table(K, RAT).subsets
+        for d in prof.degrees()
+    }
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    build = products.cocycle_basis
+    monkeypatch.setattr(products, "cocycle_basis", counted)
+    for name in ("_component", "_relabelled_basis", "_default_golod"):
+        getattr(products, name).cache_clear()
+    hochster._TABLES.clear()
+    assert is_minimally_non_golod(K).value is True
+    assert len(calls) == len(distinct) == 99
 
 
 def test_mng_report_dict():

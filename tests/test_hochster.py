@@ -20,13 +20,14 @@ from momangle import (
     from_facets,
     from_json,
     hochster_table,
+    mask_of,
     polygon,
     reduced_homology,
     simplex,
     stacked_sphere,
 )
 from momangle import hochster
-from momangle.hochster import _table
+from momangle.hochster import _TABLES
 
 from helpers import (
     RP2_FACETS,
@@ -109,10 +110,34 @@ def test_brute_force_oracle_selection(random_corpus):
 
 def test_walk_matches_the_smith_form_of_every_subset(corpus):
     # the face, component and dominated-vertex rules settle subsets from
-    # smaller ones; the reference builds and eliminates every K_I
+    # smaller ones; the reference builds and eliminates every K_I.  The
+    # cache is emptied so that no table restricted from a parent stands
+    # in for a walked one.
+    _TABLES.clear()
     for K in [*_rp2_variants(), *corpus]:
         want = reference_integral_table(K).subsets
         assert hochster_table(K, INT).subsets == want, K
+
+
+def test_restrict_matches_the_smith_form_of_deletions_and_cores(corpus):
+    # K_J of K is K_J's own table: the subsets inside J, renumbered
+    for K in [*_rp2_variants(), *corpus]:
+        table = hochster_table(K, INT)
+        everything = (1 << K.m) - 1
+        apexes, core = K.core()
+        parts = [(everything & ~mask_of(apexes), core)]
+        for v in range(1, K.m + 1):
+            parts.append((everything & ~(1 << (v - 1)), K.delete_vertex(v)))
+        for J, want in parts:
+            got = table.restrict(J)
+            assert got.complex == want and got.coeffs == INT, (K, J)
+            assert got.complex.labels() == want.labels(), (K, J)
+            assert got.subsets == reference_integral_table(want).subsets
+    # the restricted table is the one hochster_table then returns
+    _TABLES.clear()
+    got = hochster_table(PYRAMID, INT).restrict(0b01111)
+    assert hochster_table(PYRAMID.delete_vertex(5), INT) is got
+    assert hochster_table(got.complex, RAT) == got.over(RAT)
 
 
 def test_walk_matches_the_smith_form_on_benchmark_inputs():
@@ -127,7 +152,7 @@ def test_walk_settles_subsets_without_the_smith_form():
     # every subset of a polygon but the whole cycle is a face, a union of
     # paths, or a path with a dominated end; a stacked sphere collapses
     # likewise.  reference_integral_table adds thousands of misses here.
-    _table.cache_clear()
+    _TABLES.clear()
     reduced_homology.cache_clear()
     hochster_table(polygon(14), INT)
     hochster_table(stacked_sphere(2, 9), INT)
@@ -146,7 +171,7 @@ def test_walk_builds_traces_only_for_connected_non_faces(monkeypatch):
 
     maximal = hochster._maximal
     monkeypatch.setattr(hochster, "_maximal", counted)
-    _table.cache_clear()
+    _TABLES.clear()
     hochster_table(polygon(14), INT)
     assert len(calls) == 155
 

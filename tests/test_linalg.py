@@ -35,6 +35,7 @@ from momangle.linalg import (
 
 from helpers import (
     RP2_FACETS,
+    FractionOps,
     boundary_matrix,
     dense_nullspace,
     dense_rank,
@@ -223,6 +224,36 @@ def test_echelon_matches_dense_rref(coeffs):
                 a = normal[pc]
                 normal = [ops.sub(x, ops.mul(a, y)) for x, y in zip(normal, row)]
             assert _dense(ech.reduce(dict(enumerate(v))), ncols, ops) == normal
+
+
+def test_rational_inverse_is_exact():
+    q = field_ops(RAT)
+    assert q.inv(3) == Fraction(1, 3) and isinstance(q.inv(3), Fraction)
+    assert q.inv(-1) == -1 and type(q.inv(-1)) is int
+    assert q.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+
+
+def test_rational_echelon_matches_the_dense_fraction_rref():
+    # the Q echelon keeps integers as ints; the reference computes in
+    # Fractions throughout
+    ops, ref = field_ops(RAT), FractionOps()
+    rng = random.Random(13)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        bound = rng.choice((1, 6))
+        mat = _random_matrix(rng, nrows, ncols, rng.random(), bound)
+        ech = _echelon_of(mat, ops)
+        frac = [[Fraction(v) for v in row] for row in mat]
+        want, pivots = dense_rref([list(r) for r in frac], ref)
+        assert sorted(ech.rows) == pivots, mat
+        assert [_dense(ech.rows[pc], ncols, ops) for pc in pivots] == want
+        kernel = [_dense(v, ncols, ops) for v in ech.kernel(ncols)]
+        assert kernel == dense_nullspace(frac, ncols, ref), mat
+    # boundary maps have unit pivots here: the cocycles stay in ints
+    for K in (polygon(6), boundary_simplex(3), disjoint_points(4)):
+        for degree in range(-1, K.dim + 1):
+            basis = cocycle_basis(K, degree, RAT)
+            assert all(type(x) is int for vec in basis.vectors for x in vec)
 
 
 @pytest.mark.parametrize("coeffs", ENGINE_FIELDS, ids=str)

@@ -7,7 +7,9 @@ failure reproduces.
 
 Beside the Smith-form oracle, the walk must respect two topological
 facts: Z of a cone is Z_K times a disk, and Z of a join is the product
-Z_K x Z_L, whose Poincare polynomial is the product of the two.
+Z_K x Z_L, whose Poincare polynomial is the product of the two.  Tables
+and the Golod and minimally non-Golod verdicts must not change when the
+vertices are renamed.
 """
 
 from hypothesis import given, seed, settings
@@ -19,6 +21,8 @@ from momangle import (
     cone,
     from_facets,
     hochster_table,
+    is_cup_golod,
+    is_minimally_non_golod,
     mask_of,
     vertices_of,
 )
@@ -74,6 +78,20 @@ def test_tables_are_invariant_under_relabelling(data):
         for mask, prof in hochster_table(K, INT).subsets
     }
     assert moved == dict(hochster_table(L, INT).subsets)
+
+
+@seed(SEED)
+@EXAMPLES
+@given(st.data())
+def test_golod_and_mng_verdicts_are_invariant_under_relabelling(data):
+    # bases, tables and reports are shared between complexes equal up to
+    # labels; a relabelled K is another complex with the same verdicts
+    K = data.draw(complexes(8))
+    L = K.relabel(data.draw(st.permutations(range(1, K.m + 1))))
+    golod, moved = is_cup_golod(K), is_cup_golod(L)
+    assert moved.verdict == golod.verdict
+    assert moved.fields_checked == golod.fields_checked
+    assert is_minimally_non_golod(L).value == is_minimally_non_golod(K).value
 
 
 @seed(SEED)

@@ -3,16 +3,19 @@
 perfbench/tracing.py wraps each (layer, function) pair of its TRACED
 list by name, so a refactor that renames or drops one of them would only
 show up when the benchmark runs.  This test fails first.  The same module
-checks that no module of the package imports a name it does not use, and
-that the package imports nothing outside the standard library.
+checks that no module of the package imports a name it does not use,
+that the package imports nothing outside the standard library, and that
+every cache the package keeps is bounded.
 """
 
 import ast
+import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
-from momangle import linalg
+from momangle import INT, RAT, hochster, hochster_table, linalg, polygon
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -87,3 +90,25 @@ def test_stdlib_only_imports():
         p.name: sorted(set(_absolute_imports(p)) - allowed) for p in modules
     }
     assert not {name: found for name, found in foreign.items() if found}
+
+
+def test_caches_are_bounded(monkeypatch):
+    """Every lru_cache of the package that takes arguments has a finite
+    maxsize, and the table cache, which the walk and restrict both fill,
+    never holds more than TABLE_CACHE_SIZE tables."""
+    caches = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"momangle.{path.stem}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                if inspect.signature(value.__wrapped__).parameters:
+                    caches.append((path.stem, name, value.cache_info().maxsize))
+    assert ("products", "_relabelled_basis") in {c[:2] for c in caches}
+    assert all(size is not None for *_, size in caches), caches
+    monkeypatch.setattr(hochster, "TABLE_CACHE_SIZE", 3)
+    monkeypatch.setattr(hochster, "_TABLES", {})
+    for m in range(4, 8):
+        table = hochster_table(polygon(m), RAT)
+        hochster_table(polygon(m), INT).restrict((1 << m) - 2)
+        assert len(hochster._TABLES) <= 3
+    assert table.complex == polygon(7)
