@@ -139,9 +139,8 @@ class HochsterTable:
         return HochsterTable(self.complex, coeffs, tuple(subsets))
 
     def restrict(self, J: int) -> "HochsterTable":
-        """The table of the full subcomplex K_J, which has the same K_I for
-        I inside J: those subsets, masks compressed in order, profiles
-        shared.  Cached as hochster_table(K_J) unless that is already."""
+        """Table of the full subcomplex K_J (the same K_I for I inside J,
+        masks compressed in order), cached as hochster_table(K_J)."""
         sub = self.complex.full_subcomplex(vertices_of(J))
         subsets = [(_compress(I, J), p) for I, p in self.subsets if not I & ~J]
         return _remember(HochsterTable(sub, self.coeffs, tuple(subsets)))

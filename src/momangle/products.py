@@ -364,7 +364,8 @@ def is_cup_golod(K: SimplicialComplex, fields=None) -> GolodReport:
 
     Follows the Hochster table: a field whose table has no pair of
     disjoint components with a nonzero target component is product-free
-    and is checked without building its basis.  Default reports are kept.
+    and is checked without building its basis.  Default-battery reports
+    are cached per complex.
     """
     return _default_golod(K) if fields is None else _cup_golod(K, fields)
 
