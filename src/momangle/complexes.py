@@ -77,6 +77,16 @@ def _compress(mask: int, support: int) -> int:
     return out
 
 
+def _lift_mask(mask: int, verts: tuple[int, ...]) -> int:
+    """The inverse of :func:`_compress`: bit i of ``mask`` goes to vertex
+    ``verts[i]`` (increasing ``verts`` keep increasing masks in order)."""
+    out = 0
+    for i, v in enumerate(verts):
+        if mask >> i & 1:
+            out |= 1 << (v - 1)
+    return out
+
+
 def _maximal(masks: Iterable[int]) -> list[int]:
     """The inclusion-maximal masks among ``masks``, each once, largest first."""
     out: list[int] = []

@@ -6,18 +6,26 @@ below records one homology profile per subset with nonzero contribution;
 everything else (total Betti numbers, the bigraded and Tor-style
 gradings, torsion primes) is read off from it.
 
-There is one walk over the 2^m subsets, over the integers, cached per
-complex.  It takes I in increasing order.  The component C of I's top
-vertex grows over the 1-skeleton of K by bitmask (graph components of
-K_I are its topological ones).  If C != I, K_I is the disjoint union of
-K_C and K_(I - C), both smaller and walked already: H~(K_I) is their sum
-plus Z in degree 0, computed once per pair of profiles.  A connected I
-inside a facet is a face: K_I is contractible.  Only a connected
-non-face reads the maximal traces f & I of the facets.  If the traces
-through some v all hold another vertex, v is dominated: K_I
-strong-collapses onto K_(I - v) (Barmak-Minian, Strong homotopy types,
-nerves and collapses, DCG 2012) and takes its profile; a cone vertex
-dominates all others.  Only the rest builds the relabelled K_I for the
+K = Delta^n * K' splits off the simplex on its cone vertices (the
+vertices in every facet), and Z_K = Z_K' x D^(2(n+1)).  A full
+subcomplex that meets a cone vertex is a cone, so K's table is the table
+of its core K' with the masks spread back over the vertices of K';
+nothing of K is walked.
+
+Any other K has one walk over the 2^m subsets, over the integers.
+Tables are cached per complex and its vertex labels.  The walk takes I
+in increasing order.  The component C of I's top vertex grows over the
+1-skeleton of K by bitmask (graph components of K_I are its topological
+ones).  If C != I, K_I is the disjoint union of K_C and K_(I - C), both
+smaller and walked already: H~(K_I) is their sum plus Z in degree 0,
+computed once per pair of profiles.  A connected I inside a facet is a
+face: K_I is contractible.  Only a connected non-face reads the traces
+f & I.  If the maximal traces through some v all hold another vertex, v
+is dominated: K_I strong-collapses onto K_(I - v) (Barmak-Minian, Strong
+homotopy types, nerves and collapses, DCG 2012) and takes its profile;
+a cone vertex dominates all others.  The maximal traces through v are
+the maximal traces of the facets through v, so each tried vertex reads
+only its own star.  Only the rest builds the relabelled K_I for the
 cached Smith form.  Tables over Q or F_p follow from the integral one by
 universal coefficients (HochsterTable.over).
 
@@ -31,7 +39,13 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from .complexes import SimplicialComplex, _compress, _maximal, vertices_of
+from .complexes import (
+    SimplicialComplex,
+    _compress,
+    _lift_mask,
+    _maximal,
+    vertices_of,
+)
 from .errors import BadParams, TooManyVertices
 from .linalg import (
     INT,
@@ -42,9 +56,13 @@ from .linalg import (
 )
 
 HOCHSTER_MAX_VERTICES = 20
-# tables by (complex, coefficients), oldest first: walked or restricted
+# tables by (complex, its vertex labels, coefficients), oldest first:
+# walked, lifted from a core or restricted.  Equal complexes may carry
+# different labels, and a table hands out its complex with its labels.
 TABLE_CACHE_SIZE = 10_000
-_TABLES: dict[tuple[SimplicialComplex, Coefficients], HochsterTable] = {}
+_TABLES: dict[
+    tuple[SimplicialComplex, tuple[int, ...], Coefficients], HochsterTable
+] = {}
 
 
 @dataclass(frozen=True)
@@ -173,9 +191,11 @@ def hochster_table(
     """Reduced homology of every full subcomplex of K, assembled per subset.
 
     Walks all 2^m vertex subsets over the integers, so the vertex count
-    is capped at HOCHSTER_MAX_VERTICES (TooManyVertices beyond it).  The
-    integral table is cached per complex; a field table is derived from
-    it by universal coefficients, once, and cached beside it.
+    is capped at HOCHSTER_MAX_VERTICES (TooManyVertices beyond it); a
+    complex with cone vertices takes its core's table instead.  The
+    integral table is cached per complex and vertex labels; a field
+    table is derived from it by universal coefficients, once, and cached
+    beside it.
     """
     if K.m > HOCHSTER_MAX_VERTICES:
         raise TooManyVertices(
@@ -184,17 +204,33 @@ def hochster_table(
             m=K.m,
             cap=HOCHSTER_MAX_VERTICES,
         )
-    if (K, coeffs) not in _TABLES:
-        table = _TABLES.get((K, INT)) or _remember(_walk(K))
-        _remember(table.over(coeffs))
-    return _TABLES[K, coeffs]
+    table = _TABLES.get((K, K.labels(), coeffs))
+    if table is None:
+        table = _remember(_integral(K).over(coeffs))
+    return table
 
 
 def _remember(table: HochsterTable) -> HochsterTable:
-    _TABLES.setdefault((table.complex, table.coeffs), table)
+    """Cache table unless an equal request is cached; return the cached one."""
+    key = table.complex, table.complex.labels(), table.coeffs
+    table = _TABLES.setdefault(key, table)
     if len(_TABLES) > TABLE_CACHE_SIZE:
         del _TABLES[next(iter(_TABLES))]
     return table
+
+
+def _integral(K: SimplicialComplex) -> HochsterTable:
+    """The cached integral table of K, else its core's lifted, else walked."""
+    table = _TABLES.get((K, K.labels(), INT))
+    if table is not None:
+        return table
+    apexes = reduce(int.__and__, K.facets)
+    if not apexes or K.facets == (apexes,):  # no cone vertex, or a simplex
+        return _remember(_walk(K))
+    rest = vertices_of(((1 << K.m) - 1) & ~apexes)
+    core = _integral(K.full_subcomplex(rest))
+    subsets = tuple((_lift_mask(I, rest), p) for I, p in core.subsets)
+    return _remember(HochsterTable(K, INT, subsets))
 
 
 def _walk(K: SimplicialComplex) -> HochsterTable:
@@ -228,19 +264,30 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
             continue
         if any(not I & ~f for f in star[top]):  # I is a face
             continue
-        traces = _maximal(f & I for f in K.facets)
-        rest = I
-        while rest:  # a dominated vertex, if any
-            v = rest & -rest
-            rest ^= v
-            if reduce(int.__and__, [t for t in traces if t & v]) != v:
-                prof = found.get(I & ~v)
-                break
+        v = _dominated(I, star)
+        if v:
+            prof = found.get(I & ~v)
         else:
             prof = reduced_homology(K.full_subcomplex(vertices_of(I)))
         if prof is not None and not prof.is_trivial:
             found[I] = prof
     return HochsterTable(K, INT, tuple(found.items()))
+
+
+def _dominated(I: int, star: dict[int, list[int]]) -> int:
+    """The lowest vertex bit of I dominated in K_I, or 0 if none is.
+
+    v is dominated when another vertex lies in every maximal trace f & I
+    through v; those are the maximal traces of the facets through v, as a
+    trace holding v lies only in traces of facets through v.
+    """
+    rest = I
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        if reduce(int.__and__, _maximal(f & I for f in star[v])) != v:
+            return v
+    return 0
 
 
 def format_poincare(betti) -> str:

@@ -26,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complexes import SimplicialComplex, vertices_of
+from .complexes import SimplicialComplex, _lift_mask, vertices_of
 from .errors import FieldMismatch, InternalInvariant, NotAField
 from .hochster import HochsterTable, hochster_table
 from .linalg import (
@@ -82,14 +82,6 @@ class TorClass:
             "total_degree": self.total_degree,
             "index": self.index,
         }
-
-
-def _lift_mask(mask: int, verts: tuple[int, ...]) -> int:
-    out = 0
-    for i, v in enumerate(verts):
-        if mask >> i & 1:
-            out |= 1 << (v - 1)
-    return out
 
 
 @lru_cache(maxsize=10_000)

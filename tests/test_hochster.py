@@ -25,6 +25,7 @@ from momangle import (
     reduced_homology,
     simplex,
     stacked_sphere,
+    verify_theorem_1_2,
 )
 from momangle import hochster
 from momangle.hochster import _TABLES
@@ -162,18 +163,98 @@ def test_walk_settles_subsets_without_the_smith_form():
 def test_walk_builds_traces_only_for_connected_non_faces(monkeypatch):
     # the connected non-faces of the 14-cycle are its 154 arcs on 3 to 13
     # vertices and the whole cycle; every other subset is a face or splits
-    # (a walk that reads the traces first builds them for all 16,383)
+    # (a walk that reads the traces first builds them for all 16,383).
+    # The domination step runs once per connected non-face; inside it the
+    # traces are built once per tried vertex, from that vertex's star.
     calls = []
 
-    def counted(masks):
-        calls.append(None)
-        return maximal(masks)
+    def counted(I, star):
+        calls.append(I)
+        return dominated(I, star)
 
-    maximal = hochster._maximal
-    monkeypatch.setattr(hochster, "_maximal", counted)
+    dominated = hochster._dominated
+    monkeypatch.setattr(hochster, "_dominated", counted)
     _TABLES.clear()
     hochster_table(polygon(14), INT)
     assert len(calls) == 155
+
+
+def _counted_walks(monkeypatch):
+    """Vertex counts of the tables hochster._walk builds from now on."""
+    walked = []
+
+    def counted(K):
+        walked.append(K.m)
+        return walk(K)
+
+    walk = hochster._walk
+    monkeypatch.setattr(hochster, "_walk", counted)
+    return walked
+
+
+def _cones(corpus):
+    """Every corpus complex with a cone vertex (simplices aside), the cone
+    over RP^2 (torsion) and a cone over a cone."""
+    rp2 = from_facets(6, RP2_FACETS)
+    coned = [K for K in corpus if K.core()[0] and K.core()[1].m]
+    return [*coned, cone(rp2), cone(cone(polygon(5)))]
+
+
+def test_cone_tables_lift_the_core_table(corpus):
+    # a full subcomplex through a cone vertex is a cone: the table of
+    # simplex(S) * core is the core's, masks spread over the core's vertices
+    cones = _cones(corpus)
+    assert len(cones) > 30
+    for core_first in (True, False):
+        _TABLES.clear()
+        for K in cones:
+            _, core = K.core()
+            if core_first:
+                hochster_table(core, INT)
+            want = reference_integral_table(K).subsets
+            assert hochster_table(K, INT).subsets == want, (core_first, K)
+            got = hochster_table(core, INT).subsets
+            assert got == reference_integral_table(core).subsets, K
+
+
+def test_a_cone_after_its_base_walks_nothing(monkeypatch):
+    walked = _counted_walks(monkeypatch)
+    _TABLES.clear()
+    base = hochster_table(polygon(11), INT)
+    assert walked == [11]
+    table = hochster_table(cone(polygon(11)), INT)
+    assert walked == [11]
+    assert len(table.subsets) == len(base.subsets)
+    assert all(p is q for (_, p), (_, q) in zip(table.subsets, base.subsets))
+    # a cone asked first walks its core only, which is then cached
+    _TABLES.clear()
+    hochster_table(cone(cone(polygon(6))), INT)
+    hochster_table(polygon(6), INT)
+    assert walked == [11, 6]
+
+
+def test_verify_walks_only_the_core(monkeypatch):
+    walked = _counted_walks(monkeypatch)
+    _TABLES.clear()
+    report = verify_theorem_1_2(cone(polygon(5)))
+    assert report.status == "CONFIRMED"
+    assert walked == [5]
+
+
+def test_tables_carry_the_labels_of_the_requested_complex():
+    # K_{1,3,4} of a path and the complex built directly are equal up to
+    # labels; each table hands out its own complex, labels included
+    _TABLES.clear()
+    path = from_facets(4, [(1, 2), (2, 3), (3, 4)])
+    restricted = hochster_table(path, INT).restrict(0b1101)
+    assert restricted.complex.labels() == (1, 3, 4)
+    direct = hochster_table(from_facets(3, [(1,), (2, 3)]), INT)
+    assert direct.complex.labels() == (1, 2, 3)
+    assert direct.subsets == restricted.subsets
+    assert hochster_table(from_facets(3, [(1,), (2, 3)]), INT) is direct
+    assert hochster_table(path, INT).restrict(0b1101) is restricted
+    deleted = hochster_table(path.delete_vertex(2), RAT)
+    assert deleted.complex.labels() == (1, 3, 4)
 
 
 def test_field_table_derivation_matches_direct(corpus):

@@ -24,6 +24,8 @@ from momangle import (
     is_cup_golod,
     is_minimally_non_golod,
     mask_of,
+    recognize_connected_sum,
+    simplex,
     vertices_of,
 )
 
@@ -100,6 +102,29 @@ def test_golod_and_mng_verdicts_are_invariant_under_relabelling(data):
 def test_coning_keeps_the_betti_numbers(K):
     want = trim(hochster_table(K, INT).betti)
     assert trim(hochster_table(cone(K), INT).betti) == want
+
+
+@seed(SEED)
+@EXAMPLES
+@given(complexes(MAX_M - 3), st.integers(0, 2))
+def test_joining_a_simplex_lifts_the_table(K, k):
+    # simplex(k) takes vertices 1..k+1, K moves up by k+1
+    L = simplex(k).join(K)
+    t, u = hochster_table(K, INT), hochster_table(L, INT)
+    assert u.subsets == tuple((I << k + 1, p) for I, p in t.subsets)
+    assert trim(u.betti) == trim(t.betti)
+    assert u.rk_betti[: len(t.rk_betti)] == t.rk_betti
+    assert not any(u.rk_betti[len(t.rk_betti) :])
+
+
+@seed(SEED)
+@EXAMPLES
+@given(st.data())
+def test_recognition_is_invariant_under_relabelling(data):
+    K = data.draw(complexes(8))
+    L = K.relabel(data.draw(st.permutations(range(1, K.m + 1))))
+    want, got = recognize_connected_sum(K), recognize_connected_sum(L)
+    assert (got.kind, got.pairs) == (want.kind, want.pairs)
 
 
 def _product(a, b):
