@@ -16,6 +16,10 @@ the Betti numbers, bigraded ranks and torsion primes read off the
 subset walk, so any change to how the walk settles a subset that moves
 a rank or a torsion prime fails here.
 
+The two largest walked inputs, `polygon 14` and `stacked_sphere 2 9`,
+have `hochster --json` over Z stored as well.  They have a case list of
+their own, so no cellular command runs on 14 vertices.
+
 And they hold `verify thm1.1|thm1.2|thm4.2 --json` and `mng --json`,
 the theorem checks and the minimally non-Golod verdict.  These commands
 exit 1 on some cases (a hypothesis not met, a complex that is not
@@ -57,6 +61,12 @@ CASES = {
     "rp2": from_facets(6, RP2_FACETS),
 }
 
+# hochster over Z only: 2^14 and 2^13 subsets, too many for R_K or Z_K
+LARGE_CASES = {
+    "polygon14": ["--gen", "polygon", "14"],
+    "stacked2_9": ["--gen", "stacked_sphere", "2", "9"],
+}
+
 # commands without --field whose exit code is recorded with the output
 VERDICTS = {
     "verify-thm1.1": ["verify", "thm1.1"],
@@ -71,11 +81,11 @@ RUNS = [
     for command, fields in FIELDS.items()
     for name in sorted(CASES)
     for field in fields
-]
+] + [("hochster", name, "int") for name in sorted(LARGE_CASES)]
 
 
 def _run(argv: list[str], name: str, tmp_dir: Path) -> tuple[int, str]:
-    source = CASES[name]
+    source = (CASES | LARGE_CASES)[name]
     if not isinstance(source, list):
         path = tmp_dir / f"{name}.json"
         path.write_text(source.to_json())
@@ -116,6 +126,12 @@ def test_betti_match_golden(command, name, field, tmp_path):
 def test_hochster_match_golden(name, field, tmp_path):
     want = _golden_path("hochster", name, field).read_text()
     assert _stdout("hochster", name, field, tmp_path) == want
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_CASES))
+def test_large_hochster_match_golden(name, tmp_path):
+    want = _golden_path("hochster", name, "int").read_text()
+    assert _stdout("hochster", name, "int", tmp_path) == want
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
