@@ -13,20 +13,27 @@ of its core K' with the masks spread back over the vertices of K';
 nothing of K is walked.
 
 Any other K has one walk over the 2^m subsets, over the integers.
-Tables are cached per complex and its vertex labels.  The walk takes I
-in increasing order.  The component C of I's top vertex grows over the
-1-skeleton of K by bitmask (graph components of K_I are its topological
-ones).  If C != I, K_I is the disjoint union of K_C and K_(I - C), both
-smaller and walked already: H~(K_I) is their sum plus Z in degree 0,
-computed once per pair of profiles.  A connected I inside a facet is a
-face: K_I is contractible.  Only a connected non-face reads the traces
-f & I.  If the maximal traces through some v all hold another vertex, v
-is dominated: K_I strong-collapses onto K_(I - v) (Barmak-Minian, Strong
-homotopy types, nerves and collapses, DCG 2012) and takes its profile;
-a cone vertex dominates all others.  The maximal traces through v are
-the maximal traces of the facets through v, so each tried vertex reads
-only its own star.  Only the rest builds the relabelled K_I for the
-cached Smith form.  Tables over Q or F_p follow from the integral one by
+Tables are cached per complex and its vertex labels; a complex equal to
+a cached one under other labels shares its subsets.  The walk takes I
+in increasing order.  The component C of I's top vertex in K_I is read
+off smaller subsets: it is the top vertex plus every component of
+K_(I - top) that meets the top vertex's neighbours, and those are peeled
+off I - top one stored component at a time (4 bytes a subset, 4 MB at
+the vertex cap; graph components of K_I are its topological ones).  If
+C != I, K_I is the disjoint union of K_C and K_(I - C), both smaller and
+walked already: H~(K_I) is their sum plus Z in degree 0, computed once
+per pair of profiles.  A connected I inside a facet is a face: K_I is
+contractible.  Only a connected non-face reads traces f & I.  If the
+maximal traces through some v all hold another vertex, v is dominated:
+K_I strong-collapses onto K_(I - v) (Barmak-Minian, Strong homotopy
+types, nerves and collapses, DCG 2012) and takes its profile; a cone
+vertex dominates all others.  Every face through v lies in v's closed
+neighbourhood N(v), so whether v is dominated depends on J = I & N(v)
+alone: some w in J - v must make t + w a face for each trace t = f & J
+of a facet f through v.  Each answer is kept per tried vertex and J, one
+byte each in an array over the span of N(v), so subsets that agree near
+v share it.  Only the rest builds the relabelled K_I for the cached
+Smith form.  Tables over Q or F_p follow from the integral one by
 universal coefficients (HochsterTable.over).
 
 The empty subset contributes the unit in degree 0, so b_0 = 1 and
@@ -36,14 +43,13 @@ b_1 = b_2 = 0 for every complex.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 
 from .complexes import (
     SimplicialComplex,
     _compress,
     _lift_mask,
-    _maximal,
     vertices_of,
 )
 from .errors import BadParams, TooManyVertices
@@ -59,9 +65,12 @@ HOCHSTER_MAX_VERTICES = 20
 # tables by (complex, its vertex labels, coefficients), oldest first:
 # walked, lifted from a core or restricted.  Equal complexes may carry
 # different labels, and a table hands out its complex with its labels.
+# (complex, None, INT) holds the first integral table of an equal
+# complex, whatever its labels, for the others to share its subsets.
 TABLE_CACHE_SIZE = 10_000
 _TABLES: dict[
-    tuple[SimplicialComplex, tuple[int, ...], Coefficients], HochsterTable
+    tuple[SimplicialComplex, tuple[int, ...] | None, Coefficients],
+    HochsterTable,
 ] = {}
 
 
@@ -193,9 +202,10 @@ def hochster_table(
     Walks all 2^m vertex subsets over the integers, so the vertex count
     is capped at HOCHSTER_MAX_VERTICES (TooManyVertices beyond it); a
     complex with cone vertices takes its core's table instead.  The
-    integral table is cached per complex and vertex labels; a field
-    table is derived from it by universal coefficients, once, and cached
-    beside it.
+    integral table is cached per complex and vertex labels, and an equal
+    complex under other labels shares its subsets; a field table is
+    derived from it by universal coefficients, once, and cached beside
+    it.
     """
     if K.m > HOCHSTER_MAX_VERTICES:
         raise TooManyVertices(
@@ -214,16 +224,22 @@ def _remember(table: HochsterTable) -> HochsterTable:
     """Cache table unless an equal request is cached; return the cached one."""
     key = table.complex, table.complex.labels(), table.coeffs
     table = _TABLES.setdefault(key, table)
-    if len(_TABLES) > TABLE_CACHE_SIZE:
+    if table.coeffs == INT:
+        _TABLES.setdefault((table.complex, None, INT), table)
+    while len(_TABLES) > TABLE_CACHE_SIZE:
         del _TABLES[next(iter(_TABLES))]
     return table
 
 
 def _integral(K: SimplicialComplex) -> HochsterTable:
-    """The cached integral table of K, else its core's lifted, else walked."""
+    """The cached integral table of K, else that of an equal complex under
+    other labels, else its core's lifted, else walked."""
     table = _TABLES.get((K, K.labels(), INT))
     if table is not None:
         return table
+    table = _TABLES.get((K, None, INT))
+    if table is not None:
+        return _remember(replace(table, complex=K))
     apexes = reduce(int.__and__, K.facets)
     if not apexes or K.facets == (apexes,):  # no cone vertex, or a simplex
         return _remember(_walk(K))
@@ -238,17 +254,27 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
     # and its neighbours in the 1-skeleton of K)
     star = {1 << v: [f for f in K.facets if f >> v & 1] for v in range(K.m)}
     edges = {v: reduce(int.__or__, fs) for v, fs in star.items()}
+    # comp[I]: the component of I's top vertex in K_I, 4 bytes a subset
+    comp = memoryview(bytearray(4 << K.m)).cast("I")
+    # domination answers per tried vertex, see _dominated: at most 2^m
+    # bytes a vertex, and far less when its neighbours are close in label
+    seen: dict[int, bytearray] = {}
     found = {0: make_profile(INT, {-1: 1})}  # nonzero profiles; K_0 is empty
     # profiles of disjoint unions, keyed by the pair of summand profiles;
     # ids are safe keys, as found holds every summand to the end
     sums: dict[tuple[int, int], HomologyProfile] = {}
     for I in range(1, 1 << K.m):
         top = 1 << (I.bit_length() - 1)
-        C, grow = 0, top  # the component of the top vertex in K_I
-        while grow:
-            v = grow & -grow
-            C |= v
-            grow = (grow | edges[v]) & I & ~C
+        # top joins the components of K_(I - top) that meet its edges;
+        # those are peeled off I - top one comp at a time, until no
+        # neighbour of top is left
+        C, near, rest = top, edges[top], I ^ top
+        while rest & near:
+            c = comp[rest]
+            if c & near:
+                C |= c
+            rest ^= c
+        comp[I] = C
         if C != I:  # K_I = K_C + K_(I - C), both walked already
             pair = found.get(C), found.get(I & ~C)  # None if trivial
             key = id(pair[0]), id(pair[1])
@@ -264,7 +290,7 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
             continue
         if any(not I & ~f for f in star[top]):  # I is a face
             continue
-        v = _dominated(I, star)
+        v = _dominated(I, star, edges, seen)
         if v:
             prof = found.get(I & ~v)
         else:
@@ -274,20 +300,56 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
     return HochsterTable(K, INT, tuple(found.items()))
 
 
-def _dominated(I: int, star: dict[int, list[int]]) -> int:
+def _dominated(
+    I: int,
+    star: dict[int, list[int]],
+    edges: dict[int, int],
+    seen: dict[int, bytearray],
+) -> int:
     """The lowest vertex bit of I dominated in K_I, or 0 if none is.
 
-    v is dominated when another vertex lies in every maximal trace f & I
-    through v; those are the maximal traces of the facets through v, as a
-    trace holding v lies only in traces of facets through v.
+    Whether v is dominated depends only on J = I & edges[v], as every
+    face through v lies in v's closed neighbourhood.  seen[v], made on
+    v's first try, holds the answer per J at J // lowbit(edges[v]):
+    0 untested, 1 no, 2 yes.
     """
     rest = I
     while rest:
         v = rest & -rest
         rest ^= v
-        if reduce(int.__and__, _maximal(f & I for f in star[v])) != v:
+        near = edges[v]
+        low = near & -near
+        memo = seen.get(v)
+        if memo is None:
+            memo = seen[v] = bytearray(near // low + 1)
+        J = I & near
+        k = J // low
+        if not memo[k]:
+            memo[k] = 2 if _dominates(v, J, star[v]) else 1
+        if memo[k] == 2:
             return v
     return 0
+
+
+def _dominates(v: int, J: int, facets: list[int]) -> bool:
+    """Whether v is dominated in K_J, for J inside v's closed neighbourhood
+    and facets the facets through v.
+
+    Some w in J - v lies in every maximal trace f & J exactly when each
+    trace t plus w is a face, that is when w lies in cover(t), the union
+    of the facets through v that contain t.
+    """
+    common = J & ~v
+    for g in facets:
+        t = g & J
+        cover = 0
+        for f in facets:
+            if not t & ~f:
+                cover |= f
+        common &= cover
+        if not common:
+            return False
+    return True
 
 
 def format_poincare(betti) -> str:

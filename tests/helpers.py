@@ -11,7 +11,8 @@ products, or walk every subset over Z or a field with the package's own
 elimination, so they check which work the Hochster table lets the package
 skip (the walk's face, component and dominated-vertex rules among it),
 and its universal-coefficients derivation, not the linear algebra
-itself.
+itself.  reference_dominated and reference_component decide the walk's
+dominated-vertex and component rules for one subset from K_I alone.
 
 smith_normal_form and boundary_matrix are dense oracles for the sparse
 integer elimination and the chain complexes, and dense_rref and
@@ -300,6 +301,43 @@ def reference_integral_table(K):
         if not prof.is_trivial:
             subsets.append((mask, prof))
     return HochsterTable(K, INT, tuple(subsets))
+
+
+def reference_dominated(K, I, v):
+    """Whether vertex bit v of I is dominated in K_I: one other vertex
+    lies in every maximal face of K_I through v.
+
+    Those maximal faces are the inclusion-maximal traces f & I of the
+    facets f through v, found by comparing every pair of traces.
+    """
+    traces = {f & I for f in K.facets if f & v}
+    maximal = [
+        t for t in traces if not any(t != u and not t & ~u for u in traces)
+    ]
+    common = I
+    for t in maximal:
+        common &= t
+    return common != v
+
+
+def reference_component(K, I):
+    """The vertex mask of the component of I's top vertex in the
+    1-skeleton of K_I, by breadth-first search over its edges."""
+    verts = vertices_of(I)
+    adjacent = {
+        (a, b)
+        for f in K.facets
+        for a in vertices_of(f & I)
+        for b in vertices_of(f & I)
+    }
+    reached, queue = {verts[-1]}, [verts[-1]]
+    while queue:
+        a = queue.pop()
+        for b in verts:
+            if b not in reached and (a, b) in adjacent:
+                reached.add(b)
+                queue.append(b)
+    return sum(1 << (b - 1) for b in reached)
 
 
 def reference_field_table(K, coeffs):

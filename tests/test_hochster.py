@@ -26,6 +26,7 @@ from momangle import (
     simplex,
     stacked_sphere,
     verify_theorem_1_2,
+    vertices_of,
 )
 from momangle import hochster
 from momangle.hochster import _TABLES
@@ -33,6 +34,7 @@ from momangle.hochster import _TABLES
 from helpers import (
     RP2_FACETS,
     brute_hochster_betti,
+    reference_dominated,
     reference_field_table,
     reference_integral_table,
     trim,
@@ -164,19 +166,38 @@ def test_walk_builds_traces_only_for_connected_non_faces(monkeypatch):
     # the connected non-faces of the 14-cycle are its 154 arcs on 3 to 13
     # vertices and the whole cycle; every other subset is a face or splits
     # (a walk that reads the traces first builds them for all 16,383).
-    # The domination step runs once per connected non-face; inside it the
-    # traces are built once per tried vertex, from that vertex's star.
-    calls = []
+    # The domination step runs once per connected non-face.  It tries the
+    # vertices v of I upwards to the first dominated one, and the walk
+    # runs the neighbourhood test once per distinct (v, I & edges[v]).
+    steps, tests = [], []
 
-    def counted(I, star):
-        calls.append(I)
-        return dominated(I, star)
+    def counted_step(I, *args):
+        steps.append(I)
+        return dominated(I, *args)
 
-    dominated = hochster._dominated
-    monkeypatch.setattr(hochster, "_dominated", counted)
+    def counted_test(v, J, facets):
+        tests.append((v, J))
+        return dominates(v, J, facets)
+
+    dominated, dominates = hochster._dominated, hochster._dominates
+    monkeypatch.setattr(hochster, "_dominated", counted_step)
+    monkeypatch.setattr(hochster, "_dominates", counted_test)
     _TABLES.clear()
-    hochster_table(polygon(14), INT)
-    assert len(calls) == 155
+    K = polygon(14)
+    hochster_table(K, INT)
+    assert len(steps) == 155
+    tried = set()  # (v, I & N(v)), N(v) the vertices of v's facets
+    for I in steps:
+        for u in vertices_of(I):
+            v = 1 << (u - 1)
+            near = mask_of(
+                w for f in K.facets if f & v for w in vertices_of(f)
+            )
+            tried.add((v, I & near))
+            if reference_dominated(K, I, v):
+                break
+    assert len(tests) == len(tried) == 38
+    assert set(tests) == tried
 
 
 def _counted_walks(monkeypatch):
@@ -239,6 +260,20 @@ def test_verify_walks_only_the_core(monkeypatch):
     report = verify_theorem_1_2(cone(polygon(5)))
     assert report.status == "CONFIRMED"
     assert walked == [5]
+
+
+def test_an_equal_complex_under_other_labels_walks_nothing(monkeypatch):
+    # the join's core is polygon(9) on labels 2..10: its table is the
+    # cached one of polygon(9), handed out with the core's labels
+    walked = _counted_walks(monkeypatch)
+    _TABLES.clear()
+    base = hochster_table(polygon(9), INT)
+    table = hochster_table(simplex(0).join(polygon(9)), INT)
+    assert walked == [9]
+    core = hochster_table(table.complex.core()[1], INT)
+    assert core.complex.labels() == tuple(range(2, 11))
+    assert core.subsets is base.subsets
+    assert table.subsets == tuple((I << 1, p) for I, p in base.subsets)
 
 
 def test_tables_carry_the_labels_of_the_requested_complex():

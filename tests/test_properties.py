@@ -9,8 +9,13 @@ Beside the Smith-form oracle, the walk must respect two topological
 facts: Z of a cone is Z_K times a disk, and Z of a join is the product
 Z_K x Z_L, whose Poincare polynomial is the product of the two.  Tables
 and the Golod and minimally non-Golod verdicts must not change when the
-vertices are renamed.
+vertices are renamed.  The walk's component and dominated-vertex rules
+are also checked subset by subset against oracles that look at K_I
+alone.
 """
+
+from functools import reduce
+from unittest import mock
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -20,6 +25,7 @@ from momangle import (
     PRIME,
     cone,
     from_facets,
+    hochster,
     hochster_table,
     is_cup_golod,
     is_minimally_non_golod,
@@ -29,7 +35,13 @@ from momangle import (
     vertices_of,
 )
 
-from helpers import RP2_FACETS, reference_integral_table, trim
+from helpers import (
+    RP2_FACETS,
+    reference_component,
+    reference_dominated,
+    reference_integral_table,
+    trim,
+)
 
 MAX_M = 10
 SEED = 20261018
@@ -61,6 +73,37 @@ def complexes(draw, max_m=MAX_M):
 def test_walk_equals_the_smith_form_of_every_subset(K):
     want = reference_integral_table(K).subsets
     assert hochster_table(K, INT).subsets == want
+
+
+@seed(SEED)
+@EXAMPLES
+@given(complexes(8))
+def test_walk_rules_agree_with_oracles_on_every_subset(K):
+    # the buffer under the walk's comp array, captured as the walk views it
+    made = []
+
+    def recorded(buffer):
+        made.append(buffer)
+        return memoryview(buffer)
+
+    with mock.patch.object(hochster, "memoryview", recorded, create=True):
+        hochster._walk(K)
+    (buffer,) = made
+    comp = memoryview(buffer).cast("I")
+    star = {1 << v: [f for f in K.facets if f >> v & 1] for v in range(K.m)}
+    edges = {v: reduce(int.__or__, fs) for v, fs in star.items()}
+    seen = {}
+    for I in range(1, 1 << K.m):
+        assert comp[I] == reference_component(K, I), I
+        if comp[I] != I or K.contains_mask(I):
+            continue
+        bits = [1 << (u - 1) for u in vertices_of(I)]
+        want = [v for v in bits if reference_dominated(K, I, v)]
+        for v in bits:
+            got = hochster._dominates(v, I & edges[v], star[v])
+            assert got == (v in want), (I, v)
+        lowest = hochster._dominated(I, star, edges, seen)
+        assert lowest == min(want, default=0), I
 
 
 @seed(SEED)
