@@ -31,7 +31,6 @@ from .classify import (
 from .complexes import FAMILIES, SimplicialComplex, from_json, generate, vertices_of
 from .errors import (
     BadParams,
-    InputError,
     InternalInvariant,
     MomangleError,
     ParseError,
@@ -419,9 +418,6 @@ def main(argv=None) -> int:
     except TooManyVertices as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MomangleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

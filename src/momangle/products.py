@@ -16,6 +16,8 @@ The Golod verdict is three-valued.  NON_GOLOD is witnessed by an explicit
 nonzero product over some field; CUP_GOLOD means every tested field is
 product-free (higher operations are out of scope, which the report's
 caveat repeats); UNKNOWN is reserved for torsion primes too large to test.
+product_table and every field of the Golod test run one product search,
+and a component's basis is built when a pair first reaches it.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 from .complexes import SimplicialComplex, _lift_mask, vertices_of
-from .errors import FieldMismatch, InternalInvariant, NotAField
+from .errors import BadParams, FieldMismatch, InternalInvariant, NotAField
 from .hochster import HochsterTable, hochster_table
 from .linalg import (
     INT,
@@ -97,17 +101,29 @@ def _component(
     """Cocycle basis of H~^degree(K_subset), with its faces in ambient labels.
 
     Returns the basis, a map from each ambient face mask to its column in
-    the basis, and the basis cocycles as sorted (ambient face, value)
-    tuples.  tor_basis and cochain_class_coords both read this one entry.
+    the basis, and the component's TorClass tuple.  A component's basis is
+    built when tor_basis or a pair of the product search first reaches it;
+    cochain_class_coords reads the same entry.
     """
     verts = vertices_of(subset)
     basis = _relabelled_basis(K.full_subcomplex(verts), degree, coeffs)
     ambient = [_lift_mask(f, verts) for f in basis.faces]
-    cochains = tuple(
+    cochains = (
         tuple(sorted((a, val) for a, val in zip(ambient, vec) if val != 0))
         for vec in basis.vectors
     )
-    return basis, {a: col for col, a in enumerate(ambient)}, cochains
+    classes = tuple(
+        TorClass(subset, degree, idx, coeffs, c) for idx, c in enumerate(cochains)
+    )
+    return basis, {a: col for col, a in enumerate(ambient)}, classes
+
+
+def _classes(K, subset, degree, rank, coeffs) -> tuple[TorClass, ...]:
+    """The component's classes, checked against its rank in the table."""
+    classes = _component(K, subset, degree, coeffs)[2]
+    if len(classes) != rank:
+        raise InternalInvariant(f"basis of rank {len(classes)}, table rank {rank}")
+    return classes
 
 
 def tor_basis(
@@ -122,19 +138,12 @@ def tor_basis(
     """
     if not coeffs.is_field:
         raise NotAField("cup products need field coefficients")
-    table = hochster_table(K, coeffs)
-    classes = []
-    for mask, prof in table.subsets:
-        for degree, rank in prof.ranks:
-            _, _, cochains = _component(K, mask, degree, coeffs)
-            if len(cochains) != rank:
-                raise InternalInvariant(
-                    f"cocycle basis of rank {len(cochains)} where the table"
-                    f" has {rank}"
-                )
-            for idx, cochain in enumerate(cochains):
-                classes.append(TorClass(mask, degree, idx, coeffs, cochain))
-    return tuple(classes)
+    return tuple(
+        c
+        for mask, prof in hochster_table(K, coeffs).subsets
+        for degree, rank in prof.ranks
+        for c in _classes(K, mask, degree, rank, coeffs)
+    )
 
 
 def _inv(amask: int, bmask: int) -> int:
@@ -244,10 +253,9 @@ def product_table(
     Pairs whose target component H~^d(K_{I u J}) is zero are skipped
     outright; the remaining products are resolved into basis coordinates.
     """
-    basis = tor_basis(K, coeffs)
-    classes = tuple(c for c in basis if c.subset)
-    entries = tuple(_iter_nonzero_products(K, classes))
-    return ProductTable(K, coeffs, classes, entries)
+    classes = tuple(c for c in tor_basis(K, coeffs) if c.subset)
+    search = _iter_nonzero_products(K, hochster_table(K, coeffs))
+    return ProductTable(K, coeffs, classes, tuple(e for *_, e in search))
 
 
 def _component_pairs(components):
@@ -276,46 +284,39 @@ def _component_pairs(components):
                 yield (I, d1), (J, d2), target
 
 
-def _may_multiply(table: HochsterTable) -> bool:
-    """Whether a field table has any pair of components with a nonzero target."""
-    components = [
-        (mask, degree)
-        for mask, prof in table.subsets
-        if mask
-        for degree in prof.degrees()
-    ]
-    return next(_component_pairs(components), None) is not None
+def _iter_nonzero_products(K: SimplicialComplex, table: HochsterTable):
+    """Yield (x, y, (i, j, coords)) for the nonzero products of classes.
 
-
-def _iter_nonzero_products(K: SimplicialComplex, classes):
-    """Yield (i, j, coords) for the nonzero products among the classes.
-
-    classes are positive-degree classes in tor_basis order.  Only the
-    pairs that _component_pairs admits are multiplied, in increasing
-    (i, j) order; the products are resolved into basis coordinates.
+    table is K's Hochster table over a field; i and j index the
+    positive-degree classes in tor_basis order, as running sums of the
+    table's ranks.  The pairs that _component_pairs admits are multiplied
+    in increasing (i, j) order, grouped by first component, and a
+    component's basis is built when a pair first reaches it.
     """
-    by_component: dict[tuple[int, int], list[int]] = {}
-    for t, c in enumerate(classes):
-        by_component.setdefault((c.subset, c.degree), []).append(t)
-    partners: dict[tuple[int, int], list] = {}
-    for first, second, target in _component_pairs(list(by_component)):
-        partners.setdefault(first, []).append(
-            (by_component[second], by_component[target])
-        )
-    for i, x in enumerate(classes):
-        for others, targets in partners.get((x.subset, x.degree), ()):
-            for j in others:
-                prod = multiply(K, x, classes[j])
-                if prod.is_zero:
-                    continue
-                coords = cochain_class_coords(K, prod)
-                nz = tuple(
-                    (targets[pos], val)
-                    for pos, val in enumerate(coords)
-                    if val != 0
-                )
-                if nz:
-                    yield i, j, nz
+    spans, n = {}, 0
+    for mask, prof in table.subsets:
+        for degree, rank in prof.ranks:
+            if mask:
+                spans[mask, degree] = n, rank
+                n += rank
+
+    def indexed(key):
+        start, rank = spans[key]
+        return enumerate(_classes(K, *key, rank, table.coeffs), start)
+
+    pairs = _component_pairs(list(spans))
+    for first, group in groupby(pairs, key=itemgetter(0)):
+        partners = [(second, spans[target][0]) for _, second, target in group]
+        for i, x in indexed(first):
+            for second, t in partners:
+                for j, y in indexed(second):
+                    prod = multiply(K, x, y)
+                    if prod.is_zero:
+                        continue
+                    coords = cochain_class_coords(K, prod)
+                    nz = tuple((t + p, v) for p, v in enumerate(coords) if v != 0)
+                    if nz:
+                        yield x, y, (i, j, nz)
 
 
 DEFAULT_GOLOD_FIELDS = (RAT, PRIME(2), PRIME(3), PRIME(5), PRIME(7))
@@ -354,17 +355,23 @@ def is_cup_golod(K: SimplicialComplex, fields=None) -> GolodReport:
     beyond MAX_FIELD_PRIME cannot be tested and downgrade a clean result
     to UNKNOWN.
 
-    Follows the Hochster table: a field whose table has no pair of
-    disjoint components with a nonzero target component is product-free
-    and is checked without building its basis.  Default-battery reports
+    Follows the Hochster table: each field runs the product search, and a
+    basis is built when a pair first reaches it, so a field whose table
+    has no pair of disjoint components with a nonzero target component
+    builds none.  The battery is checked before any field: an empty one
+    raises BadParams and a non-field NotAField.  Default-battery reports
     are cached per complex.
     """
     return _default_golod(K) if fields is None else _cup_golod(K, fields)
 
 
 def _cup_golod(K: SimplicialComplex, fields) -> GolodReport:
+    battery = list(DEFAULT_GOLOD_FIELDS if fields is None else fields)
+    if not battery:
+        raise BadParams("the Golod battery must name at least one field")
+    if not all(field.is_field for field in battery):
+        raise NotAField("the Golod battery must consist of fields")
     table = hochster_table(K, INT)
-    battery = list(fields) if fields is not None else list(DEFAULT_GOLOD_FIELDS)
     caveats = [CUP_CAVEAT]
     untestable = []
     if fields is None:
@@ -383,25 +390,17 @@ def _cup_golod(K: SimplicialComplex, fields) -> GolodReport:
         )
     checked = []
     for field in battery:
-        if not field.is_field:
-            raise NotAField("the Golod battery must consist of fields")
         checked.append(str(field))
-        if not _may_multiply(hochster_table(K, field)):
-            continue
-        basis = tor_basis(K, field)
-        classes = tuple(c for c in basis if c.subset)
-        found = next(_iter_nonzero_products(K, classes), None)
+        found = next(_iter_nonzero_products(K, hochster_table(K, field)), None)
         if found is not None:
-            i, j, coords = found
+            x, y, (_, _, coords) = found
             witness = {
                 "field": str(field),
-                "x": classes[i].describe(),
-                "y": classes[j].describe(),
+                "x": x.describe(),
+                "y": y.describe(),
                 "product": [[t, str(v)] for t, v in coords],
             }
-            return GolodReport(
-                "NON_GOLOD", tuple(checked), witness, tuple(caveats)
-            )
+            return GolodReport("NON_GOLOD", tuple(checked), witness, tuple(caveats))
     verdict = "UNKNOWN" if untestable else "CUP_GOLOD"
     return GolodReport(verdict, tuple(checked), None, tuple(caveats))
 

@@ -4,14 +4,12 @@ import pytest
 
 from momangle import hochster, products
 from momangle import (
-    RAT,
     EmptySubset,
     OutOfRange,
     boundary_simplex,
     cone,
     disjoint_points,
     from_facets,
-    hochster_table,
     is_gorenstein_star,
     is_minimally_non_golod,
     polygon,
@@ -22,7 +20,6 @@ from momangle import (
     verify_theorem_1_1,
     verify_theorem_1_2,
     verify_theorem_4_2,
-    vertices_of,
 )
 
 PYRAMID = from_facets(5, [(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)])
@@ -60,16 +57,12 @@ def test_mng_polygons():
 
 
 def test_mng_builds_one_basis_per_relabelled_full_subcomplex(monkeypatch):
-    # The 9-cycle is non-Golod over Q, which needs a basis for each of its
-    # 440 rational components; its deletions are paths, product-free
-    # without a basis.  The 440 components have 99 distinct relabelled
-    # K_I, and K and K - v share them: 99 builds from cold caches.
+    # The 9-cycle is non-Golod over Q; its deletions are paths, product-free
+    # without a basis.  The product search builds a basis only when a pair
+    # first reaches a component, and its first pair already multiplies to
+    # the witness: one build per distinct relabelled K_I among the
+    # witness's first, second and target components, from cold caches.
     K = polygon(9)
-    distinct = {
-        (K.full_subcomplex(vertices_of(I)), d)
-        for I, prof in hochster_table(K, RAT).subsets
-        for d in prof.degrees()
-    }
     calls = []
 
     def counted(*args):
@@ -81,8 +74,16 @@ def test_mng_builds_one_basis_per_relabelled_full_subcomplex(monkeypatch):
     for name in ("_component", "_relabelled_basis", "_default_golod"):
         getattr(products, name).cache_clear()
     hochster._TABLES.clear()
-    assert is_minimally_non_golod(K).value is True
-    assert len(calls) == len(distinct) == 99
+    rep = is_minimally_non_golod(K)
+    assert rep.value is True
+    x, y = rep.witness["x"], rep.witness["y"]
+    components = [
+        (x["subset"], x["degree"]),
+        (y["subset"], y["degree"]),
+        (x["subset"] + y["subset"], x["degree"] + y["degree"] + 1),
+    ]
+    distinct = {(K.full_subcomplex(I), d) for I, d in components}
+    assert len(calls) == len(distinct) == 3
 
 
 def test_mng_report_dict():
