@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .complexes import SimplicialComplex, from_facets, mask_of, vertices_of
 from .errors import EmptySubset, OutOfRange
-from .hochster import hochster_table
+from .hochster import cached_integral_table, hochster_table
 from .linalg import INT, RAT, field_ops, reduced_homology, rref
 from .products import is_cup_golod, product_table
 
@@ -102,7 +102,9 @@ def is_gorenstein_star(K: SimplicialComplex) -> GorensteinReport:
 
     The link of a face sigma must look like S^(dim K - |sigma|); the empty
     face is included, so K itself must be a homology sphere of its own
-    dimension.
+    dimension.  When K's integral Hochster table is cached, the empty
+    face is read off it, so a K that is not a homology sphere fails
+    before any face is listed; no table is walked for this test.
     """
     cone_verts, _ = K.core()
     if cone_verts:
@@ -112,9 +114,8 @@ def is_gorenstein_star(K: SimplicialComplex) -> GorensteinReport:
             {"cone_vertices": list(cone_verts)},
         )
     n = K.dim
-    for face in sorted(K.faces(), key=lambda f: (f.bit_count(), vertices_of(f))):
+    for face, prof in _link_homology(K):
         size = face.bit_count()
-        prof = reduced_homology(K.link(vertices_of(face)))
         if not prof.is_sphere(n - size):
             return GorensteinReport(
                 False,
@@ -129,6 +130,19 @@ def is_gorenstein_star(K: SimplicialComplex) -> GorensteinReport:
                 },
             )
     return GorensteinReport(True, "all face links are homology spheres")
+
+
+def _link_homology(K: SimplicialComplex):
+    """(face, reduced homology of its link) for the faces of K by size,
+    then vertices.  The empty face's link is K: with K's integral table
+    cached, it is read off the full-subset entry before any face is
+    listed."""
+    table = cached_integral_table(K)
+    if table is not None:
+        yield 0, table.profile_of((1 << K.m) - 1)
+    faces = sorted(K.faces(), key=lambda f: (f.bit_count(), vertices_of(f)))
+    for face in faces[1:] if table is not None else faces:
+        yield face, reduced_homology(K.link(vertices_of(face)))
 
 
 # -- cone-vertex subsets: five equivalent conditions ----------------------------
@@ -242,8 +256,7 @@ def recognize_connected_sum(K: SimplicialComplex) -> RecognitionReport:
     the top degree, and nondegenerate complementary pairings.  The
     verdict is about the cohomology ring, not the homeomorphism type.
     """
-    table = hochster_table(K, RAT)
-    b = table.betti
+    b = hochster_table(K, INT).betti  # free ranks: the Betti numbers over Q
     N = max((k for k, v in enumerate(b) if v), default=0)
     if N == 0:
         return RecognitionReport(
@@ -404,8 +417,9 @@ def verify_theorem_4_2(K: SimplicialComplex) -> VerificationReport:
     a connected sum (1, middle, 1 with duality), then the core of K is
     minimally non-Golod.
 
-    The Betti numbers of R_K are read off the Hochster table over Q."""
-    b = hochster_table(K, RAT).rk_betti
+    The Betti numbers of R_K are read off the integral Hochster table's
+    free ranks, which are the Betti numbers over Q."""
+    b = hochster_table(K, INT).rk_betti
     n = len(b) - 1
     middle = sum(b[1:n]) if n >= 1 else 0
     pattern = (

@@ -43,8 +43,10 @@ b_1 = b_2 = 0 for every complex.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
+from operator import itemgetter
 
 from .complexes import (
     SimplicialComplex,
@@ -97,9 +99,11 @@ class HochsterTable:
         return self.complex.m + self.complex.dim + 1
 
     def profile_of(self, subset_mask: int) -> HomologyProfile:
-        for mask, prof in self.subsets:
-            if mask == subset_mask:
-                return prof
+        """The subset's profile, trivial if absent; a bisection, as the
+        subsets are in increasing mask order on every path."""
+        k = bisect_left(self.subsets, subset_mask, key=itemgetter(0))
+        if k < len(self.subsets) and self.subsets[k][0] == subset_mask:
+            return self.subsets[k][1]
         return HomologyProfile(self.coeffs, ())
 
     @cached_property
@@ -216,8 +220,16 @@ def hochster_table(
         )
     table = _TABLES.get((K, K.labels(), coeffs))
     if table is None:
-        table = _remember(_integral(K).over(coeffs))
+        table = _integral(K)
+        if coeffs != INT:
+            table = _remember(table.over(coeffs))
     return table
+
+
+def cached_integral_table(K: SimplicialComplex) -> HochsterTable | None:
+    """The cached integral table of K or of an equal complex under other
+    labels, without walking anything; None if no such table is cached."""
+    return _TABLES.get((K, None, INT))
 
 
 def _remember(table: HochsterTable) -> HochsterTable:

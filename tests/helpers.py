@@ -22,9 +22,12 @@ all in Fractions); the package never calls them.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools as it
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
 from momangle import (
@@ -35,6 +38,9 @@ from momangle import (
     ProductTable,
     TorClass,
     cocycle_basis,
+    cone,
+    from_facets,
+    from_json,
     multiply,
     reduced_chain_complex,
     reduced_homology,
@@ -57,6 +63,32 @@ RP2_FACETS = (
     (3, 4, 5),
     (3, 4, 6),
 )
+
+
+def rp2_variants():
+    """RP^2, its cone, two disjoint copies and two copies wedged at vertex 1:
+    the Z/2 passes through the walk's component and dominated-vertex rules."""
+    rp2 = from_facets(6, RP2_FACETS)
+    shifted = [tuple(v + 6 for v in f) for f in RP2_FACETS]
+    wedged = [tuple(1 if v == 1 else v + 5 for v in f) for f in RP2_FACETS]
+    return [
+        rp2,
+        cone(rp2),
+        from_facets(12, (*RP2_FACETS, *shifted)),
+        from_facets(11, (*RP2_FACETS, *wedged)),
+    ]
+
+
+def benchmark_inputs(workload):
+    """The complexes of a benchmark workload at seed 0, in request order
+    (one per request, so verify repeats each complex per theorem), read
+    from the benchmark's source."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return [from_json(r.complex_json) for r in module.build(workload, 0)]
 
 
 def trim(seq):

@@ -2,14 +2,18 @@ import json
 
 import pytest
 
-from momangle import hochster, products
+from momangle import classify, hochster, products
 from momangle import (
+    RAT,
     EmptySubset,
+    HochsterTable,
     OutOfRange,
+    SimplicialComplex,
     boundary_simplex,
     cone,
     disjoint_points,
     from_facets,
+    hochster_table,
     is_gorenstein_star,
     is_minimally_non_golod,
     polygon,
@@ -22,8 +26,16 @@ from momangle import (
     verify_theorem_4_2,
 )
 
+from helpers import RP2_FACETS, benchmark_inputs, rp2_variants
+
 PYRAMID = from_facets(5, [(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)])
 PATH3 = from_facets(3, [(1, 2), (2, 3)])
+
+
+def _cold_caches():
+    for name in ("_component", "_relabelled_basis", "_default_golod"):
+        getattr(products, name).cache_clear()
+    hochster._TABLES.clear()
 
 
 # -- minimally non-Golod -------------------------------------------------
@@ -71,9 +83,7 @@ def test_mng_builds_one_basis_per_relabelled_full_subcomplex(monkeypatch):
 
     build = products.cocycle_basis
     monkeypatch.setattr(products, "cocycle_basis", counted)
-    for name in ("_component", "_relabelled_basis", "_default_golod"):
-        getattr(products, name).cache_clear()
-    hochster._TABLES.clear()
+    _cold_caches()
     rep = is_minimally_non_golod(K)
     assert rep.value is True
     x, y = rep.witness["x"], rep.witness["y"]
@@ -128,6 +138,43 @@ def test_gorenstein_bad_link():
 
 def test_gorenstein_disjoint_points():
     assert is_gorenstein_star(disjoint_points(3)).value is False
+
+
+def test_gorenstein_reads_a_cached_table_like_the_cold_path(corpus, monkeypatch):
+    # The empty face's link is K, the full-subset entry of K's table.  With
+    # the table cached, K fails there before any face is listed and passes
+    # without computing H~(K) again; the report is the cold one.
+    pool = list(dict.fromkeys(benchmark_inputs("verify")))
+    cone_free = [K for K in pool if not K.core()[0]]
+    assert len(pool) == 60 and len(cone_free) == 53
+    inputs = [*corpus, *rp2_variants(), *cone_free, simplex(-1)]
+    assert sum(bool(K.core()[0]) for K in inputs) > 30
+    links, listed = [], []
+    link_homology = classify.reduced_homology
+    faces = SimplicialComplex.faces
+    monkeypatch.setattr(
+        classify, "reduced_homology", lambda L: links.append(L) or link_homology(L)
+    )
+    monkeypatch.setattr(
+        SimplicialComplex, "faces", lambda K: listed.append(K) or faces(K)
+    )
+    read_off = 0
+    for K in inputs:
+        hochster._TABLES.clear()
+        cold = is_gorenstein_star(K).to_dict()
+        hochster_table(K)
+        links.clear()
+        listed.clear()
+        assert is_gorenstein_star(K).to_dict() == cold, K
+        witness = cold["witness"] or {}
+        if cold["gorenstein_star"]:
+            assert len(links) == len(faces(K)) - 1, K
+        elif witness.get("face", []) == []:  # K itself, or a cone vertex
+            assert links == listed == [], K
+            read_off += "face" in witness
+    assert read_off > 53
+    torsion = [is_gorenstein_star(K).witness for K in rp2_variants()[::2]]
+    assert all(w["face"] == [] and w["torsion"] for w in torsion)
 
 
 # -- the five equivalent cone-vertex conditions ------------------------------
@@ -281,3 +328,26 @@ def test_verification_report_json():
         "conclusion",
         "details",
     }
+
+
+# -- no field table before it is needed ------------------------------------
+
+
+def test_hypotheses_derive_no_field_table_before_it_is_needed(monkeypatch):
+    # the Betti numbers of Z_K and R_K over Q are the integral table's free
+    # ranks; only the product table of a candidate connected sum needs Q
+    derived = []
+    over = HochsterTable.over
+    monkeypatch.setattr(
+        HochsterTable, "over", lambda t, c: derived.append(c) or over(t, c)
+    )
+    rp2 = from_facets(6, RP2_FACETS)
+    for K in (rp2, disjoint_points(4)):
+        _cold_caches()
+        assert recognize_connected_sum(K).kind == "NONE"
+        _cold_caches()
+        assert verify_theorem_4_2(K).status == "HYPOTHESIS_NOT_MET"
+    assert derived == []
+    _cold_caches()
+    assert recognize_connected_sum(polygon(6)).kind == "CONNECTED_SUM"
+    assert derived == [RAT]

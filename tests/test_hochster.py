@@ -1,7 +1,4 @@
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -11,6 +8,7 @@ from momangle import (
     RAT,
     HOCHSTER_MAX_VERTICES,
     BadParams,
+    HomologyProfile,
     TooManyVertices,
     boundary_simplex,
     cone,
@@ -18,7 +16,6 @@ from momangle import (
     duality_check,
     format_poincare,
     from_facets,
-    from_json,
     hochster_table,
     mask_of,
     polygon,
@@ -33,38 +30,16 @@ from momangle.hochster import _TABLES
 
 from helpers import (
     RP2_FACETS,
+    benchmark_inputs,
     brute_hochster_betti,
     reference_dominated,
     reference_field_table,
     reference_integral_table,
+    rp2_variants,
     trim,
 )
 
 PYRAMID = from_facets(5, [(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)])
-
-
-def _rp2_variants():
-    """RP^2, its cone, two disjoint copies and two copies wedged at vertex 1:
-    the Z/2 passes through the walk's component and dominated-vertex rules."""
-    rp2 = from_facets(6, RP2_FACETS)
-    shifted = [tuple(v + 6 for v in f) for f in RP2_FACETS]
-    wedged = [tuple(1 if v == 1 else v + 5 for v in f) for f in RP2_FACETS]
-    return [
-        rp2,
-        cone(rp2),
-        from_facets(12, (*RP2_FACETS, *shifted)),
-        from_facets(11, (*RP2_FACETS, *wedged)),
-    ]
-
-
-def _walk_inputs():
-    """The complexes of the benchmark's walk workload, read from its source."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look the module up
-    spec.loader.exec_module(module)
-    return [from_json(r.complex_json) for r in module.build("walk", 0)]
 
 
 def test_square_table():
@@ -117,14 +92,14 @@ def test_walk_matches_the_smith_form_of_every_subset(corpus):
     # cache is emptied so that no table restricted from a parent stands
     # in for a walked one.
     _TABLES.clear()
-    for K in [*_rp2_variants(), *corpus]:
+    for K in [*rp2_variants(), *corpus]:
         want = reference_integral_table(K).subsets
         assert hochster_table(K, INT).subsets == want, K
 
 
 def test_restrict_matches_the_smith_form_of_deletions_and_cores(corpus):
     # K_J of K is K_J's own table: the subsets inside J, renumbered
-    for K in [*_rp2_variants(), *corpus]:
+    for K in [*rp2_variants(), *corpus]:
         table = hochster_table(K, INT)
         everything = (1 << K.m) - 1
         apexes, core = K.core()
@@ -144,7 +119,7 @@ def test_restrict_matches_the_smith_form_of_deletions_and_cores(corpus):
 
 
 def test_walk_matches_the_smith_form_on_benchmark_inputs():
-    walk = _walk_inputs()
+    walk = benchmark_inputs("walk")
     assert [K.m for K in walk] == [14, 13, 11, 12, 12]
     for K in walk:
         want = reference_integral_table(K).subsets
@@ -290,6 +265,33 @@ def test_tables_carry_the_labels_of_the_requested_complex():
     assert hochster_table(path, INT).restrict(0b1101) is restricted
     deleted = hochster_table(path.delete_vertex(2), RAT)
     assert deleted.complex.labels() == (1, 3, 4)
+
+
+def _increasing(table):
+    masks = [mask for mask, _ in table.subsets]
+    return all(a < b for a, b in zip(masks, masks[1:]))
+
+
+def test_profile_of_reads_every_mask_off_the_subsets(corpus):
+    # profile_of bisects the subsets, so every table keeps them in strictly
+    # increasing mask order: walked, lifted from a core, shared by an equal
+    # complex, restricted and derived over a field
+    _TABLES.clear()
+    tables = []
+    for K in [*rp2_variants(), *corpus]:
+        t = hochster_table(K, INT)
+        everything = (1 << K.m) - 1
+        core = hochster_table(K.core()[1], INT)
+        tables += [hochster._walk(K), t, core, t.over(RAT), t.over(PRIME(2))]
+        tables += [t.restrict(everything & ~(1 << v)) for v in range(K.m)]
+    lifted = [t for t in tables if t.complex.core()[0] and t.complex.core()[1].m]
+    assert len(lifted) > 30
+    for t in tables:
+        assert _increasing(t), t.complex
+        stored = dict(t.subsets)
+        trivial = HomologyProfile(t.coeffs, ())
+        got = [t.profile_of(I) for I in range(1 << t.m)]
+        assert got == [stored.get(I, trivial) for I in range(1 << t.m)]
 
 
 def test_field_table_derivation_matches_direct(corpus):

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from momangle import (
     INT,
     PRIME,
+    RAT,
     cone,
     from_facets,
     hochster,
@@ -168,6 +169,17 @@ def test_recognition_is_invariant_under_relabelling(data):
     L = K.relabel(data.draw(st.permutations(range(1, K.m + 1))))
     want, got = recognize_connected_sum(K), recognize_connected_sum(L)
     assert (got.kind, got.pairs) == (want.kind, want.pairs)
+
+
+@seed(SEED)
+@EXAMPLES
+@given(st.one_of(st.just(from_facets(6, RP2_FACETS)), complexes(8)))
+def test_integral_free_ranks_are_the_rational_betti_numbers(K):
+    # recognition and theorem 4.2 read Q-Betti numbers off the integral
+    # table; torsion, as in RP^2, is all that the Q table drops
+    t, q = hochster_table(K, INT), hochster_table(K, RAT)
+    assert t.betti == q.betti
+    assert t.rk_betti == q.rk_betti
 
 
 def _product(a, b):
