@@ -16,12 +16,12 @@ which for a proved statement can only be a bug in this package.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .complexes import SimplicialComplex, from_facets, mask_of, vertices_of
 from .errors import EmptySubset, OutOfRange
 from .hochster import cached_integral_table, hochster_table
-from .linalg import INT, RAT, field_ops, reduced_homology, rref
+from .linalg import INT, RAT, Echelon, field_ops, reduced_homology
 from .products import is_cup_golod, product_table
 
 # -- minimal non-Golodness ----------------------------------------------------
@@ -69,7 +69,7 @@ def is_minimally_non_golod(K: SimplicialComplex) -> MNGReport:
         if rep.verdict == "NON_GOLOD":
             return MNGReport(
                 False,
-                witness_vertex=K.label_of(v),
+                witness_vertex=v,
                 witness=rep.witness,
                 caveats=caveats,
             )
@@ -197,11 +197,7 @@ def tfae_check(K: SimplicialComplex, subset) -> TFAEReport:
     table = hochster_table(K, INT)
     a = all(mask & ~imask == 0 for mask, _ in table.subsets)
 
-    core_verts, _ = K.core()
-    core_mask = mask_of(
-        v for v in range(1, K.m + 1) if v not in set(core_verts)
-    )
-    b = core_mask & ~imask == 0
+    b = mask_of(K.core_vertices()) & ~imask == 0
 
     c = all(K.star(v) == K for v in outside)
 
@@ -299,20 +295,18 @@ def recognize_connected_sum(K: SimplicialComplex) -> RecognitionReport:
     for t, c in enumerate(classes):
         by_degree.setdefault(c.total_degree, []).append(t)
     lookup = {(i, j): coords for i, j, coords in pt.products}
-    ops = field_ops(RAT)
 
     def gram_rank(k: int) -> int:
-        rows_idx = by_degree.get(k, [])
-        cols_idx = by_degree.get(N - k, [])
-        mat = []
-        for i in rows_idx:
-            row = []
-            for j in cols_idx:
-                coords = lookup.get((min(i, j), max(i, j)), ())
-                row.append(coords[0][1] if coords else ops.zero)
-            mat.append(row)
-        _, pivots = rref(mat, ops)
-        return len(pivots)
+        echelon = Echelon(field_ops(RAT))
+        cols = by_degree.get(N - k, [])
+        for i in by_degree.get(k, []):
+            row = {}
+            for c, j in enumerate(cols):
+                coords = lookup.get((min(i, j), max(i, j)))
+                if coords:
+                    row[c] = coords[0][1]
+            echelon.insert(row)
+        return len(echelon)
 
     half = N // 2 if N % 2 == 0 else (N - 1) // 2
     for k in range(3, half + 1):
@@ -362,6 +356,25 @@ def _conclusion_status(mng: MNGReport, extra_ok: bool = True) -> str:
     return "CONFIRMED" if (mng.value and extra_ok) else "VIOLATION"
 
 
+def _core_mng(
+    K: SimplicialComplex,
+) -> tuple[SimplicialComplex, MNGReport, dict]:
+    """K's core, the minimally-non-Golod report on it with the witness
+    vertex in K's numbering, and the details of the split
+    K = Delta^n * core."""
+    cone_verts, core = K.core()
+    core_verts = K.core_vertices()
+    mng = is_minimally_non_golod(core)
+    if mng.witness_vertex is not None:
+        mng = replace(mng, witness_vertex=core_verts[mng.witness_vertex - 1])
+    details = {
+        "cone_vertices": list(cone_verts),
+        "simplex_dim": len(cone_verts) - 1,
+        "core_vertices": list(core_verts),
+    }
+    return core, mng, details
+
+
 def verify_theorem_1_1(K: SimplicialComplex) -> VerificationReport:
     """If Z_K is a connected sum of sphere products (ring level) and K is
     Gorenstein*, then K must be minimally non-Golod."""
@@ -394,15 +407,9 @@ def verify_theorem_1_2(K: SimplicialComplex) -> VerificationReport:
     }
     if rec.kind != "CONNECTED_SUM":
         return VerificationReport("thm1.2", "HYPOTHESIS_NOT_MET", hyp)
-    cone_verts, core = K.core()
+    core, mng, details = _core_mng(K)
     gor = is_gorenstein_star(core)
-    mng = is_minimally_non_golod(core)
-    details = {
-        "cone_vertices": list(cone_verts),
-        "simplex_dim": len(cone_verts) - 1,
-        "core_vertices": list(core.labels()),
-        "core_gorenstein_star": gor.to_dict(),
-    }
+    details["core_gorenstein_star"] = gor.to_dict()
     return VerificationReport(
         "thm1.2",
         _conclusion_status(mng, extra_ok=gor.value),
@@ -412,13 +419,29 @@ def verify_theorem_1_2(K: SimplicialComplex) -> VerificationReport:
     )
 
 
+def _rk_product_below(K: SimplicialComplex, n: int) -> bool:
+    """Whether a nonzero product of positive-degree classes of H*(R_K; Q)
+    lands below degree n.  H*(R_K) is the sum of the H~^d(K_I) as H*(Z_K)
+    is, with the class on (I, d) in degree d + 1, and its products are
+    those of H*(Z_K) up to sign (Cai, On products in real moment-angle
+    manifolds, J. Math. Soc. Japan 2017)."""
+    pt = product_table(K, RAT)
+    classes = pt.classes
+    return any(
+        classes[i].degree + classes[j].degree + 2 < n
+        for i, j, _ in pt.products
+    )
+
+
 def verify_theorem_4_2(K: SimplicialComplex) -> VerificationReport:
-    """If the real moment-angle complex has the rational Betti profile of
-    a connected sum (1, middle, 1 with duality), then the core of K is
-    minimally non-Golod.
+    """If the real moment-angle complex has the rational cohomology of a
+    connected sum (Betti numbers 1, middle, 1 with duality, and no
+    nonzero product of positive-degree classes below the top degree),
+    then the core of K is minimally non-Golod.
 
     The Betti numbers of R_K are read off the integral Hochster table's
-    free ranks, which are the Betti numbers over Q."""
+    free ranks, which are the Betti numbers over Q; the products are
+    read only when those fit."""
     b = hochster_table(K, INT).rk_betti
     n = len(b) - 1
     middle = sum(b[1:n]) if n >= 1 else 0
@@ -429,6 +452,7 @@ def verify_theorem_4_2(K: SimplicialComplex) -> VerificationReport:
         and all(b[k] == b[n - k] for k in range(n + 1))
         and middle >= 2
         and middle % 2 == 0
+        and not _rk_product_below(K, n)
     )
     hyp = {
         "rk_betti": list(b),
@@ -438,13 +462,7 @@ def verify_theorem_4_2(K: SimplicialComplex) -> VerificationReport:
     }
     if not pattern:
         return VerificationReport("thm4.2", "HYPOTHESIS_NOT_MET", hyp)
-    cone_verts, core = K.core()
-    mng = is_minimally_non_golod(core)
-    details = {
-        "cone_vertices": list(cone_verts),
-        "simplex_dim": len(cone_verts) - 1,
-        "core_vertices": list(core.labels()),
-    }
+    _, mng, details = _core_mng(K)
     return VerificationReport(
         "thm4.2",
         _conclusion_status(mng),

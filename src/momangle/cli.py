@@ -277,15 +277,16 @@ def _cmd_mng(args) -> int:
 def _cmd_core(args) -> int:
     K = _load_complex(args)
     cone_verts, core = K.core()
+    core_verts = K.core_vertices()
     payload = {
         "cone_vertices": list(cone_verts),
         "core": core.to_dict(),
-        "core_vertices": list(core.labels()),
+        "core_vertices": list(core_verts),
     }
     lines = [
         "cone vertices: "
         + (" ".join(map(str, cone_verts)) if cone_verts else "(none)"),
-        "core vertices: " + " ".join(map(str, core.labels())),
+        "core vertices: " + " ".join(map(str, core_verts)),
         "core facets: "
         + " ".join(
             "{" + ",".join(map(str, vertices_of(f))) + "}" for f in core.facets
@@ -351,7 +352,7 @@ def _cmd_gen(args) -> int:
 def _cmd_analyze(args) -> int:
     K = _load_complex(args)
     table = hochster_table(K, INT)
-    cone_verts, core = K.core()
+    cone_verts, _ = K.core()
     golod = is_cup_golod(K)
     mng = is_minimally_non_golod(K)
     gor = is_gorenstein_star(K)
@@ -363,7 +364,7 @@ def _cmd_analyze(args) -> int:
         "poincare": format_poincare(table.betti),
         "torsion_primes": list(table.torsion_primes),
         "cone_vertices": list(cone_verts),
-        "core_vertices": list(core.labels()),
+        "core_vertices": list(K.core_vertices()),
         "golod": golod.to_dict(),
         "minimally_non_golod": mng.to_dict(),
         "gorenstein_star": gor.to_dict(),

@@ -10,17 +10,18 @@ single facet 0.  There is no "void" complex: the empty set is always a face.
 
 Operations that pass to a subcomplex on fewer vertices (links, deletions,
 full subcomplexes, stars, cores) relabel the result to contiguous labels
-1..m' and retain the original labels in ``vertex_labels``; equality and
-hashing ignore that metadata and compare the labeled face structure only.
-They are built straight from facet masks; only input and the generators
-that can grow m go through the validating :func:`from_facets`.
+1..m' in the order of the vertices kept.  They are built straight from
+facet masks; only input and the generators that can grow m go through
+the validating :func:`from_facets`.  A complex is its face structure
+(m, facets) and nothing else; which vertices of K the core's 1..m' are
+is :meth:`SimplicialComplex.core_vertices`.
 """
 
 from __future__ import annotations
 
 import itertools as it
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterable, Mapping, Sequence
 
@@ -99,9 +100,7 @@ def _maximal(masks: Iterable[int]) -> list[int]:
     return out
 
 
-def _from_masks(
-    m: int, masks: Iterable[int], labels: tuple[int, ...] | None = None
-) -> SimplicialComplex:
+def _from_masks(m: int, masks: Iterable[int]) -> SimplicialComplex:
     """The complex on 1..m generated by facet masks, unchecked.
 
     Drops duplicates and faces contained in another facet and sorts the
@@ -110,7 +109,7 @@ def _from_masks(
     """
     out = _maximal(masks)
     out.sort(key=vertices_of)
-    return SimplicialComplex(m, tuple(out) or (0,), labels)
+    return SimplicialComplex(m, tuple(out) or (0,))
 
 
 @dataclass(frozen=True)
@@ -119,9 +118,6 @@ class SimplicialComplex:
 
     m: int
     facets: tuple[int, ...]
-    # original labels of vertices 1..m when this arose as a subcomplex;
-    # None means the identity labeling
-    vertex_labels: tuple[int, ...] | None = field(default=None, compare=False)
 
     # -- basic structure ------------------------------------------------
 
@@ -157,23 +153,13 @@ class SimplicialComplex:
     def has_face(self, vertices: Iterable[int]) -> bool:
         return self.contains_mask(mask_of(self._check_vertices(vertices)))
 
-    def label_of(self, v: int) -> int:
-        """Original label of vertex v (identity unless relabeled)."""
-        self._check_vertices([v])
-        return v if self.vertex_labels is None else self.vertex_labels[v - 1]
-
-    def labels(self) -> tuple[int, ...]:
-        if self.vertex_labels is None:
-            return tuple(range(1, self.m + 1))
-        return self.vertex_labels
-
     # -- subcomplex operations ------------------------------------------
 
     def full_subcomplex(self, vertices: Iterable[int]) -> SimplicialComplex:
         """K_I: all faces contained in I, relabeled onto 1..|I|."""
         sub = mask_of(self._check_vertices(vertices))
         gens = [f & sub for f in self.facets]
-        return self._relabeled_onto(gens, sub)
+        return _relabeled_onto(gens, sub)
 
     def star(self, v: int) -> SimplicialComplex:
         """Faces whose union with {v} is still a face, on the star's support."""
@@ -183,7 +169,7 @@ class SimplicialComplex:
         if not gens:
             raise GhostVertex(f"vertex {v} lies in no facet")
         support = reduce(int.__or__, gens)
-        return self._relabeled_onto(gens, support)
+        return _relabeled_onto(gens, support)
 
     def link(self, face: Iterable[int]) -> SimplicialComplex:
         """link_K(face) = {t : t,face disjoint, t u face in K}, relabeled."""
@@ -192,7 +178,7 @@ class SimplicialComplex:
             raise NotAFace(f"{vertices_of(fm)} is not a face")
         gens = [f & ~fm for f in self.facets if fm & ~f == 0]
         support = reduce(int.__or__, gens, 0)
-        return self._relabeled_onto(gens, support)
+        return _relabeled_onto(gens, support)
 
     def delete_vertex(self, v: int) -> SimplicialComplex:
         """Full subcomplex on [m] minus {v}."""
@@ -206,16 +192,22 @@ class SimplicialComplex:
         bit = 1 << (v - 1)
         return all(f & bit for f in self.facets)
 
+    def core_vertices(self) -> tuple[int, ...]:
+        """The vertices missing from some facet, in order: vertex i of
+        the core is vertex core_vertices()[i-1] of K."""
+        cone_mask = reduce(int.__and__, self.facets)
+        return vertices_of(((1 << self.m) - 1) & ~cone_mask)
+
     def core(self) -> tuple[tuple[int, ...], SimplicialComplex]:
         """Split off the maximal simplex join factor.
 
         Returns (S, core) where S is the set of vertices lying in every
-        facet and core = K restricted to the remaining vertices, so that
-        K = simplex(S) * core as labeled complexes.
+        facet and core = K restricted to core_vertices(), so that
+        K = simplex(S) * core up to that renumbering.
         """
-        s_mask = reduce(int.__and__, self.facets)
-        rest = vertices_of(((1 << self.m) - 1) & ~s_mask)
-        return vertices_of(s_mask), self.full_subcomplex(rest)
+        cone_mask = reduce(int.__and__, self.facets)
+        core = self.full_subcomplex(self.core_vertices())
+        return vertices_of(cone_mask), core
 
     def join(self, other: SimplicialComplex) -> SimplicialComplex:
         """Simplicial join; the second factor is shifted to labels m+1..m+m'."""
@@ -276,19 +268,16 @@ class SimplicialComplex:
                 raise OutOfRange(f"vertex {v} not in 1..{self.m}")
         return vs
 
-    def _relabeled_onto(
-        self, facet_masks: Iterable[int], support: int
-    ) -> SimplicialComplex:
-        """Normalize generator masks onto contiguous labels over ``support``
-        (compressing keeps order, so contained masks can go first)."""
-        labels = vertices_of(support)
-        if self.vertex_labels is not None:
-            labels = tuple(self.vertex_labels[v - 1] for v in labels)
-        return _from_masks(
-            len(labels),
-            [_compress(f, support) for f in _maximal(facet_masks)],
-            labels or None,
-        )
+
+def _relabeled_onto(
+    facet_masks: Iterable[int], support: int
+) -> SimplicialComplex:
+    """Normalize generator masks onto contiguous labels over ``support``
+    (compressing keeps order, so contained masks can go first)."""
+    return _from_masks(
+        support.bit_count(),
+        [_compress(f, support) for f in _maximal(facet_masks)],
+    )
 
 
 @lru_cache(maxsize=4096)

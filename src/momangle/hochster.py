@@ -12,29 +12,29 @@ subcomplex that meets a cone vertex is a cone, so K's table is the table
 of its core K' with the masks spread back over the vertices of K';
 nothing of K is walked.
 
-Any other K has one walk over the 2^m subsets, over the integers.
-Tables are cached per complex and its vertex labels; a complex equal to
-a cached one under other labels shares its subsets.  The walk takes I
-in increasing order.  The component C of I's top vertex in K_I is read
-off smaller subsets: it is the top vertex plus every component of
-K_(I - top) that meets the top vertex's neighbours, and those are peeled
-off I - top one stored component at a time (4 bytes a subset, 4 MB at
-the vertex cap; graph components of K_I are its topological ones).  If
-C != I, K_I is the disjoint union of K_C and K_(I - C), both smaller and
-walked already: H~(K_I) is their sum plus Z in degree 0, computed once
-per pair of profiles.  A connected I inside a facet is a face: K_I is
-contractible.  Only a connected non-face reads traces f & I.  If the
-maximal traces through some v all hold another vertex, v is dominated:
-K_I strong-collapses onto K_(I - v) (Barmak-Minian, Strong homotopy
-types, nerves and collapses, DCG 2012) and takes its profile; a cone
-vertex dominates all others.  Every face through v lies in v's closed
-neighbourhood N(v), so whether v is dominated depends on J = I & N(v)
-alone: some w in J - v must make t + w a face for each trace t = f & J
-of a facet f through v.  Each answer is kept per tried vertex and J, one
-byte each in an array over the span of N(v), so subsets that agree near
-v share it.  Only the rest builds the relabelled K_I for the cached
-Smith form.  Tables over Q or F_p follow from the integral one by
-universal coefficients (HochsterTable.over).
+Any other K has one walk over the 2^m subsets, over the integers.  Tables
+are cached per complex and coefficients; a complex is its face
+structure, so K_J of one complex and an equal complex built directly
+share one table.  The walk takes I in increasing order.  The component C
+of I's top vertex in K_I is read off smaller subsets: it is the top
+vertex plus every component of K_(I - top) that meets the top vertex's
+neighbours, and those are peeled off I - top one stored component at a
+time (4 bytes a subset, 4 MB at the vertex cap; graph components of K_I
+are its topological ones).  If C != I, K_I is the disjoint union of K_C
+and K_(I - C), both smaller and walked already: H~(K_I) is their sum
+plus Z in degree 0, computed once per pair of profiles.  A connected I
+inside a facet is a face: K_I is contractible.  Only a connected
+non-face reads traces f & I.  If the maximal traces through some v all
+hold another vertex, v is dominated: K_I strong-collapses onto K_(I - v)
+(Barmak-Minian, Strong homotopy types, nerves and collapses, DCG 2012)
+and takes its profile; a cone vertex dominates all others.  Every face
+through v lies in v's closed neighbourhood N(v), so whether v is
+dominated depends on J = I & N(v) alone: some w in J - v must make t + w
+a face for each trace t = f & J of a facet f through v.  Each answer is
+kept per tried vertex and J, one byte each in an array over the span of
+N(v), so subsets that agree near v share it.  Only the rest builds the
+relabelled K_I for the cached Smith form.  Tables over Q or F_p follow
+from the integral one by universal coefficients (HochsterTable.over).
 
 The empty subset contributes the unit in degree 0, so b_0 = 1 and
 b_1 = b_2 = 0 for every complex.
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import itemgetter
 
@@ -64,16 +64,10 @@ from .linalg import (
 )
 
 HOCHSTER_MAX_VERTICES = 20
-# tables by (complex, its vertex labels, coefficients), oldest first:
-# walked, lifted from a core or restricted.  Equal complexes may carry
-# different labels, and a table hands out its complex with its labels.
-# (complex, None, INT) holds the first integral table of an equal
-# complex, whatever its labels, for the others to share its subsets.
+# tables by (complex, coefficients), oldest first: walked, lifted from a
+# core, restricted, or derived over a field
 TABLE_CACHE_SIZE = 10_000
-_TABLES: dict[
-    tuple[SimplicialComplex, tuple[int, ...] | None, Coefficients],
-    HochsterTable,
-] = {}
+_TABLES: dict[tuple[SimplicialComplex, Coefficients], HochsterTable] = {}
 
 
 @dataclass(frozen=True)
@@ -206,10 +200,8 @@ def hochster_table(
     Walks all 2^m vertex subsets over the integers, so the vertex count
     is capped at HOCHSTER_MAX_VERTICES (TooManyVertices beyond it); a
     complex with cone vertices takes its core's table instead.  The
-    integral table is cached per complex and vertex labels, and an equal
-    complex under other labels shares its subsets; a field table is
-    derived from it by universal coefficients, once, and cached beside
-    it.
+    integral table is cached per complex; a field table is derived from
+    it by universal coefficients, once, and cached beside it.
     """
     if K.m > HOCHSTER_MAX_VERTICES:
         raise TooManyVertices(
@@ -218,7 +210,7 @@ def hochster_table(
             m=K.m,
             cap=HOCHSTER_MAX_VERTICES,
         )
-    table = _TABLES.get((K, K.labels(), coeffs))
+    table = _TABLES.get((K, coeffs))
     if table is None:
         table = _integral(K)
         if coeffs != INT:
@@ -227,35 +219,27 @@ def hochster_table(
 
 
 def cached_integral_table(K: SimplicialComplex) -> HochsterTable | None:
-    """The cached integral table of K or of an equal complex under other
-    labels, without walking anything; None if no such table is cached."""
-    return _TABLES.get((K, None, INT))
+    """The cached integral table of K, without walking anything; None if
+    it is not cached."""
+    return _TABLES.get((K, INT))
 
 
 def _remember(table: HochsterTable) -> HochsterTable:
     """Cache table unless an equal request is cached; return the cached one."""
-    key = table.complex, table.complex.labels(), table.coeffs
-    table = _TABLES.setdefault(key, table)
-    if table.coeffs == INT:
-        _TABLES.setdefault((table.complex, None, INT), table)
+    table = _TABLES.setdefault((table.complex, table.coeffs), table)
     while len(_TABLES) > TABLE_CACHE_SIZE:
         del _TABLES[next(iter(_TABLES))]
     return table
 
 
 def _integral(K: SimplicialComplex) -> HochsterTable:
-    """The cached integral table of K, else that of an equal complex under
-    other labels, else its core's lifted, else walked."""
-    table = _TABLES.get((K, K.labels(), INT))
+    """The cached integral table of K, else its core's lifted, else walked."""
+    table = _TABLES.get((K, INT))
     if table is not None:
         return table
-    table = _TABLES.get((K, None, INT))
-    if table is not None:
-        return _remember(replace(table, complex=K))
-    apexes = reduce(int.__and__, K.facets)
-    if not apexes or K.facets == (apexes,):  # no cone vertex, or a simplex
+    rest = K.core_vertices()
+    if len(rest) == K.m:  # no cone vertex
         return _remember(_walk(K))
-    rest = vertices_of(((1 << K.m) - 1) & ~apexes)
     core = _integral(K.full_subcomplex(rest))
     subsets = tuple((_lift_mask(I, rest), p) for I, p in core.subsets)
     return _remember(HochsterTable(K, INT, subsets))

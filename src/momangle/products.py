@@ -90,7 +90,7 @@ class TorClass:
 
 @lru_cache(maxsize=10_000)
 def _relabelled_basis(KI: SimplicialComplex, degree: int, coeffs: Coefficients):
-    # K_I of K, K - v, cone(K), ... are equal up to labels: one basis
+    # K_I of K, K - v, cone(K), ... relabel onto one complex: one basis
     return cocycle_basis(KI, degree, coeffs)
 
 

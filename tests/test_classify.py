@@ -317,6 +317,46 @@ def test_thm42_cone_invariant_hypothesis():
     assert rep.status == "HYPOTHESIS_NOT_MET"
 
 
+OCTAHEDRON = polygon(4).join(disjoint_points(2))
+
+
+def test_thm42_reads_the_ring_of_rk():
+    # R_K of the octahedron is the 3-torus: it has the Betti numbers of
+    # #3(S^1 x S^2), but two degree-1 classes multiply into degree 2
+    rep = verify_theorem_4_2(OCTAHEDRON)
+    assert rep.hypothesis["rk_betti"] == [1, 3, 3, 1]
+    assert rep.hypothesis["pattern"] is False
+    assert rep.status == "HYPOTHESIS_NOT_MET"
+
+
+def test_no_harness_reports_a_violation_on_the_library_corpus(library_corpus):
+    for K in library_corpus:
+        for harness in (
+            verify_theorem_1_1,
+            verify_theorem_1_2,
+            verify_theorem_4_2,
+        ):
+            rep = harness(K)
+            assert rep.status != "VIOLATION", (K, rep.to_dict())
+
+
+def test_core_report_names_the_witness_vertex_of_k():
+    # apex 1 over the octahedron: the core is vertices 2..7 of K, and it
+    # is not minimally non-Golod, as its vertex 1 (K's vertex 2) deletes
+    # to a complex with a product
+    K = simplex(0).join(OCTAHEDRON)
+    assert is_minimally_non_golod(OCTAHEDRON).witness_vertex == 1
+    core, mng, details = classify._core_mng(K)
+    assert core == OCTAHEDRON
+    assert mng.value is False and mng.witness_vertex == 2
+    assert details == {
+        "cone_vertices": [1],
+        "simplex_dim": 0,
+        "core_vertices": [2, 3, 4, 5, 6, 7],
+    }
+    assert products.is_cup_golod(K.delete_vertex(2)).verdict == "NON_GOLOD"
+
+
 def test_verification_report_json():
     data = json.loads(verify_theorem_1_2(PYRAMID).to_json())
     assert data["theorem"] == "thm1.2"

@@ -132,7 +132,6 @@ def test_star_link_delete(pyramid):
     # link of the apex is the square, relabeled onto 1..4
     link5 = pyramid.link([5])
     assert link5 == polygon(4)
-    assert link5.labels() == (1, 2, 3, 4)
     assert pyramid.delete_vertex(5) == polygon(4)
     with pytest.raises(NotAFace):
         pyramid.link([1, 3])
@@ -144,26 +143,29 @@ def test_star_of_isolated_point():
     K = disjoint_points(3)
     st = K.star(2)
     assert st == simplex(0)
-    assert st.labels() == (2,)
 
 
-def test_full_subcomplex_keeps_labels(pyramid):
+def test_full_subcomplex_faces(pyramid):
     sub = pyramid.full_subcomplex([2, 4, 5])
-    assert sub.labels() == (2, 4, 5)
     # the only 2-face of pyramid inside {2,4,5} is the edge pairs through 5
     assert sub.f_vector() == (1, 3, 2)
-    assert sub.label_of(3) == 5
 
 
 def test_core(pyramid):
     cone_verts, core = pyramid.core()
     assert cone_verts == (5,)
     assert core == polygon(4)
-    assert core.labels() == (1, 2, 3, 4)
+    assert pyramid.core_vertices() == (1, 2, 3, 4)
     verts, core2 = polygon(4).core()
     assert verts == () and core2 == polygon(4)
+    assert polygon(4).core_vertices() == (1, 2, 3, 4)
     verts, core3 = simplex(2).core()
     assert verts == (1, 2, 3) and core3 == simplex(-1)
+    assert simplex(2).core_vertices() == ()
+    # with the apex as vertex 1, the core is vertices 2..5 of K
+    apex_first = simplex(0).join(polygon(4))
+    assert apex_first.core_vertices() == (2, 3, 4, 5)
+    assert apex_first.core()[1] == polygon(4)
 
 
 def test_join():
@@ -265,7 +267,6 @@ def test_equality_ignores_labels(pyramid):
     sub = pyramid.delete_vertex(5)
     assert sub == polygon(4)
     assert hash(sub) == hash(polygon(4))
-    assert sub.labels() == (1, 2, 3, 4)
 
 
 def test_dedup_in_corpus_construction():
@@ -274,54 +275,55 @@ def test_dedup_in_corpus_construction():
     assert len(dict.fromkeys(items)) == 2
 
 
-def _expected(K, gens, support):
-    """(m, facets, vertex_labels) of a derived complex built the validating
-    way: generator masks relabelled through vertex tuples onto 1..|support|
+def _expected(gens, support):
+    """(m, facets) of a derived complex built the validating way:
+    generator masks relabelled through vertex tuples onto 1..|support|
     and passed to from_facets."""
     old = vertices_of(support)
     pos = {v: i + 1 for i, v in enumerate(old)}
     ref = from_facets(
         len(old), [[pos[v] for v in vertices_of(g)] for g in gens]
     )
-    return ref.m, ref.facets, tuple(K.label_of(v) for v in old) or None
+    return ref.m, ref.facets
 
 
 def _shape(D):
-    return D.m, D.facets, D.vertex_labels
+    return D.m, D.facets
 
 
 def test_derived_complexes_match_from_facets(corpus):
     """Every derived complex is what from_facets makes of its generators,
-    with the same facet order and vertex labels."""
+    with the same facet order."""
     rng = random.Random(11)
     for K0 in corpus:
-        # a relabelled K checks that labels compose through a second step
+        # a deletion checks a second step of derivation
         for K in [K0, *([K0.delete_vertex(1)] if K0.m > 1 else [])]:
             full = (1 << K.m) - 1
             for mask in range(full + 1):
                 D = K.full_subcomplex(vertices_of(mask))
                 gens = [f & mask for f in K.facets]
-                assert _shape(D) == _expected(K, gens, mask), (K, mask)
+                assert _shape(D) == _expected(gens, mask), (K, mask)
                 again = from_facets(D.m, map(vertices_of, D.facets))
                 assert again.facets == D.facets
             for face in K.faces():
                 gens = [f & ~face for f in K.facets if face & ~f == 0]
                 D = K.link(vertices_of(face))
-                assert _shape(D) == _expected(K, gens, reduce(or_, gens, 0))
+                assert _shape(D) == _expected(gens, reduce(or_, gens, 0))
             for v in range(1, K.m + 1):
                 bit = 1 << (v - 1)
                 gens = [f for f in K.facets if f & bit]
-                assert _shape(K.star(v)) == _expected(K, gens, reduce(or_, gens))
+                assert _shape(K.star(v)) == _expected(gens, reduce(or_, gens))
                 rest = full & ~bit
                 assert _shape(K.delete_vertex(v)) == _expected(
-                    K, [f & rest for f in K.facets], rest
+                    [f & rest for f in K.facets], rest
                 )
             cone_mask = reduce(and_, K.facets)
             verts, core = K.core()
             assert verts == vertices_of(cone_mask)
             rest = full & ~cone_mask
+            assert K.core_vertices() == vertices_of(rest)
             assert _shape(core) == _expected(
-                K, [f & rest for f in K.facets], rest
+                [f & rest for f in K.facets], rest
             )
             perm = list(range(1, K.m + 1))
             rng.shuffle(perm)
@@ -329,4 +331,4 @@ def test_derived_complexes_match_from_facets(corpus):
                 K.m,
                 [[perm[v - 1] for v in vertices_of(f)] for f in K.facets],
             )
-            assert _shape(K.relabel(perm)) == (ref.m, ref.facets, None)
+            assert _shape(K.relabel(perm)) == (ref.m, ref.facets)

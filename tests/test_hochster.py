@@ -109,7 +109,6 @@ def test_restrict_matches_the_smith_form_of_deletions_and_cores(corpus):
         for J, want in parts:
             got = table.restrict(J)
             assert got.complex == want and got.coeffs == INT, (K, J)
-            assert got.complex.labels() == want.labels(), (K, J)
             assert got.subsets == reference_integral_table(want).subsets
     # the restricted table is the one hochster_table then returns
     _TABLES.clear()
@@ -189,10 +188,10 @@ def _counted_walks(monkeypatch):
 
 
 def _cones(corpus):
-    """Every corpus complex with a cone vertex (simplices aside), the cone
-    over RP^2 (torsion) and a cone over a cone."""
+    """Every corpus complex with a cone vertex (simplices included), the
+    cone over RP^2 (torsion) and a cone over a cone."""
     rp2 = from_facets(6, RP2_FACETS)
-    coned = [K for K in corpus if K.core()[0] and K.core()[1].m]
+    coned = [K for K in corpus if K.core()[0]]
     return [*coned, cone(rp2), cone(cone(polygon(5)))]
 
 
@@ -227,6 +226,11 @@ def test_a_cone_after_its_base_walks_nothing(monkeypatch):
     hochster_table(cone(cone(polygon(6))), INT)
     hochster_table(polygon(6), INT)
     assert walked == [11, 6]
+    # a simplex is a cone over the empty complex, which is all it walks
+    _TABLES.clear()
+    table = hochster_table(simplex(19), INT)
+    assert [I for I, _ in table.subsets] == [0]
+    assert walked == [11, 6, 0]
 
 
 def test_verify_walks_only_the_core(monkeypatch):
@@ -238,33 +242,32 @@ def test_verify_walks_only_the_core(monkeypatch):
 
 
 def test_an_equal_complex_under_other_labels_walks_nothing(monkeypatch):
-    # the join's core is polygon(9) on labels 2..10: its table is the
-    # cached one of polygon(9), handed out with the core's labels
+    # the join's core is polygon(9) on vertices 2..10: its table is the
+    # cached one of polygon(9)
     walked = _counted_walks(monkeypatch)
     _TABLES.clear()
     base = hochster_table(polygon(9), INT)
     table = hochster_table(simplex(0).join(polygon(9)), INT)
     assert walked == [9]
     core = hochster_table(table.complex.core()[1], INT)
-    assert core.complex.labels() == tuple(range(2, 11))
     assert core.subsets is base.subsets
     assert table.subsets == tuple((I << 1, p) for I, p in base.subsets)
 
 
-def test_tables_carry_the_labels_of_the_requested_complex():
-    # K_{1,3,4} of a path and the complex built directly are equal up to
-    # labels; each table hands out its own complex, labels included
+def test_a_restricted_table_is_the_cached_table_of_its_complex():
+    # K_{1,3,4} of a path and the complex built directly are one complex,
+    # with one cached table
     _TABLES.clear()
     path = from_facets(4, [(1, 2), (2, 3), (3, 4)])
     restricted = hochster_table(path, INT).restrict(0b1101)
-    assert restricted.complex.labels() == (1, 3, 4)
     direct = hochster_table(from_facets(3, [(1,), (2, 3)]), INT)
-    assert direct.complex.labels() == (1, 2, 3)
     assert direct.subsets == restricted.subsets
+    assert direct is restricted
     assert hochster_table(from_facets(3, [(1,), (2, 3)]), INT) is direct
     assert hochster_table(path, INT).restrict(0b1101) is restricted
     deleted = hochster_table(path.delete_vertex(2), RAT)
-    assert deleted.complex.labels() == (1, 3, 4)
+    assert deleted == restricted.over(RAT)
+    assert _TABLES[deleted.complex, RAT] is deleted
 
 
 def _increasing(table):
