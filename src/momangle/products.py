@@ -13,11 +13,13 @@ commutative and associative at the cochain level, which the test suite
 checks directly on random complexes.
 
 The Golod verdict is three-valued.  NON_GOLOD is witnessed by an explicit
-nonzero product over some field; CUP_GOLOD means every tested field is
-product-free (higher operations are out of scope, which the report's
-caveat repeats); UNKNOWN is reserved for torsion primes too large to test.
-product_table and every field of the Golod test run one product search,
-and a component's basis is built when a pair first reaches it.
+nonzero product over some field; CUP_GOLOD means every field the report
+lists in fields_checked is product-free (higher operations are out of
+scope, which the report's caveat repeats); UNKNOWN is reserved for torsion
+primes too large to test.  An F_p with no p-torsion in the integral table
+is covered by the Q search and not searched itself.  product_table and
+every searched field of the Golod test run one product search, and a
+component's basis is built when a pair first reaches it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from .complexes import SimplicialComplex, _lift_mask, vertices_of
-from .errors import BadParams, FieldMismatch, InternalInvariant, NotAField
+from .errors import FieldMismatch, InternalInvariant, NotAField
 from .hochster import HochsterTable, hochster_table
 from .linalg import (
     INT,
@@ -70,14 +72,11 @@ class TorClass:
     degree: int
     index: int
     coeffs: Coefficients
-    cochain: tuple[tuple[int, object], ...]
+    values: tuple[tuple[int, object], ...]  # its cocycle, as in Cochain
 
     @property
     def total_degree(self) -> int:
         return self.subset.bit_count() + self.degree + 1
-
-    def to_cochain(self) -> Cochain:
-        return Cochain(self.subset, self.degree, self.coeffs, self.cochain)
 
     def describe(self) -> dict:
         return {
@@ -155,21 +154,21 @@ def _inv(amask: int, bmask: int) -> int:
 
 
 def multiply(K: SimplicialComplex, x, y) -> Cochain:
-    """Cup product of two classes or cochains, as a cochain on K_{I u J}."""
-    cx = x.to_cochain() if isinstance(x, TorClass) else x
-    cy = y.to_cochain() if isinstance(y, TorClass) else y
-    if cx.coeffs != cy.coeffs:
-        raise FieldMismatch(
-            f"cannot multiply over {cx.coeffs} and {cy.coeffs}"
-        )
-    I, J = cx.subset, cy.subset
-    degree = cx.degree + cy.degree + 1
+    """Cup product of two classes or cochains, as a cochain on K_{I u J}.
+
+    Reads only subset, degree, coeffs and values, which TorClass and
+    Cochain share.
+    """
+    if x.coeffs != y.coeffs:
+        raise FieldMismatch(f"cannot multiply over {x.coeffs} and {y.coeffs}")
+    I, J = x.subset, y.subset
+    degree = x.degree + y.degree + 1
     if I & J:
-        return Cochain(I | J, degree, cx.coeffs, ())
-    ops = field_ops(cx.coeffs)
+        return Cochain(I | J, degree, x.coeffs, ())
+    ops = field_ops(x.coeffs)
     acc: dict[int, object] = {}
-    for f, a in cx.values:
-        for g, b in cy.values:
+    for f, a in x.values:
+        for g, b in y.values:
             tau = f | g
             if not K.contains_mask(tau):
                 continue
@@ -183,13 +182,12 @@ def multiply(K: SimplicialComplex, x, y) -> Cochain:
                 acc.pop(tau, None)
             else:
                 acc[tau] = val
-    return Cochain(I | J, degree, cx.coeffs, tuple(sorted(acc.items())))
+    return Cochain(I | J, degree, x.coeffs, tuple(sorted(acc.items())))
 
 
-def cochain_class_coords(
-    K: SimplicialComplex, c: Cochain
-) -> tuple[object, ...]:
-    """Coordinates of a cocycle in the basis of H~^degree(K_subset).
+def cochain_class_coords(K: SimplicialComplex, c) -> tuple[object, ...]:
+    """Coordinates of a cocycle (a Cochain or a TorClass) in the basis of
+    H~^degree(K_subset).
 
     Raises InternalInvariant if the cochain is not a cocycle modulo
     coboundaries (a product failing to close up would be a sign bug).
@@ -219,17 +217,6 @@ class ProductTable:
     @property
     def is_trivial(self) -> bool:
         return not self.products
-
-    def witness(self):
-        return self.products[0] if self.products else None
-
-    def product_of(self, i: int, j: int):
-        if i > j:
-            i, j = j, i
-        for a, b, coords in self.products:
-            if (a, b) == (i, j):
-                return coords
-        return ()
 
     def to_dict(self) -> dict:
         return {
@@ -319,7 +306,7 @@ def _iter_nonzero_products(K: SimplicialComplex, table: HochsterTable):
                         yield x, y, (i, j, nz)
 
 
-DEFAULT_GOLOD_FIELDS = (RAT, PRIME(2), PRIME(3), PRIME(5), PRIME(7))
+GOLOD_FIELDS = (RAT, PRIME(2), PRIME(3), PRIME(5), PRIME(7))
 
 CUP_CAVEAT = (
     "verdict covers cup products only; Massey-type operations are not"
@@ -334,10 +321,6 @@ class GolodReport:
     witness: dict | None
     caveats: tuple[str, ...]
 
-    @property
-    def is_non_golod(self) -> bool:
-        return self.verdict == "NON_GOLOD"
-
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict,
@@ -347,42 +330,29 @@ class GolodReport:
         }
 
 
-def is_cup_golod(K: SimplicialComplex, fields=None) -> GolodReport:
-    """Cup-level Golod test over a battery of fields.
+@lru_cache(maxsize=10_000)
+def is_cup_golod(K: SimplicialComplex) -> GolodReport:
+    """Cup-level Golod test over a fixed battery of fields.
 
-    The default battery is Q and F_p for p in {2, 3, 5, 7}, extended by
-    any torsion prime discovered in the subset table.  Torsion primes
-    beyond MAX_FIELD_PRIME cannot be tested and downgrade a clean result
-    to UNKNOWN.
+    The battery is Q and F_p for p in {2, 3, 5, 7}, extended by any other
+    torsion prime of K's integral table.  Torsion primes beyond
+    MAX_FIELD_PRIME cannot be tested and downgrade a clean result to
+    UNKNOWN.  fields_checked names the fields the verdict covers, in
+    battery order up to the witness.  Q is searched first, and an F_p
+    whose p is not a torsion prime of the integral table is covered by
+    that search: it is listed but neither searched nor given a table.
 
-    Follows the Hochster table: each field runs the product search, and a
-    basis is built when a pair first reaches it, so a field whose table
-    has no pair of disjoint components with a nonzero target component
-    builds none.  The battery is checked before any field: an empty one
-    raises BadParams and a non-field NotAField.  Default-battery reports
-    are cached per complex.
+    Follows the Hochster table: each searched field runs the product
+    search, and a basis is built when a pair first reaches it, so a field
+    whose table has no pair of disjoint components with a nonzero target
+    component builds none.  Reports are cached per complex.
     """
-    return _default_golod(K) if fields is None else _cup_golod(K, fields)
-
-
-def _cup_golod(K: SimplicialComplex, fields) -> GolodReport:
-    battery = list(DEFAULT_GOLOD_FIELDS if fields is None else fields)
-    if not battery:
-        raise BadParams("the Golod battery must name at least one field")
-    if not all(field.is_field for field in battery):
-        raise NotAField("the Golod battery must consist of fields")
-    table = hochster_table(K, INT)
+    torsion = hochster_table(K, INT).torsion_primes
+    battery = list(GOLOD_FIELDS)
+    have = {c.p for c in battery if c.kind == "prime"}
+    battery += [PRIME(p) for p in torsion if p not in have and p <= MAX_FIELD_PRIME]
+    untestable = [p for p in torsion if p > MAX_FIELD_PRIME]
     caveats = [CUP_CAVEAT]
-    untestable = []
-    if fields is None:
-        have = {c.p for c in battery if c.kind == "prime"}
-        for p in table.torsion_primes:
-            if p in have:
-                continue
-            if p <= MAX_FIELD_PRIME:
-                battery.append(PRIME(p))
-            else:
-                untestable.append(p)
     if untestable:
         caveats.append(
             "torsion primes beyond the field bound were not tested: "
@@ -391,6 +361,9 @@ def _cup_golod(K: SimplicialComplex, fields) -> GolodReport:
     checked = []
     for field in battery:
         checked.append(str(field))
+        # no p-torsion: H*(Z_K; F_p) = H*(Z_K; Z) mod p has no product Q lacks
+        if field.kind == "prime" and field.p not in torsion:
+            continue
         found = next(_iter_nonzero_products(K, hochster_table(K, field)), None)
         if found is not None:
             x, y, (_, _, coords) = found
@@ -403,6 +376,3 @@ def _cup_golod(K: SimplicialComplex, fields) -> GolodReport:
             return GolodReport("NON_GOLOD", tuple(checked), witness, tuple(caveats))
     verdict = "UNKNOWN" if untestable else "CUP_GOLOD"
     return GolodReport(verdict, tuple(checked), None, tuple(caveats))
-
-
-_default_golod = lru_cache(maxsize=10_000)(lambda K: _cup_golod(K, None))

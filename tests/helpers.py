@@ -13,6 +13,8 @@ skip (the walk's face, component and dominated-vertex rules among it),
 and its universal-coefficients derivation, not the linear algebra
 itself.  reference_dominated and reference_component decide the walk's
 dominated-vertex and component rules for one subset from K_I alone.
+reference_golod runs the package's product search on every field of the
+Golod battery, so it checks which fields the Golod test skips.
 
 smith_normal_form and boundary_matrix are dense oracles for the sparse
 integer elimination and the chain complexes, and dense_rref and
@@ -34,6 +36,9 @@ from momangle import (
     BadParams,
     GolodReport,
     INT,
+    MAX_FIELD_PRIME,
+    PRIME,
+    RAT,
     HochsterTable,
     ProductTable,
     TorClass,
@@ -41,13 +46,18 @@ from momangle import (
     cone,
     from_facets,
     from_json,
+    hochster_table,
     multiply,
     reduced_chain_complex,
     reduced_homology,
     vertices_of,
 )
 from momangle.linalg import Echelon, field_ops, make_profile, rank_mod_p
-from momangle.products import CUP_CAVEAT, cochain_class_coords
+from momangle.products import (
+    CUP_CAVEAT,
+    _iter_nonzero_products,
+    cochain_class_coords,
+)
 
 # 6-vertex triangulation of the real projective plane: 10 facets, every
 # edge in exactly two triangles, Euler characteristic 1, H~_1 = Z/2
@@ -462,19 +472,36 @@ def reference_product_table(K, coeffs):
     return ProductTable(K, coeffs, classes, tuple(reference_products(K, classes)))
 
 
-def reference_golod(pt):
-    """GolodReport that is_cup_golod(K, fields=[field]) should give, from a
-    reference product table over that field."""
-    if not pt.products:
-        return GolodReport("CUP_GOLOD", (str(pt.coeffs),), None, (CUP_CAVEAT,))
-    i, j, coords = pt.products[0]
-    witness = {
-        "field": str(pt.coeffs),
-        "x": pt.classes[i].describe(),
-        "y": pt.classes[j].describe(),
-        "product": [[t, str(v)] for t, v in coords],
-    }
-    return GolodReport("NON_GOLOD", (str(pt.coeffs),), witness, (CUP_CAVEAT,))
+def reference_golod(K):
+    """The GolodReport is_cup_golod(K) should give, by searching every
+    field of the battery in order (Q, F_2, F_3, F_5, F_7, then the other
+    testable torsion primes of K's integral table) and stopping at the
+    first witness, with no field left out for lack of torsion."""
+    torsion = hochster_table(K, INT).torsion_primes
+    battery = [RAT, *(PRIME(p) for p in (2, 3, 5, 7))]
+    battery += [PRIME(p) for p in torsion if 7 < p <= MAX_FIELD_PRIME]
+    untestable = [p for p in torsion if p > MAX_FIELD_PRIME]
+    caveats = [CUP_CAVEAT]
+    if untestable:
+        caveats.append(
+            "torsion primes beyond the field bound were not tested: "
+            + ", ".join(map(str, untestable))
+        )
+    checked = []
+    for field in battery:
+        checked.append(str(field))
+        found = next(_iter_nonzero_products(K, hochster_table(K, field)), None)
+        if found is not None:
+            x, y, (_, _, coords) = found
+            witness = {
+                "field": str(field),
+                "x": x.describe(),
+                "y": y.describe(),
+                "product": [[t, str(v)] for t, v in coords],
+            }
+            return GolodReport("NON_GOLOD", tuple(checked), witness, tuple(caveats))
+    verdict = "UNKNOWN" if untestable else "CUP_GOLOD"
+    return GolodReport(verdict, tuple(checked), None, tuple(caveats))
 
 
 @dataclass(frozen=True)

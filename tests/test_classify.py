@@ -33,7 +33,7 @@ PATH3 = from_facets(3, [(1, 2), (2, 3)])
 
 
 def _cold_caches():
-    for name in ("_component", "_relabelled_basis", "_default_golod"):
+    for name in ("_component", "_relabelled_basis", "is_cup_golod"):
         getattr(products, name).cache_clear()
     hochster._TABLES.clear()
 
