@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from .complexes import SimplicialComplex, from_facets, mask_of, vertices_of
 from .errors import EmptySubset, OutOfRange
 from .hochster import cached_integral_table, hochster_table
-from .linalg import INT, RAT, Echelon, field_ops, reduced_homology
+from .linalg import INT, RAT, Echelon, reduced_homology
 from .products import is_cup_golod, product_table
 
 # -- minimal non-Golodness ----------------------------------------------------
@@ -297,7 +297,7 @@ def recognize_connected_sum(K: SimplicialComplex) -> RecognitionReport:
     lookup = {(i, j): coords for i, j, coords in pt.products}
 
     def gram_rank(k: int) -> int:
-        echelon = Echelon(field_ops(RAT))
+        echelon = Echelon(RAT)
         cols = by_degree.get(N - k, [])
         for i in by_degree.get(k, []):
             row = {}

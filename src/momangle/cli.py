@@ -19,7 +19,6 @@ import json
 import sys
 from functools import lru_cache
 
-from .cellular import rk_betti, zk_betti
 from .classify import (
     is_gorenstein_star,
     is_minimally_non_golod,
@@ -120,11 +119,15 @@ def _parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--field", default="int", help="int, q, or f<p> (default int)")
 
-    p = sub.add_parser("betti-zk", help="Betti numbers of Z_K from its cells")
+    p = sub.add_parser(
+        "betti-zk", help="Betti numbers of Z_K from the Hochster table"
+    )
     _add_input_args(p)
     p.add_argument("--field", default="int", help="int, q, or f<p> (default int)")
 
-    p = sub.add_parser("betti-rk", help="Betti numbers of R_K from its cells")
+    p = sub.add_parser(
+        "betti-rk", help="Betti numbers of R_K from the Hochster table"
+    )
     _add_input_args(p)
     p.add_argument("--field", default="int", help="int, q, or f<p> (default int)")
 
@@ -215,7 +218,8 @@ def _cmd_betti(args) -> int:
     K = _load_complex(args)
     coeffs = _field(args)
     kind = args.command[-2:]  # betti-zk or betti-rk
-    b = {"zk": zk_betti, "rk": rk_betti}[kind](K, coeffs)
+    table = hochster_table(K, coeffs)
+    b = table.betti if kind == "zk" else table.rk_betti
     _emit(
         args,
         {"coeffs": str(coeffs), "betti": list(b)},

@@ -1,22 +1,23 @@
 """Exact linear algebra and simplicial homology.
 
-All integer computations use Python's arbitrary-precision integers; field
-computations run over Q, in ints until a non-unit pivot makes a Fraction,
-or over a prime field F_p.  Matrices are sparse with tiny entries and
-kept as dictionaries.  There are two eliminations:
+All integer computations use Python's arbitrary-precision integers.
+Matrices are sparse with tiny entries and kept as dictionaries.  There
+are two eliminations:
 
 * int_invariant_factors, a sparse Smith form over Z that prefers unit
   pivots from the shortest rows.  All homology is integral and comes from
   it; field Betti numbers follow by universal coefficients
   (HomologyProfile.over_field), so no homology is eliminated over a field;
-* Echelon, a fully reduced sparse echelon over a field; cocycle bases,
-  class coordinates and every other field computation of the pipeline
-  use it.
+* Echelon, a fully reduced sparse echelon over the field a Coefficients
+  names.  It does its own arithmetic: over F_p it reduces every entry
+  mod p, and over Q it keeps ints until a pivot other than 1 or -1 makes
+  a Fraction.  Cocycle bases, class coordinates and classify's Gram rank
+  use it; products.multiply does the same arithmetic inline.
 
 int_rank, rank_mod_p, rref and nullspace are thin wrappers over these
-two.  They remain because callers and the benchmark's tracer name them:
-classify's Gram rank reads rref, and the tests rank over a field with
-rank_mod_p as an oracle independent of the Smith form.
+two that no pipeline code calls.  They remain because the benchmark's
+tracer names them, and the tests rank over a field with rank_mod_p as
+an oracle independent of the Smith form.
 
 Homology is reduced throughout: the chain complex of a simplicial complex
 is augmented, so the empty complex has a single class in degree -1 and a
@@ -103,69 +104,6 @@ def coefficients_from_token(token: str) -> Coefficients:
     raise NotAField(
         f"unknown coefficient token {token[:32]!r}" + "..." * (len(token) > 32)
     )
-
-
-class _RatOps:
-    p = None  # characteristic zero
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def of_int(n):
-        return n
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        return a if a in (1, -1) else 1 / Fraction(a)
-
-
-class _FpOps:
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def of_int(self, n):
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        return pow(a, self.p - 2, self.p)
-
-
-def field_ops(coeffs: Coefficients):
-    if coeffs.kind == "rat":
-        return _RatOps()
-    if coeffs.kind == "prime":
-        return _FpOps(coeffs.p)
-    raise NotAField("integer coefficients do not form a field")
 
 
 # -- sparse integer elimination ----------------------------------------------
@@ -327,12 +265,14 @@ class Echelon:
     over its pivot columns finds it.  A row inserted with a tag is that
     tag's vector, and every row records its combination {tag: coefficient}
     over the tagged rows, so a vector in the span can be expressed in the
-    tagged vectors modulo the untagged ones.
+    tagged vectors modulo the untagged ones.  Integer coefficients raise
+    NotAField.
     """
 
-    def __init__(self, ops):
-        self.ops = ops
-        self.p = ops.p  # None over Q
+    def __init__(self, coeffs: Coefficients):
+        if not coeffs.is_field:
+            raise NotAField("integer coefficients do not form a field")
+        self.p = coeffs.p  # None over Q
         self.rows: dict[int, dict[int, object]] = {}
         self.combos: dict[int, dict[object, object]] = {}
 
@@ -357,10 +297,11 @@ class Echelon:
             w[c] = w[c] * a % p if p else w[c] * a
 
     def _eliminate(self, v: Mapping, combo: dict | None) -> dict:
-        of_int = self.ops.of_int
+        p = self.p
         w = {}
         for c, a in v.items():
-            a = of_int(a)
+            if p:
+                a %= p
             if a:
                 w[c] = a
         # rows vanish on each other's pivots, so one pass suffices
@@ -393,12 +334,16 @@ class Echelon:
         if not w:
             return None
         lead = min(w)
-        inv = self.ops.inv(w[lead])
+        a, p = w[lead], self.p
+        if p:
+            inv = pow(a, p - 2, p)
+        else:
+            inv = a if a in (1, -1) else 1 / Fraction(a)
         self._scale(w, inv)
         if tag is None:
             self._scale(combo, inv)
         else:
-            combo = {tag: self.ops.one}
+            combo = {tag: 1}
         for pc, row in self.rows.items():
             a = row.get(lead)
             if a is not None:
@@ -411,8 +356,8 @@ class Echelon:
     def kernel(self, ncols: int) -> list[dict]:
         """Basis of the vectors of length ncols that every row annihilates,
         one per free column, in increasing order of it."""
-        one, p = self.ops.one, self.p
-        basis = {c: {c: one} for c in range(ncols) if c not in self.rows}
+        p = self.p
+        basis = {c: {c: 1} for c in range(ncols) if c not in self.rows}
         for pc, row in self.rows.items():
             for c, a in row.items():
                 if c != pc:
@@ -420,32 +365,34 @@ class Echelon:
         return list(basis.values())
 
 
-def rref(rows: list[list], ops) -> tuple[list[list], list[int]]:
+def rref(
+    rows: list[list], coeffs: Coefficients
+) -> tuple[list[list], list[int]]:
     """Reduced row echelon form of dense rows, and the pivot columns."""
-    ech = Echelon(ops)
+    ech = Echelon(coeffs)
     for row in rows:
         ech.insert(dict(enumerate(row)))
     ncols = len(rows[0]) if rows else 0
     pivots = sorted(ech.rows)
     reduced = [
-        [ech.rows[pc].get(c, ops.zero) for c in range(ncols)] for pc in pivots
+        [ech.rows[pc].get(c, 0) for c in range(ncols)] for pc in pivots
     ]
     return reduced, pivots
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int, ops) -> list[list]:
+def nullspace(
+    rows: Sequence[Sequence], ncols: int, coeffs: Coefficients
+) -> list[list]:
     """Basis of the kernel of the linear map given by the rows."""
-    ech = Echelon(ops)
+    ech = Echelon(coeffs)
     for row in rows:
         ech.insert(dict(enumerate(row)))
-    return [
-        [vec.get(c, ops.zero) for c in range(ncols)] for vec in ech.kernel(ncols)
-    ]
+    return [[vec.get(c, 0) for c in range(ncols)] for vec in ech.kernel(ncols)]
 
 
 def rank_mod_p(cols: Sequence[Sequence[tuple[int, int]]], p: int) -> int:
     """Rank over F_p of a sparse integer matrix given as columns."""
-    ech = Echelon(_FpOps(p))
+    ech = Echelon(Coefficients("prime", p))
     for col in cols:
         vec: dict[int, int] = {}
         for r, v in col:
@@ -686,8 +633,7 @@ class CocycleBasis:
         rest, combo = self.echelon.express(cochain)
         if rest:
             raise InternalInvariant("cochain is not closed")
-        zero = self.echelon.ops.zero
-        return tuple(combo.get(i, zero) for i in range(len(self.vectors)))
+        return tuple(combo.get(i, 0) for i in range(len(self.vectors)))
 
 
 def cocycle_basis(
@@ -700,14 +646,13 @@ def cocycle_basis(
     chosen before it, and kept when it is not zero there.  The output
     depends only on (K, degree, coeffs).
     """
-    ops = field_ops(coeffs)
-    span = Echelon(ops)
+    span = Echelon(coeffs)
     faces = K.k_faces(degree)
     n = len(faces)
     if n == 0:
         return CocycleBasis(degree, coeffs, (), (), span)
     index = _face_index(faces)
-    closed = Echelon(ops)  # rows of delta_degree: boundaries of (d+1)-faces
+    closed = Echelon(coeffs)  # rows of delta_degree: boundaries of (d+1)-faces
     for col in _boundary_columns(K.k_faces(degree + 1), index):
         closed.insert(dict(col))
     image: dict[int, dict[int, int]] = {}
@@ -722,5 +667,5 @@ def cocycle_basis(
     for vec in closed.kernel(n):
         rep = span.insert(vec, tag=len(vectors))
         if rep is not None:
-            vectors.append(tuple(rep.get(i, ops.zero) for i in range(n)))
+            vectors.append(tuple(rep.get(i, 0) for i in range(n)))
     return CocycleBasis(degree, coeffs, faces, tuple(vectors), span)

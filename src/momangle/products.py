@@ -42,7 +42,6 @@ from .linalg import (
     RAT,
     Coefficients,
     cocycle_basis,
-    field_ops,
 )
 
 
@@ -165,7 +164,9 @@ def multiply(K: SimplicialComplex, x, y) -> Cochain:
     degree = x.degree + y.degree + 1
     if I & J:
         return Cochain(I | J, degree, x.coeffs, ())
-    ops = field_ops(x.coeffs)
+    if not x.coeffs.is_field:
+        raise NotAField("integer coefficients do not form a field")
+    p = x.coeffs.p  # None over Q
     acc: dict[int, object] = {}
     for f, a in x.values:
         for g, b in y.values:
@@ -173,15 +174,13 @@ def multiply(K: SimplicialComplex, x, y) -> Cochain:
             if not K.contains_mask(tau):
                 continue
             e = _inv(f, J) + _inv(g, I) + _inv(I & ~f, J & ~g)
-            val = ops.mul(a, b)
-            if e % 2:
-                val = ops.neg(val)
-            prev = acc.get(tau)
-            val = ops.add(prev, val) if prev is not None else val
-            if val == ops.zero:
-                acc.pop(tau, None)
-            else:
+            val = acc.get(tau, 0) + (-a * b if e % 2 else a * b)
+            if p:
+                val %= p
+            if val:
                 acc[tau] = val
+            else:
+                acc.pop(tau, None)
     return Cochain(I | J, degree, x.coeffs, tuple(sorted(acc.items())))
 
 

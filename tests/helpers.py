@@ -17,9 +17,10 @@ reference_golod runs the package's product search on every field of the
 Golod battery, so it checks which fields the Golod test skips.
 
 smith_normal_form and boundary_matrix are dense oracles for the sparse
-integer elimination and the chain complexes, and dense_rref and
-dense_nullspace for the sparse field echelon (over Q with FractionOps,
-all in Fractions); the package never calls them.
+integer elimination and the chain complexes, and dense_rank, dense_rref
+and dense_nullspace for the sparse field elimination.  These compute in
+their own arithmetic, Fractions over Q and residues mod p, and the
+package never calls them.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from momangle import (
     reduced_homology,
     vertices_of,
 )
-from momangle.linalg import Echelon, field_ops, make_profile, rank_mod_p
+from momangle.linalg import Echelon, make_profile, rank_mod_p
 from momangle.products import (
     CUP_CAVEAT,
     _iter_nonzero_products,
@@ -111,14 +112,19 @@ def trim(seq):
 
 def dense_rank(rows, p=None):
     """Gaussian elimination rank over Q (p=None) or F_p."""
-    if not rows or not rows[0]:
-        return 0
+    return len(dense_rref(rows, p)[1])
+
+
+def dense_rref(rows, p=None):
+    """Reduced row echelon form of dense rows over Q (p=None), in
+    Fractions throughout, or over F_p; and the pivot columns."""
     if p is None:
         mat = [[Fraction(v) for v in row] for row in rows]
     else:
         mat = [[v % p for v in row] for row in rows]
-    rank = 0
-    for c in range(len(mat[0])):
+    pivots = []
+    for c in range(len(mat[0]) if mat else 0):
+        rank = len(pivots)
         pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
@@ -136,72 +142,23 @@ def dense_rank(rows, p=None):
                     mat[i] = [a - f * b for a, b in zip(mat[i], row)]
                 else:
                     mat[i] = [(a - f * b) % p for a, b in zip(mat[i], row)]
-        rank += 1
-    return rank
-
-
-class FractionOps:
-    """Q with every element a Fraction, whatever its denominator: a
-    reference for the package's Q arithmetic, which keeps integers as
-    ints."""
-
-    p = None
-    zero = Fraction(0)
-    one = Fraction(1)
-    of_int = staticmethod(Fraction)
-    add = staticmethod(lambda a, b: a + b)
-    sub = staticmethod(lambda a, b: a - b)
-    mul = staticmethod(lambda a, b: a * b)
-    neg = staticmethod(lambda a: -a)
-    inv = staticmethod(lambda a: 1 / a)
-
-
-def dense_rref(rows, ops):
-    """Reduced row echelon form of dense rows over a field (field_ops),
-    computed in place, and the pivot columns."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    rank = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(rank, len(rows)):
-            if rows[i][c] != ops.zero:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = ops.inv(rows[rank][c])
-        rows[rank] = [ops.mul(inv, v) for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != ops.zero:
-                f = rows[i][c]
-                rows[i] = [
-                    ops.sub(a, ops.mul(f, b))
-                    for a, b in zip(rows[i], rows[rank])
-                ]
         pivots.append(c)
-        rank += 1
-    del rows[rank:]
-    return rows, pivots
+    return mat[: len(pivots)], pivots
 
 
-def dense_nullspace(rows, ncols, ops):
-    """Kernel basis of the map given by dense rows, one vector per free
-    column of their reduced row echelon form."""
-    work, pivots = dense_rref([list(r) for r in rows], ops)
-    pivot_set = set(pivots)
+def dense_nullspace(rows, ncols, p=None):
+    """Kernel basis of the map given by dense rows over Q (p=None) or
+    F_p, one vector per free column of their reduced row echelon form."""
+    work, pivots = dense_rref(rows, p)
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivots:
             continue
-        vec = [ops.zero] * ncols
-        vec[free] = ops.one
+        vec = [0] * ncols
+        vec[free] = 1
         for row, pc in zip(work, pivots):
-            if row[free] != ops.zero:
-                vec[pc] = ops.neg(row[free])
+            if row[free]:
+                vec[pc] = -row[free] if p is None else -row[free] % p
         basis.append(vec)
     return basis
 
@@ -311,7 +268,7 @@ def field_rank(cols, coeffs):
     never through the integral Smith form."""
     if coeffs.kind == "prime":
         return rank_mod_p(cols, coeffs.p)
-    ech = Echelon(field_ops(coeffs))
+    ech = Echelon(coeffs)
     for col in cols:
         ech.insert(dict(col))
     return len(ech)
@@ -466,9 +423,10 @@ def reference_component_pairs(components):
                 yield (I, d1), (J, d2), target
 
 
-def reference_product_table(K, coeffs):
-    """ProductTable built from the full enumeration and every pair."""
-    classes = tuple(c for c in reference_tor_basis(K, coeffs) if c.subset)
+def reference_product_table(K, coeffs, basis):
+    """ProductTable built from every pair of the positive-degree classes
+    of basis, the full enumeration reference_tor_basis(K, coeffs)."""
+    classes = tuple(c for c in basis if c.subset)
     return ProductTable(K, coeffs, classes, tuple(reference_products(K, classes)))
 
 

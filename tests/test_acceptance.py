@@ -35,7 +35,7 @@ from momangle import (
     zk_chain_complex,
 )
 from momangle.complexes import mask_of, vertices_of
-from momangle.linalg import INT, PRIME, RAT, field_ops
+from momangle.linalg import INT, PRIME, RAT
 
 PYRAMID = from_facets(5, [(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)])
 
@@ -173,7 +173,7 @@ def test_c08_product_algebra_laws(corpus):
 
         for K in corpus:
             for coeffs in (RAT, PRIME(2)):
-                ops = field_ops(coeffs)
+                p = coeffs.p
                 classes = [c for c in tor_basis(K, coeffs) if c.subset]
                 n = len(classes)
                 prods = {}
@@ -185,7 +185,7 @@ def test_c08_product_algebra_laws(corpus):
                         yx = multiply(K, y, x)
                         flip = (x.total_degree * y.total_degree) % 2
                         want = tuple(
-                            (f, ops.neg(v) if flip else v)
+                            (f, (-v % p if p else -v) if flip else v)
                             for f, v in xy.values
                         )
                         assert yx.values == want, (K, coeffs, i, j)

@@ -2,10 +2,11 @@ import io
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
-from momangle import from_facets, polygon
+from momangle import disjoint_points, from_facets, hochster_table, polygon
 from momangle.cli import _parser, main
 
 PYRAMID_JSON = from_facets(
@@ -238,11 +239,20 @@ def test_max_vertices_cap(capsys):
         ["hochster", "--gen", "polygon", "21"],
         ["products", "--gen", "polygon", "21"],
         ["golod", "--gen", "polygon", "21"],
-        ["betti-zk", "--gen", "disjoint_points", "15"],
+        ["betti-zk", "--gen", "disjoint_points", "21"],
         ["betti-rk", "--gen", "disjoint_points", "21"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 3 and "exceed" in err and not out, argv
+    # the Betti commands read the Hochster table, so Z_K on 15 vertices is
+    # within reach: a full subset of j >= 2 points has H~^0 of rank j - 1,
+    # in degree j + 1
+    code, out, _ = run(
+        capsys, "betti-zk", "--gen", "disjoint_points", "15", "--json"
+    )
+    want = [1, 0, 0] + [(j - 1) * comb(15, j) for j in range(2, 16)]
+    assert code == 0 and json.loads(out)["betti"] == want
+    assert want == list(hochster_table(disjoint_points(15)).betti)
     # the caps are fixed: there is no option to move them
     with pytest.raises(SystemExit) as exc:
         main(["hochster", "--gen", "polygon", "6", "--max-vertices", "7"])

@@ -7,9 +7,10 @@ exact cocycle representatives the package chooses, so any change to the
 field elimination that changes them fails here.
 
 They also hold `betti-zk --json` and `betti-rk --json` over Z, Q, F_2
-and F_3 for the same complexes, the Betti numbers of the cellular Z_K
-and R_K.  RP^2 carries a Z/2 that the field answers must shift by one
-degree over F_2 only.
+and F_3 for the same complexes, the Betti numbers of Z_K and R_K read
+off the Hochster table.  The files were recorded from the cellular Z_K
+and R_K, so they also pin the table to them.  RP^2 carries a Z/2 that
+the field answers must shift by one degree over F_2 only.
 
 And they hold `hochster --json` over the same four coefficient systems:
 the Betti numbers, bigraded ranks and torsion primes read off the
@@ -17,8 +18,8 @@ subset walk, so any change to how the walk settles a subset that moves
 a rank or a torsion prime fails here.
 
 The two largest walked inputs, `polygon 14` and `stacked_sphere 2 9`,
-have `hochster --json` over Z stored as well.  They have a case list of
-their own, so no cellular command runs on 14 vertices.
+have `hochster --json` over Z stored as well, in a case list of their
+own.
 
 And they hold `verify thm1.1|thm1.2|thm4.2 --json` and `mng --json`,
 the theorem checks and the minimally non-Golod verdict.  These commands
@@ -61,7 +62,7 @@ CASES = {
     "rp2": from_facets(6, RP2_FACETS),
 }
 
-# hochster over Z only: 2^14 and 2^13 subsets, too many for R_K or Z_K
+# the two largest walks, 2^14 and 2^13 subsets: pinned by hochster over Z only
 LARGE_CASES = {
     "polygon14": ["--gen", "polygon", "14"],
     "stacked2_9": ["--gen", "stacked_sphere", "2", "9"],

@@ -10,6 +10,7 @@ from momangle import (
     BadParams,
     ChainComplex,
     Coefficients,
+    Cochain,
     NotAField,
     boundary_simplex,
     cocycle_basis,
@@ -17,6 +18,7 @@ from momangle import (
     disjoint_points,
     from_facets,
     homology_profile,
+    multiply,
     polygon,
     reduced_chain_complex,
     reduced_homology,
@@ -24,7 +26,6 @@ from momangle import (
 )
 from momangle.linalg import (
     Echelon,
-    field_ops,
     int_invariant_factors,
     int_rank,
     make_profile,
@@ -35,7 +36,6 @@ from momangle.linalg import (
 
 from helpers import (
     RP2_FACETS,
-    FractionOps,
     boundary_matrix,
     dense_nullspace,
     dense_rank,
@@ -96,15 +96,15 @@ def test_huge_prime_rejected_before_trial_division():
             coefficients_from_token(bad)
 
 
-def test_field_ops():
+def test_integral_coefficients_are_not_a_field():
     with pytest.raises(NotAField):
-        field_ops(INT)
-    q = field_ops(RAT)
-    assert q.inv(q.of_int(4)) == Fraction(1, 4)
-    f5 = field_ops(PRIME(5))
-    assert f5.mul(f5.of_int(3), f5.of_int(4)) == 2
-    assert f5.inv(2) == 3
-    assert f5.neg(0) == 0
+        Echelon(INT)
+    with pytest.raises(NotAField):
+        cocycle_basis(polygon(4), 0, INT)
+    x = Cochain(0b0001, 0, INT, ((0b0001, 1),))
+    y = Cochain(0b0100, 0, INT, ((0b0100, 1),))
+    with pytest.raises(NotAField):
+        multiply(polygon(4), x, y)
 
 
 # -- ranks against the dense oracle ---------------------------------------
@@ -181,23 +181,28 @@ def test_invariant_factors_match_dense_smith():
 ENGINE_FIELDS = (RAT, PRIME(2), PRIME(3), PRIME(97))
 
 
-def _field_matrices(rng, ops):
+def _mod(a, p):
+    """a as a field element: reduced mod p, or itself over Q (p None)."""
+    return a % p if p else a
+
+
+def _field_matrices(rng, p):
     """Empty, zero and seeded random matrices, entries in the field."""
     yield [], 3
     yield [[], []], 0
-    yield [[ops.zero] * 4 for _ in range(3)], 4
+    yield [[0] * 4 for _ in range(3)], 4
     for _ in range(30):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
         mat = _random_matrix(rng, nrows, ncols, density=rng.random())
-        yield [[ops.of_int(v) for v in row] for row in mat], ncols
+        yield [[_mod(v, p) for v in row] for row in mat], ncols
 
 
-def _dense(vec, ncols, ops):
-    return [vec.get(c, ops.zero) for c in range(ncols)]
+def _dense(vec, ncols):
+    return [vec.get(c, 0) for c in range(ncols)]
 
 
-def _echelon_of(rows, ops):
-    ech = Echelon(ops)
+def _echelon_of(rows, coeffs):
+    ech = Echelon(coeffs)
     for row in rows:
         ech.insert(dict(enumerate(row)))
     return ech
@@ -205,50 +210,55 @@ def _echelon_of(rows, ops):
 
 @pytest.mark.parametrize("coeffs", ENGINE_FIELDS, ids=str)
 def test_echelon_matches_dense_rref(coeffs):
-    ops = field_ops(coeffs)
+    p = coeffs.p
     rng = random.Random(11)
-    for mat, ncols in _field_matrices(rng, ops):
-        ech = _echelon_of(mat, ops)
-        want, pivots = dense_rref([list(r) for r in mat], ops)
+    for mat, ncols in _field_matrices(rng, p):
+        ech = _echelon_of(mat, coeffs)
+        want, pivots = dense_rref(mat, p)
         assert len(ech) == len(pivots), mat
         assert sorted(ech.rows) == pivots
-        assert [_dense(ech.rows[pc], ncols, ops) for pc in pivots] == want
-        assert rref([list(r) for r in mat], ops) == (want, pivots)
-        kernel = [_dense(v, ncols, ops) for v in ech.kernel(ncols)]
-        assert kernel == dense_nullspace(mat, ncols, ops)
-        assert nullspace(mat, ncols, ops) == kernel
+        assert [_dense(ech.rows[pc], ncols) for pc in pivots] == want
+        assert rref([list(r) for r in mat], coeffs) == (want, pivots)
+        kernel = [_dense(v, ncols) for v in ech.kernel(ncols)]
+        assert kernel == dense_nullspace(mat, ncols, p)
+        assert nullspace(mat, ncols, coeffs) == kernel
         for _ in range(5):
-            v = [ops.of_int(rng.randint(-5, 5)) for _ in range(ncols)]
+            v = [_mod(rng.randint(-5, 5), p) for _ in range(ncols)]
             normal = list(v)
             for row, pc in zip(want, pivots):
                 a = normal[pc]
-                normal = [ops.sub(x, ops.mul(a, y)) for x, y in zip(normal, row)]
-            assert _dense(ech.reduce(dict(enumerate(v))), ncols, ops) == normal
+                normal = [_mod(x - a * y, p) for x, y in zip(normal, row)]
+            assert _dense(ech.reduce(dict(enumerate(v))), ncols) == normal
 
 
-def test_rational_inverse_is_exact():
-    q = field_ops(RAT)
-    assert q.inv(3) == Fraction(1, 3) and isinstance(q.inv(3), Fraction)
-    assert q.inv(-1) == -1 and type(q.inv(-1)) is int
-    assert q.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+def test_insert_inverts_the_pivot_exactly():
+    # over Q a pivot of 1 or -1 keeps the row in ints; any other makes
+    # Fractions
+    ech = Echelon(RAT)
+    row = ech.insert({0: 3, 1: 1})
+    assert row == {0: 1, 1: Fraction(1, 3)} and type(row[1]) is Fraction
+    row = ech.insert({2: -1, 3: 2})
+    assert row == {2: 1, 3: -2} and all(type(a) is int for a in row.values())
+    assert ech.insert({4: Fraction(-2, 3), 5: 1}) == {4: 1, 5: Fraction(-3, 2)}
+    # over F_5 the pivot 2 is inverted to 3
+    assert Echelon(PRIME(5)).insert({0: 2, 1: 1}) == {0: 1, 1: 3}
 
 
 def test_rational_echelon_matches_the_dense_fraction_rref():
     # the Q echelon keeps integers as ints; the reference computes in
     # Fractions throughout
-    ops, ref = field_ops(RAT), FractionOps()
     rng = random.Random(13)
     for _ in range(60):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
         bound = rng.choice((1, 6))
         mat = _random_matrix(rng, nrows, ncols, rng.random(), bound)
-        ech = _echelon_of(mat, ops)
+        ech = _echelon_of(mat, RAT)
         frac = [[Fraction(v) for v in row] for row in mat]
-        want, pivots = dense_rref([list(r) for r in frac], ref)
+        want, pivots = dense_rref(frac)
         assert sorted(ech.rows) == pivots, mat
-        assert [_dense(ech.rows[pc], ncols, ops) for pc in pivots] == want
-        kernel = [_dense(v, ncols, ops) for v in ech.kernel(ncols)]
-        assert kernel == dense_nullspace(frac, ncols, ref), mat
+        assert [_dense(ech.rows[pc], ncols) for pc in pivots] == want
+        kernel = [_dense(v, ncols) for v in ech.kernel(ncols)]
+        assert kernel == dense_nullspace(frac, ncols), mat
     # boundary maps have unit pivots here: the cocycles stay in ints
     for K in (polygon(6), boundary_simplex(3), disjoint_points(4)):
         for degree in range(-1, K.dim + 1):
@@ -258,59 +268,58 @@ def test_rational_echelon_matches_the_dense_fraction_rref():
 
 @pytest.mark.parametrize("coeffs", ENGINE_FIELDS, ids=str)
 def test_echelon_expresses_in_tagged_rows(coeffs):
-    ops = field_ops(coeffs)
+    p = coeffs.p
     rng = random.Random(12)
     for _ in range(30):
         ncols = rng.randint(1, 8)
-        ech = Echelon(ops)
+        ech = Echelon(coeffs)
         untagged, tagged = [], []
         for _ in range(rng.randint(0, 4)):
-            v = {c: ops.of_int(rng.randint(-3, 3)) for c in range(ncols)}
+            v = {c: _mod(rng.randint(-3, 3), p) for c in range(ncols)}
             if ech.insert(v) is not None:
                 untagged.append(v)
         for _ in range(rng.randint(0, 4)):
-            v = {c: ops.of_int(rng.randint(-3, 3)) for c in range(ncols)}
+            v = {c: _mod(rng.randint(-3, 3), p) for c in range(ncols)}
             normal = ech.reduce(v)
             row = ech.insert(v, tag=len(tagged))
             if not normal:
                 assert row is None
                 continue
-            inv = ops.inv(normal[min(normal)])
-            assert row == {c: ops.mul(inv, a) for c, a in normal.items()}
+            lead = normal[min(normal)]
+            inv = pow(lead, -1, p) if p else 1 / Fraction(lead)
+            assert row == {c: _mod(inv * a, p) for c, a in normal.items()}
             tagged.append(row)
         assert len(ech) == len(untagged) + len(tagged)
-        x = [ops.of_int(rng.randint(-4, 4)) for _ in tagged]
-        target = [ops.zero] * ncols
+        x = [_mod(rng.randint(-4, 4), p) for _ in tagged]
+        target = [0] * ncols
         for coeff, vec in zip(x, tagged):
             for c, a in vec.items():
-                target[c] = ops.add(target[c], ops.mul(coeff, a))
+                target[c] = _mod(target[c] + coeff * a, p)
         for vec in untagged:
-            coeff = ops.of_int(rng.randint(-4, 4))
+            coeff = _mod(rng.randint(-4, 4), p)
             for c, a in vec.items():
-                target[c] = ops.add(target[c], ops.mul(coeff, a))
+                target[c] = _mod(target[c] + coeff * a, p)
         rest, combo = ech.express(dict(enumerate(target)))
         assert rest == {}
-        assert [combo.get(t, ops.zero) for t in range(len(tagged))] == x
+        assert [combo.get(t, 0) for t in range(len(tagged))] == x
         for free in range(ncols):
             if free not in ech.rows:
-                assert ech.express({free: ops.one})[0] == {free: ops.one}
+                assert ech.express({free: 1})[0] == {free: 1}
 
 
 def test_rref_and_nullspace():
-    ops = field_ops(RAT)
     rows = [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(2), Fraction(4), Fraction(6)]]
-    reduced, pivots = rref(rows, ops)
+    reduced, pivots = rref(rows, RAT)
     assert pivots == [0]
     assert len(reduced) == 1
-    ns = nullspace([[Fraction(1), Fraction(2), Fraction(3)]], 3, ops)
+    ns = nullspace([[Fraction(1), Fraction(2), Fraction(3)]], 3, RAT)
     assert len(ns) == 2
     for vec in ns:
         assert vec[0] + 2 * vec[1] + 3 * vec[2] == 0
 
 
 def test_nullspace_mod_p():
-    ops = field_ops(PRIME(3))
-    ns = nullspace([[1, 1, 1]], 3, ops)
+    ns = nullspace([[1, 1, 1]], 3, PRIME(3))
     assert len(ns) == 2
     for vec in ns:
         assert sum(vec) % 3 == 0
