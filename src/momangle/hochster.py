@@ -15,26 +15,33 @@ nothing of K is walked.
 Any other K has one walk over the 2^m subsets, over the integers.  Tables
 are cached per complex and coefficients; a complex is its face
 structure, so K_J of one complex and an equal complex built directly
-share one table.  The walk takes I in increasing order.  The component C
-of I's top vertex in K_I is read off smaller subsets: it is the top
-vertex plus every component of K_(I - top) that meets the top vertex's
-neighbours, and those are peeled off I - top one stored component at a
-time (4 bytes a subset, 4 MB at the vertex cap; graph components of K_I
-are its topological ones).  If C != I, K_I is the disjoint union of K_C
-and K_(I - C), both smaller and walked already: H~(K_I) is their sum
-plus Z in degree 0, computed once per pair of profiles.  A connected I
-inside a facet is a face: K_I is contractible.  Only a connected
-non-face reads traces f & I.  If the maximal traces through some v all
-hold another vertex, v is dominated: K_I strong-collapses onto K_(I - v)
-(Barmak-Minian, Strong homotopy types, nerves and collapses, DCG 2012)
-and takes its profile; a cone vertex dominates all others.  Every face
-through v lies in v's closed neighbourhood N(v), so whether v is
-dominated depends on J = I & N(v) alone: some w in J - v must make t + w
-a face for each trace t = f & J of a facet f through v.  Each answer is
-kept per tried vertex and J, one byte each in an array over the span of
-N(v), so subsets that agree near v share it.  Only the rest builds the
-relabelled K_I for the cached Smith form.  Tables over Q or F_p follow
-from the integral one by universal coefficients (HochsterTable.over).
+share one table.  The walk takes I in increasing order and keeps two
+arrays of 4 bytes a subset (8 MB at the vertex cap): the component of
+I's top vertex in K_I, and K_I's profile as an index into a list of
+distinct profiles (0 trivial, 1 the empty complex's).  The component C
+is read off smaller subsets: it is the top vertex plus every component
+of K_(I - top) that meets the top vertex's neighbours, and those are
+peeled off I - top one stored component at a time (graph components of
+K_I are its topological ones).  If C != I, K_I is the disjoint union of
+K_C and K_(I - C), both smaller and walked already: H~(K_I) is their
+sum plus Z in degree 0, computed once per pair of profile indices.  A
+connected I inside a facet is a face: K_I is contractible.  Only a
+connected non-face reads traces f & I.  If the maximal traces through
+some v all hold another vertex, v is dominated: K_I strong-collapses
+onto K_(I - v) (Barmak-Minian, Strong homotopy types, nerves and
+collapses, DCG 2012) and takes its profile index; a cone vertex
+dominates all others.  Every face through v lies in v's closed
+neighbourhood N(v), so whether v is dominated depends on J = I & N(v)
+alone: some w in J - v must make t + w a face for each trace t = f & J
+of a facet f through v.  Each answer is kept per tried vertex and J,
+one byte each in an array over the span of N(v), so subsets that agree
+near v share it.  Any dominated vertex will do, so the vertices are
+tried in one order per walk, fewest neighbours first: their J takes
+few values and their answers are reused most.  Only the rest builds the
+relabelled K_I for the cached Smith form.  The (mask, profile) pairs
+are read off the index array at the end, and subsets with one index
+share one profile object.  Tables over Q or F_p follow from the
+integral one by universal coefficients (HochsterTable.over).
 
 The empty subset contributes the unit in degree 0, so b_0 = 1 and
 b_1 = b_2 = 0 for every complex.
@@ -241,7 +248,10 @@ def _integral(K: SimplicialComplex) -> HochsterTable:
     if len(rest) == K.m:  # no cone vertex
         return _remember(_walk(K))
     core = _integral(K.full_subcomplex(rest))
-    subsets = tuple((_lift_mask(I, rest), p) for I, p in core.subsets)
+    if rest == tuple(range(1, len(rest) + 1)):  # cone vertices on top
+        subsets = core.subsets  # lifting is the identity
+    else:
+        subsets = tuple((_lift_mask(I, rest), p) for I, p in core.subsets)
     return _remember(HochsterTable(K, INT, subsets))
 
 
@@ -250,69 +260,118 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
     # and its neighbours in the 1-skeleton of K)
     star = {1 << v: [f for f in K.facets if f >> v & 1] for v in range(K.m)}
     edges = {v: reduce(int.__or__, fs) for v, fs in star.items()}
+    order = _try_order(edges)
     # comp[I]: the component of I's top vertex in K_I, 4 bytes a subset
     comp = memoryview(bytearray(4 << K.m)).cast("I")
+    # idx[I]: K_I's profile as an index into profiles, 4 bytes a subset;
+    # 0 is trivial and 1 is K_0's, the empty complex
+    idx = memoryview(bytearray(4 << K.m)).cast("I")
+    idx[0] = 1
+    profiles: list[HomologyProfile | None] = [None, make_profile(INT, {-1: 1})]
+    # the index of a disjoint union's profile per pair of summand indices,
+    # and of a Smith-form profile per object
+    sums: dict[tuple[int, int], int] = {}
+    smith: dict[int, int] = {}
     # domination answers per tried vertex, see _dominated: at most 2^m
     # bytes a vertex, and far less when its neighbours are close in label
     seen: dict[int, bytearray] = {}
-    found = {0: make_profile(INT, {-1: 1})}  # nonzero profiles; K_0 is empty
-    # profiles of disjoint unions, keyed by the pair of summand profiles;
-    # ids are safe keys, as found holds every summand to the end
-    sums: dict[tuple[int, int], HomologyProfile] = {}
-    for I in range(1, 1 << K.m):
-        top = 1 << (I.bit_length() - 1)
-        # top joins the components of K_(I - top) that meet its edges;
+    for top, near in edges.items():
+        # I in increasing order, top the highest vertex bit of I; top
+        # joins the components of K_(I - top) that meet its edges, and
         # those are peeled off I - top one comp at a time, until no
         # neighbour of top is left
-        C, near, rest = top, edges[top], I ^ top
-        while rest & near:
-            c = comp[rest]
-            if c & near:
-                C |= c
-            rest ^= c
-        comp[I] = C
-        if C != I:  # K_I = K_C + K_(I - C), both walked already
-            pair = found.get(C), found.get(I & ~C)  # None if trivial
-            key = id(pair[0]), id(pair[1])
-            if key not in sums:
-                ranks, torsion = {0: 1}, {}
-                for prof in filter(None, pair):
-                    for d, r in prof.ranks:
-                        ranks[d] = ranks.get(d, 0) + r
-                    for d, powers in prof.torsion:
-                        torsion.setdefault(d, []).extend(powers)
-                sums[key] = make_profile(INT, ranks, torsion)
-            found[I] = sums[key]
-            continue
-        if any(not I & ~f for f in star[top]):  # I is a face
-            continue
-        v = _dominated(I, star, edges, seen)
-        if v:
-            prof = found.get(I & ~v)
-        else:
+        facets = star[top]
+        width = max(map(int.bit_count, facets))
+        for I in range(top, top << 1):
+            C, rest = top, I ^ top
+            while rest & near:
+                c = comp[rest]
+                if c & near:
+                    C |= c
+                rest ^= c
+            comp[I] = C
+            if C != I:  # K_I = K_C + K_(I - C), both walked already
+                a, b = idx[C], idx[I & ~C]
+                k = sums.get((a, b))
+                if k is None:
+                    k = sums[a, b] = len(profiles)
+                    profiles.append(_disjoint_sum(profiles[a], profiles[b]))
+                idx[I] = k
+                continue
+            # I is a face, and K_I contractible, if a facet through top
+            # holds it; none does once I outgrows them
+            if I.bit_count() <= width and _in_a_facet(I, facets):
+                continue
+            v = _dominated(I, order, star, edges, seen)
+            if v:
+                idx[I] = idx[I & ~v]
+                continue
             prof = reduced_homology(K.full_subcomplex(vertices_of(I)))
-        if prof is not None and not prof.is_trivial:
-            found[I] = prof
-    return HochsterTable(K, INT, tuple(found.items()))
+            if not prof.is_trivial:
+                k = smith.get(id(prof))
+                if k is None:
+                    k = smith[id(prof)] = len(profiles)
+                    profiles.append(prof)
+                idx[I] = k
+    subsets = tuple((I, profiles[k]) for I, k in enumerate(idx) if k)
+    return HochsterTable(K, INT, subsets)
+
+
+def _in_a_facet(I: int, facets: list[int]) -> bool:
+    """Whether one of the facets holds the subset I."""
+    for f in facets:
+        if not I & ~f:
+            return True
+    return False
+
+
+def _disjoint_sum(
+    a: HomologyProfile | None, b: HomologyProfile | None
+) -> HomologyProfile:
+    """The profile of a disjoint union of two nonempty complexes with
+    profiles a and b (None if trivial): their sum plus Z in degree 0."""
+    ranks, torsion = {0: 1}, {}
+    for prof in filter(None, (a, b)):
+        for d, r in prof.ranks:
+            ranks[d] = ranks.get(d, 0) + r
+        for d, powers in prof.torsion:
+            torsion.setdefault(d, []).extend(powers)
+    return make_profile(INT, ranks, torsion)
+
+
+def _try_order(edges: dict[int, int]) -> list[int]:
+    """The vertex bits in the order _dominated tries them: fewest
+    neighbours first, then the narrowest span edges[v] // lowbit(edges[v])
+    of the neighbourhood, which is the size of v's memo, then by label.
+    The memo is keyed by I & edges[v], so it hits often for a vertex with
+    few neighbours; a vertex adjacent to all others is tried last, as its
+    memo never hits."""
+
+    def key(v: int) -> tuple[int, int, int]:
+        near = edges[v]
+        return near.bit_count(), near // (near & -near), v
+
+    return sorted(edges, key=key)
 
 
 def _dominated(
     I: int,
+    order: list[int],
     star: dict[int, list[int]],
     edges: dict[int, int],
     seen: dict[int, bytearray],
 ) -> int:
-    """The lowest vertex bit of I dominated in K_I, or 0 if none is.
+    """The first vertex bit of I in order dominated in K_I, or 0 if none is.
 
+    Any dominated vertex will do: K_I strong-collapses onto K_(I - v).
     Whether v is dominated depends only on J = I & edges[v], as every
     face through v lies in v's closed neighbourhood.  seen[v], made on
     v's first try, holds the answer per J at J // lowbit(edges[v]):
     0 untested, 1 no, 2 yes.
     """
-    rest = I
-    while rest:
-        v = rest & -rest
-        rest ^= v
+    for v in order:
+        if not I & v:
+            continue
         near = edges[v]
         low = near & -near
         memo = seen.get(v)

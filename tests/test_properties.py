@@ -80,7 +80,8 @@ def test_walk_equals_the_smith_form_of_every_subset(K):
 @EXAMPLES
 @given(complexes(8))
 def test_walk_rules_agree_with_oracles_on_every_subset(K):
-    # the buffer under the walk's comp array, captured as the walk views it
+    # the buffers under the walk's comp and profile index arrays, captured
+    # as the walk views them (comp first)
     made = []
 
     def recorded(buffer):
@@ -89,10 +90,17 @@ def test_walk_rules_agree_with_oracles_on_every_subset(K):
 
     with mock.patch.object(hochster, "memoryview", recorded, create=True):
         hochster._walk(K)
-    (buffer,) = made
+    buffer, _ = made
     comp = memoryview(buffer).cast("I")
     star = {1 << v: [f for f in K.facets if f >> v & 1] for v in range(K.m)}
     edges = {v: reduce(int.__or__, fs) for v, fs in star.items()}
+    # the walk tries vertices with the fewest neighbours first, then the
+    # narrowest neighbourhood span, then by label
+    key = {
+        v: (n.bit_count(), n // (n & -n), v) for v, n in edges.items()
+    }
+    order = sorted(edges, key=key.get)
+    assert hochster._try_order(edges) == order
     seen = {}
     for I in range(1, 1 << K.m):
         assert comp[I] == reference_component(K, I), I
@@ -103,8 +111,8 @@ def test_walk_rules_agree_with_oracles_on_every_subset(K):
         for v in bits:
             got = hochster._dominates(v, I & edges[v], star[v])
             assert got == (v in want), (I, v)
-        lowest = hochster._dominated(I, star, edges, seen)
-        assert lowest == min(want, default=0), I
+        first = hochster._dominated(I, order, star, edges, seen)
+        assert first == next((v for v in order if v in want), 0), I
 
 
 @seed(SEED)
