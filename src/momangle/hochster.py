@@ -2,14 +2,14 @@
 
 H^k(Z_K) splits as the direct sum over vertex subsets I of the reduced
 cohomology of K_I in degree k - |I| - 1 (Hochster's formula).  The table
-below records one homology profile per subset with nonzero contribution;
-everything else (total Betti numbers, the bigraded and Tor-style
-gradings, torsion primes) is read off from it.
+below records one homology profile per subset; everything else (total
+Betti numbers, the bigraded and Tor-style gradings, torsion primes) is
+read off from it.
 
 K = Delta^n * K' splits off the simplex on its cone vertices (the
 vertices in every facet), and Z_K = Z_K' x D^(2(n+1)).  A full
 subcomplex that meets a cone vertex is a cone, so K's table is the table
-of its core K' with the masks spread back over the vertices of K';
+of its core K' with a zero bit inserted into every mask per cone vertex;
 nothing of K is walked.
 
 Any other K has one walk over the 2^m subsets, over the integers.  Tables
@@ -38,10 +38,18 @@ one byte each in an array over the span of N(v), so subsets that agree
 near v share it.  Any dominated vertex will do, so the vertices are
 tried in one order per walk, fewest neighbours first: their J takes
 few values and their answers are reused most.  Only the rest builds the
-relabelled K_I for the cached Smith form.  The (mask, profile) pairs
-are read off the index array at the end, and subsets with one index
-share one profile object.  Tables over Q or F_p follow from the
-integral one by universal coefficients (HochsterTable.over).
+relabelled K_I for the cached Smith form.
+
+The index array is the table.  An aggregate counts the subsets per
+(size, index) once and reads each distinct profile once.  A table over
+Q or F_p follows from the integral one by universal coefficients: it
+converts each distinct profile and shares the index.  Restricting to
+K_J deletes the bits outside J from every mask, and lifting a core
+inserts its cone vertices' bits, both as slice copies of the array; the
+masks past the end of an index are trivial, so a core whose cone
+vertices are the top labels lends K its index unchanged.  A table is 4
+bytes a mask plus its distinct profiles, and the (mask, profile) pairs
+are built only for a caller that iterates them.
 
 The empty subset contributes the unit in degree 0, so b_0 = 1 and
 b_1 = b_2 = 0 for every complex.
@@ -50,17 +58,13 @@ b_1 = b_2 = 0 for every complex.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import add, mul
 
-from .complexes import (
-    SimplicialComplex,
-    _compress,
-    _lift_mask,
-    vertices_of,
-)
+from .complexes import SimplicialComplex, mask_of, vertices_of
 from .errors import BadParams, TooManyVertices
 from .linalg import (
     INT,
@@ -77,18 +81,28 @@ TABLE_CACHE_SIZE = 10_000
 _TABLES: dict[tuple[SimplicialComplex, Coefficients], HochsterTable] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HochsterTable:
     """Per-subset reduced homology of the full subcomplexes of K.
 
-    subsets holds (mask, profile) pairs for the subsets with nonzero
-    reduced homology, in increasing mask order; the cohomology of Z_K
-    in degree |I| + d + 1 collects the degree-d entries.
+    index[I] is the position of K_I's profile in profiles, whose entry 0
+    is trivial; index is read-only, and a mask past its end is trivial
+    (the cone vertices on top of a core's labels add no entries).  The
+    cohomology of Z_K in degree |I| + d + 1 collects the degree-d
+    entries.  Tables are equal when complex, coeffs and subsets are.
     """
 
     complex: SimplicialComplex
     coeffs: Coefficients
-    subsets: tuple[tuple[int, HomologyProfile], ...]
+    index: memoryview
+    profiles: tuple[HomologyProfile, ...]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HochsterTable):
+            return NotImplemented
+        return (self.complex, self.coeffs, self.subsets) == (
+            other.complex, other.coeffs, other.subsets
+        )
 
     @property
     def m(self) -> int:
@@ -99,23 +113,34 @@ class HochsterTable:
         """Degree of the top cohomology of Z_K when K triangulates a sphere."""
         return self.complex.m + self.complex.dim + 1
 
+    @cached_property
+    def subsets(self) -> tuple[tuple[int, HomologyProfile], ...]:
+        """(mask, profile) pairs of the subsets with nonzero reduced
+        homology, in increasing mask order; subsets with one index share
+        one profile object."""
+        profiles = self.profiles
+        live = [not prof.is_trivial for prof in profiles]
+        return tuple(
+            (I, profiles[k]) for I, k in enumerate(self.index) if live[k]
+        )
+
     def profile_of(self, subset_mask: int) -> HomologyProfile:
-        """The subset's profile, trivial if absent; a bisection, as the
-        subsets are in increasing mask order on every path."""
-        k = bisect_left(self.subsets, subset_mask, key=itemgetter(0))
-        if k < len(self.subsets) and self.subsets[k][0] == subset_mask:
-            return self.subsets[k][1]
-        return HomologyProfile(self.coeffs, ())
+        """The subset's profile, read off the index; trivial past its end."""
+        if 0 <= subset_mask < len(self.index):
+            return self.profiles[self.index[subset_mask]]
+        return self.profiles[0]
 
     @cached_property
     def bigraded(self) -> dict[tuple[int, int], int]:
-        """Ranks keyed by (|I|, d): subset size and reduced degree."""
+        """Ranks keyed by (|I|, d): subset size and reduced degree, from one
+        count of the nontrivial subsets per key 32 * index[I] + |I|."""
+        index = self.index
+        keys = map(add, _sizes(len(index)), map(mul, index, repeat(32)))
         out: dict[tuple[int, int], int] = {}
-        for mask, prof in self.subsets:
-            s = mask.bit_count()
-            for d, r in prof.ranks:
-                key = (s, d)
-                out[key] = out.get(key, 0) + r
+        for key, n in Counter(compress(keys, index)).items():
+            s = key & 31
+            for d, r in self.profiles[key >> 5].ranks:
+                out[s, d] = out.get((s, d), 0) + n * r
         return out
 
     @cached_property
@@ -132,9 +157,8 @@ class HochsterTable:
         """Betti numbers of the real moment-angle complex R_K in degrees
         0..dim+1: b_p sums the rank of H~_(p-1)(K_I) over all subsets I."""
         out = [0] * (self.complex.dim + 2)
-        for _, prof in self.subsets:
-            for d, r in prof.ranks:
-                out[d + 1] += r
+        for (_, d), r in self.bigraded.items():
+            out[d + 1] += r
         return tuple(out)
 
     @cached_property
@@ -146,36 +170,37 @@ class HochsterTable:
 
     @cached_property
     def torsion_primes(self) -> tuple[int, ...]:
+        torsion = {k for k, prof in enumerate(self.profiles) if prof.torsion}
+        if torsion:  # a restricted table shares profiles it may not reach
+            torsion &= set(self.index)
         primes: set[int] = set()
-        for prof in {prof for _, prof in self.subsets if prof.torsion}:
-            primes |= prof.torsion_primes()
+        for k in torsion:
+            primes |= self.profiles[k].torsion_primes()
         return tuple(sorted(primes))
 
     def has_torsion(self) -> bool:
-        return any(prof.torsion for _, prof in self.subsets)
+        return bool(self.torsion_primes)
 
     def over(self, coeffs: Coefficients) -> "HochsterTable":
-        """Derive the table over a field from an integral table."""
+        """Derive the table over a field from an integral table: each
+        distinct profile is converted once, and the index is shared."""
         if self.coeffs.kind != "int":
             raise BadParams("field tables derive from an integral table")
         if coeffs.kind == "int":
             return self
-        # the walk shares profile objects: convert each object once
-        subsets, converted = [], {}
-        for mask, prof in self.subsets:
-            fp = converted.get(id(prof))
-            if fp is None:
-                fp = converted[id(prof)] = prof.over_field(coeffs)
-            if not fp.is_trivial:
-                subsets.append((mask, fp))
-        return HochsterTable(self.complex, coeffs, tuple(subsets))
+        profiles = tuple(prof.over_field(coeffs) for prof in self.profiles)
+        return HochsterTable(self.complex, coeffs, self.index, profiles)
 
     def restrict(self, J: int) -> "HochsterTable":
         """Table of the full subcomplex K_J (the same K_I for I inside J,
-        masks compressed in order), cached as hochster_table(K_J)."""
+        masks compressed in order), cached as hochster_table(K_J).  The
+        bits outside J are deleted from the index, highest first."""
         sub = self.complex.full_subcomplex(vertices_of(J))
-        subsets = [(_compress(I, J), p) for I, p in self.subsets if not I & ~J]
-        return _remember(HochsterTable(sub, self.coeffs, tuple(subsets)))
+        index = self.index
+        for b in reversed(range(len(index).bit_length() - 1)):
+            if not J >> b & 1:
+                index = _copy_runs(len(index) >> 1, index, 1 << b, 2 << b)
+        return _remember(HochsterTable(sub, self.coeffs, index, self.profiles))
 
     def to_dict(self) -> dict:
         d: dict = {
@@ -248,11 +273,13 @@ def _integral(K: SimplicialComplex) -> HochsterTable:
     if len(rest) == K.m:  # no cone vertex
         return _remember(_walk(K))
     core = _integral(K.full_subcomplex(rest))
-    if rest == tuple(range(1, len(rest) + 1)):  # cone vertices on top
-        subsets = core.subsets  # lifting is the identity
-    else:
-        subsets = tuple((_lift_mask(I, rest), p) for I, p in core.subsets)
-    return _remember(HochsterTable(K, INT, subsets))
+    # insert a zero bit per cone vertex, lowest first; the cone vertices
+    # past the end of the index are the top labels and insert nothing
+    index, cones = core.index, ((1 << K.m) - 1) & ~mask_of(rest)
+    for b in range(K.m):
+        if cones >> b & 1 and 1 << b < len(index):
+            index = _copy_runs(len(index) << 1, index, 2 << b, 1 << b)
+    return _remember(HochsterTable(K, INT, index, core.profiles))
 
 
 def _walk(K: SimplicialComplex) -> HochsterTable:
@@ -267,7 +294,7 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
     # 0 is trivial and 1 is K_0's, the empty complex
     idx = memoryview(bytearray(4 << K.m)).cast("I")
     idx[0] = 1
-    profiles: list[HomologyProfile | None] = [None, make_profile(INT, {-1: 1})]
+    profiles = [make_profile(INT, {}), make_profile(INT, {-1: 1})]
     # the index of a disjoint union's profile per pair of summand indices,
     # and of a Smith-form profile per object
     sums: dict[tuple[int, int], int] = {}
@@ -313,8 +340,39 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
                     k = smith[id(prof)] = len(profiles)
                     profiles.append(prof)
                 idx[I] = k
-    subsets = tuple((I, profiles[k]) for I, k in enumerate(idx) if k)
-    return HochsterTable(K, INT, subsets)
+    return HochsterTable(K, INT, idx.toreadonly(), tuple(profiles))
+
+
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
+
+
+def _sizes(n: int) -> bytes:
+    """|I| for every mask I below n, a power of two: one byte each, the
+    table doubled with each bit by adding 1 to its copy."""
+    sizes = b"\0"
+    while len(sizes) < n:
+        sizes += sizes.translate(_PLUS_ONE)
+    return sizes
+
+
+def _copy_runs(n: int, src: memoryview, d: int, s: int) -> memoryview:
+    """A read-only index of n entries, trivial but for the runs of
+    w = min(d, s) entries at src[h * s:], copied to h * d for every h.
+
+    Deleting bit b of every mask copies runs of 2^b at strides s = 2^(b+1)
+    to d = 2^b; inserting it copies them back.  The copy takes one
+    strided slice per offset within a run, or one block per run,
+    whichever makes fewer slice operations.
+    """
+    out = memoryview(bytearray(4 * n)).cast("I")
+    w, runs = min(d, s), len(src) // s
+    if runs < w:
+        for h in range(runs):
+            out[h * d : h * d + w] = src[h * s : h * s + w]
+    else:
+        for k in range(w):
+            out[k::d] = src[k::s]
+    return out.toreadonly()
 
 
 def _in_a_facet(I: int, facets: list[int]) -> bool:
@@ -325,13 +383,11 @@ def _in_a_facet(I: int, facets: list[int]) -> bool:
     return False
 
 
-def _disjoint_sum(
-    a: HomologyProfile | None, b: HomologyProfile | None
-) -> HomologyProfile:
+def _disjoint_sum(a: HomologyProfile, b: HomologyProfile) -> HomologyProfile:
     """The profile of a disjoint union of two nonempty complexes with
-    profiles a and b (None if trivial): their sum plus Z in degree 0."""
+    profiles a and b: their sum plus Z in degree 0."""
     ranks, torsion = {0: 1}, {}
-    for prof in filter(None, (a, b)):
+    for prof in (a, b):
         for d, r in prof.ranks:
             ranks[d] = ranks.get(d, 0) + r
         for d, powers in prof.torsion:

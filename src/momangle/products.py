@@ -29,7 +29,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import compress, groupby
 from operator import itemgetter
 
 from .complexes import SimplicialComplex, _lift_mask, vertices_of
@@ -280,11 +280,11 @@ def _iter_nonzero_products(K: SimplicialComplex, table: HochsterTable):
     component's basis is built when a pair first reaches it.
     """
     spans, n = {}, 0
-    for mask, prof in table.subsets:
-        for degree, rank in prof.ranks:
-            if mask:
-                spans[mask, degree] = n, rank
-                n += rank
+    index = table.index[1:]  # the nonempty subsets, read off the index
+    for mask, k in compress(enumerate(index, 1), index):
+        for degree, rank in table.profiles[k].ranks:
+            spans[mask, degree] = n, rank
+            n += rank
 
     def indexed(key):
         start, rank = spans[key]

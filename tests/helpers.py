@@ -15,6 +15,10 @@ itself.  reference_dominated and reference_component decide the walk's
 dominated-vertex and component rules for one subset from K_I alone.
 reference_golod runs the package's product search on every field of the
 Golod battery, so it checks which fields the Golod test skips.
+reference_restrict, reference_lift, reference_over and
+reference_aggregates work one (mask, profile) pair at a time: they are
+the references for the table's operations on its index array, and
+table_from_pairs turns such pairs into a table.
 
 smith_normal_form and boundary_matrix are dense oracles for the sparse
 integer elimination and the chain complexes, and dense_rank, dense_rref
@@ -41,6 +45,7 @@ from momangle import (
     PRIME,
     RAT,
     HochsterTable,
+    HomologyProfile,
     ProductTable,
     TorClass,
     cocycle_basis,
@@ -53,6 +58,7 @@ from momangle import (
     reduced_homology,
     vertices_of,
 )
+from momangle.complexes import _compress, _lift_mask
 from momangle.linalg import Echelon, make_profile, rank_mod_p
 from momangle.products import (
     CUP_CAVEAT,
@@ -288,6 +294,23 @@ def direct_field_profile(cc, coeffs):
     return make_profile(coeffs, ranks)
 
 
+def table_from_pairs(K, coeffs, pairs):
+    """A HochsterTable of K from (mask, profile) pairs: one index entry
+    per mask of K, 0 (trivial) where no pair names the mask, and one
+    profile entry per distinct profile, in order of first use."""
+    index = memoryview(bytearray(4 << K.m)).cast("I")
+    position = {}
+    profiles = [HomologyProfile(coeffs, ())]
+    for mask, prof in pairs:
+        if prof.is_trivial:
+            continue
+        if prof not in position:
+            position[prof] = len(profiles)
+            profiles.append(prof)
+        index[mask] = position[prof]
+    return HochsterTable(K, coeffs, index.toreadonly(), tuple(profiles))
+
+
 def reference_integral_table(K):
     """Integral Hochster table by the Smith form of every full subcomplex.
 
@@ -299,7 +322,43 @@ def reference_integral_table(K):
         prof = reduced_homology(K.full_subcomplex(vertices_of(mask)))
         if not prof.is_trivial:
             subsets.append((mask, prof))
-    return HochsterTable(K, INT, tuple(subsets))
+    return table_from_pairs(K, INT, subsets)
+
+
+def reference_restrict(table, J):
+    """The table of K_J by compressing every stored mask inside J, one
+    (mask, profile) pair at a time."""
+    sub = table.complex.full_subcomplex(vertices_of(J))
+    pairs = [(_compress(I, J), p) for I, p in table.subsets if not I & ~J]
+    return table_from_pairs(sub, table.coeffs, pairs)
+
+
+def reference_lift(K):
+    """K's integral table from its core's, each stored mask lifted onto
+    the core's vertices of K one pair at a time."""
+    rest = K.core_vertices()
+    core = hochster_table(K.full_subcomplex(rest), INT)
+    pairs = [(_lift_mask(I, rest), p) for I, p in core.subsets]
+    return table_from_pairs(K, INT, pairs)
+
+
+def reference_over(table, coeffs):
+    """The field table by converting every stored subset's profile."""
+    pairs = [(I, p.over_field(coeffs)) for I, p in table.subsets]
+    return table_from_pairs(table.complex, coeffs, pairs)
+
+
+def reference_aggregates(table):
+    """bigraded, rk_betti and torsion_primes, summed one stored subset
+    at a time."""
+    bigraded, rk, primes = {}, [0] * (table.complex.dim + 2), set()
+    for mask, prof in table.subsets:
+        for d, r in prof.ranks:
+            key = (mask.bit_count(), d)
+            bigraded[key] = bigraded.get(key, 0) + r
+            rk[d + 1] += r
+        primes |= prof.torsion_primes()
+    return bigraded, tuple(rk), tuple(sorted(primes))
 
 
 def reference_dominated(K, I, v):
@@ -352,7 +411,7 @@ def reference_field_table(K, coeffs):
         prof = direct_field_profile(reduced_chain_complex(KI), coeffs)
         if not prof.is_trivial:
             subsets.append((mask, prof))
-    return HochsterTable(K, coeffs, tuple(subsets))
+    return table_from_pairs(K, coeffs, subsets)
 
 
 def reference_tor_basis(K, coeffs):
