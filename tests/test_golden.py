@@ -19,7 +19,9 @@ a rank or a torsion prime fails here.
 
 The two largest walked inputs, `polygon 14` and `stacked_sphere 2 9`,
 have `hochster --json` over Z stored as well, in a case list of their
-own.
+own, beside `boundary_simplex 13`: its one subset the walk cannot
+settle from smaller ones is K itself, with 16,382 nonempty faces, the
+largest complex whose homology the walk computes.
 
 And they hold `verify thm1.1|thm1.2|thm4.2 --json` and `mng --json`,
 the theorem checks and the minimally non-Golod verdict.  These commands
@@ -62,10 +64,12 @@ CASES = {
     "rp2": from_facets(6, RP2_FACETS),
 }
 
-# the two largest walks, 2^14 and 2^13 subsets: pinned by hochster over Z only
+# the two largest walks, 2^14 and 2^13 subsets, and the largest complex
+# the walk computes homology of: pinned by hochster over Z only
 LARGE_CASES = {
     "polygon14": ["--gen", "polygon", "14"],
     "stacked2_9": ["--gen", "stacked_sphere", "2", "9"],
+    "boundary_simplex13": ["--gen", "boundary_simplex", "13"],
 }
 
 # commands without --field whose exit code is recorded with the output
