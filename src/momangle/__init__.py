@@ -71,7 +71,6 @@ from .linalg import (
     cocycle_basis,
     coefficients_from_token,
     homology_profile,
-    reduced_chain_complex,
     reduced_homology,
 )
 from .products import (

@@ -37,8 +37,9 @@ of a facet f through v.  Each answer is kept per tried vertex and J,
 one byte each in an array over the span of N(v), so subsets that agree
 near v share it.  Any dominated vertex will do, so the vertices are
 tried in one order per walk, fewest neighbours first: their J takes
-few values and their answers are reused most.  Only the rest builds the
-relabelled K_I for the cached Smith form.
+few values and their answers are reused most.  Only the rest goes to
+linalg.full_subcomplex_homology, which reads K_I off K's facet masks
+with no relabelled complex built; its profiles get one index per value.
 
 The index array is the table.  An aggregate counts the subsets per
 (size, index) once and reads each distinct profile once.  A table over
@@ -70,8 +71,8 @@ from .linalg import (
     INT,
     Coefficients,
     HomologyProfile,
+    full_subcomplex_homology,
     make_profile,
-    reduced_homology,
 )
 
 HOCHSTER_MAX_VERTICES = 20
@@ -296,9 +297,9 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
     idx[0] = 1
     profiles = [make_profile(INT, {}), make_profile(INT, {-1: 1})]
     # the index of a disjoint union's profile per pair of summand indices,
-    # and of a Smith-form profile per object
+    # and of each other profile by value
     sums: dict[tuple[int, int], int] = {}
-    smith: dict[int, int] = {}
+    found: dict[HomologyProfile, int] = {}
     # domination answers per tried vertex, see _dominated: at most 2^m
     # bytes a vertex, and far less when its neighbours are close in label
     seen: dict[int, bytearray] = {}
@@ -333,11 +334,11 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
             if v:
                 idx[I] = idx[I & ~v]
                 continue
-            prof = reduced_homology(K.full_subcomplex(vertices_of(I)))
+            prof = full_subcomplex_homology(I, K.facets)
             if not prof.is_trivial:
-                k = smith.get(id(prof))
+                k = found.get(prof)
                 if k is None:
-                    k = smith[id(prof)] = len(profiles)
+                    k = found[prof] = len(profiles)
                     profiles.append(prof)
                 idx[I] = k
     return HochsterTable(K, INT, idx.toreadonly(), tuple(profiles))

@@ -7,7 +7,11 @@ are two eliminations:
 * int_invariant_factors, a sparse Smith form over Z that prefers unit
   pivots from the shortest rows.  All homology is integral and comes from
   it; field Betti numbers follow by universal coefficients
-  (HomologyProfile.over_field), so no homology is eliminated over a field;
+  (HomologyProfile.over_field), so no homology is eliminated over a field.
+  The homology of a full subcomplex, full_subcomplex_homology, is read
+  off the facet masks of K, and its cells are coreduced first (Mrozek
+  and Batko, Coreduction homology algorithm, DCG 2009): the Smith form
+  sees only what coreduction leaves, often nothing;
 * Echelon, a fully reduced sparse echelon over the field a Coefficients
   names.  It does its own arithmetic: over F_p it reduces every entry
   mod p, and over Q it keeps ints until a pivot other than 1 or -1 makes
@@ -33,7 +37,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import SimplicialComplex, vertices_of
+from .complexes import SimplicialComplex
 from .errors import BadParams, InternalInvariant, NotAField
 
 # -- coefficient systems ----------------------------------------------------
@@ -568,36 +572,106 @@ def _face_index(faces: Sequence[int]) -> dict[int, int]:
 
 
 def _boundary_columns(faces: Sequence[int], index: Mapping[int, int]):
-    """Boundary of each face, as (index of a codimension-one face, sign)."""
+    """Boundary of each face, as (index of a codimension-one face, sign);
+    the codimension-one faces missing from index are left out."""
     cols = []
     for face in faces:
-        col = []
-        for pos, v in enumerate(vertices_of(face)):
-            col.append((index[face & ~(1 << (v - 1))], -1 if pos % 2 else 1))
+        col, sign, rest = [], 1, face
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            i = index.get(face ^ v)
+            if i is not None:
+                col.append((i, sign))
+            sign = -sign
         cols.append(tuple(col))
     return tuple(cols)
 
 
-def reduced_chain_complex(K: SimplicialComplex) -> ChainComplex:
-    """Augmented simplicial chain complex, degrees -1..dim."""
-    degrees = tuple(range(-1, K.dim + 1))
-    faces_by_deg = {d: K.k_faces(d) for d in degrees}
-    dims = tuple(len(faces_by_deg[d]) for d in degrees)
-    boundaries = []
-    for d in degrees:
-        if d == -1:
-            boundaries.append(((),))  # d on the empty face is zero
-            continue
-        idx = _face_index(faces_by_deg[d - 1])
-        boundaries.append(_boundary_columns(faces_by_deg[d], idx))
-    return ChainComplex(degrees, dims, tuple(boundaries))
+def full_subcomplex_homology(I: int, facets: Sequence[int]) -> HomologyProfile:
+    """Integral reduced homology of K_I, for a vertex mask I of the complex
+    K with these facet masks; the faces of K_I keep K's labels.
+
+    When every trace f & I has at most two vertices, K_I is a graph with
+    E edges and c components: H~_0 = Z^(c-1) and H_1 = Z^(E - |I| + c).
+    Otherwise the faces of K_I are the subsets of the traces.  The lowest
+    vertex of each component goes first, with the empty face in the first
+    component and as a generator of H~_0 in the others.  Then a face whose
+    remaining boundary is one face goes with that face (coreduction), until
+    none is left to go.  Each incidence is +-1, so this keeps the integral
+    homology, and the boundary of the cells left is the restricted one.
+    Only those cells reach the Smith form.
+    """
+    if not I:
+        return make_profile(INT, {-1: 1})
+    traces = {f & I for f in facets}
+    lows, rest = [], I  # the lowest vertex of each component
+    while rest:
+        comp, grown = rest & -rest, 0
+        while grown != comp:
+            grown = comp
+            for t in traces:
+                if t & comp:
+                    comp |= t
+        lows.append(rest & -rest)
+        rest &= ~comp
+    ranks = {0: len(lows) - 1}
+    if max(map(int.bit_count, traces)) <= 2:
+        edges = sum(t.bit_count() == 2 for t in traces)
+        ranks[1] = edges - I.bit_count() + len(lows)
+        return make_profile(INT, ranks)
+    count = {}  # per nonempty face of K_I, how many of its faces are left
+    for t in traces:
+        s = t
+        while s:
+            count[s] = s.bit_count()
+            s = (s - 1) & t
+    queue: list[int] = []
+
+    def remove(x: int) -> None:
+        del count[x]
+        out = I & ~x
+        while out:
+            v = out & -out
+            out ^= v
+            n = count.get(x | v)
+            if n is not None:
+                count[x | v] = n - 1
+                if n == 2:
+                    queue.append(x | v)
+
+    for v in lows:
+        remove(v)
+    # first in, first out, as the loop reaches what remove appends: the
+    # cascade grows in layers from the seeds (last in, first out strands
+    # cells of the boundary of the 15-simplex for the Smith form)
+    for y in queue:
+        if count.get(y) == 1:  # y goes with the one face of it left
+            b = y
+            while y ^ (b & -b) not in count:
+                b &= b - 1
+            remove(y)
+            remove(y ^ (b & -b))
+    if not count:
+        return make_profile(INT, ranks)
+    # no vertex is left, as a seed's cascade reaches its whole component
+    cells: list[list[int]] = [[] for _ in range(I.bit_count())]
+    for s in count:
+        cells[s.bit_count() - 1].append(s)
+    index = {s: i for faces in cells for i, s in enumerate(faces)}
+    left = homology_profile(ChainComplex(
+        tuple(range(len(cells))),
+        tuple(map(len, cells)),
+        tuple(_boundary_columns(faces, index) for faces in cells),
+    ))
+    return make_profile(INT, {**dict(left.ranks), **ranks}, dict(left.torsion))
 
 
 @lru_cache(maxsize=200_000)
 def reduced_homology(K: SimplicialComplex) -> HomologyProfile:
     """Integral reduced homology of K; the empty complex has rank one in
     degree -1.  Field Betti numbers follow by HomologyProfile.over_field."""
-    return homology_profile(reduced_chain_complex(K))
+    return full_subcomplex_homology((1 << K.m) - 1, K.facets)
 
 
 @dataclass(frozen=True)

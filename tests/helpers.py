@@ -20,6 +20,12 @@ reference_aggregates work one (mask, profile) pair at a time: they are
 the references for the table's operations on its index array, and
 table_from_pairs turns such pairs into a table.
 
+reduced_chain_complex builds the whole augmented chain complex of a
+complex, and smith_form_homology runs the package's Smith form on it
+with no cell removed first: the oracle for the homology kernel, which
+reads K_I off K's facet masks and coreduces before its Smith form, and
+the homology reference_integral_table asks of every subset.
+
 smith_normal_form and boundary_matrix are dense oracles for the sparse
 integer elimination and the chain complexes, and dense_rank, dense_rref
 and dense_nullspace for the sparse field elimination.  These compute in
@@ -34,11 +40,13 @@ import itertools as it
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
 from momangle import (
     BadParams,
+    ChainComplex,
     GolodReport,
     INT,
     MAX_FIELD_PRIME,
@@ -53,9 +61,8 @@ from momangle import (
     from_facets,
     from_json,
     hochster_table,
+    homology_profile,
     multiply,
-    reduced_chain_complex,
-    reduced_homology,
     vertices_of,
 )
 from momangle.complexes import _compress, _lift_mask
@@ -294,6 +301,33 @@ def direct_field_profile(cc, coeffs):
     return make_profile(coeffs, ranks)
 
 
+def reduced_chain_complex(K):
+    """Augmented simplicial chain complex of K, degrees -1..dim, with the
+    faces of each degree in lex order."""
+    degrees = tuple(range(-1, K.dim + 1))
+    faces = {d: K.k_faces(d) for d in degrees}
+    boundaries = [((),)]  # d on the empty face is zero
+    for d in degrees[1:]:
+        below = {f: i for i, f in enumerate(faces[d - 1])}
+        boundaries.append(tuple(
+            tuple(
+                (below[face & ~(1 << (v - 1))], -1 if pos % 2 else 1)
+                for pos, v in enumerate(vertices_of(face))
+            )
+            for face in faces[d]
+        ))
+    dims = tuple(len(faces[d]) for d in degrees)
+    return ChainComplex(degrees, dims, tuple(boundaries))
+
+
+@lru_cache(maxsize=200_000)
+def smith_form_homology(K):
+    """Integral reduced homology of K from the Smith form of its whole
+    augmented chain complex, no cell removed first; cached per complex,
+    as the relabelled K_I of many complexes coincide."""
+    return homology_profile(reduced_chain_complex(K))
+
+
 def table_from_pairs(K, coeffs, pairs):
     """A HochsterTable of K from (mask, profile) pairs: one index entry
     per mask of K, 0 (trivial) where no pair names the mask, and one
@@ -314,12 +348,13 @@ def table_from_pairs(K, coeffs, pairs):
 def reference_integral_table(K):
     """Integral Hochster table by the Smith form of every full subcomplex.
 
-    Builds the relabelled K_I for each of the 2^m subsets and asks the
-    cached reduced_homology, settling no subset from smaller ones.
+    Builds the relabelled K_I for each of the 2^m subsets and its whole
+    augmented chain complex (smith_form_homology), settling no subset
+    from smaller ones and removing no cell before the Smith form.
     """
     subsets = []
     for mask in range(1 << K.m):
-        prof = reduced_homology(K.full_subcomplex(vertices_of(mask)))
+        prof = smith_form_homology(K.full_subcomplex(vertices_of(mask)))
         if not prof.is_trivial:
             subsets.append((mask, prof))
     return table_from_pairs(K, INT, subsets)

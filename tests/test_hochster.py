@@ -10,6 +10,7 @@ from momangle import (
     HOCHSTER_MAX_VERTICES,
     BadParams,
     HomologyProfile,
+    SimplicialComplex,
     TooManyVertices,
     boundary_simplex,
     cone,
@@ -20,13 +21,12 @@ from momangle import (
     hochster_table,
     mask_of,
     polygon,
-    reduced_homology,
     simplex,
     stacked_sphere,
     verify_theorem_1_2,
     vertices_of,
 )
-from momangle import hochster
+from momangle import hochster, linalg
 from momangle.hochster import _TABLES
 
 from helpers import (
@@ -130,15 +130,66 @@ def test_walk_matches_the_smith_form_on_benchmark_inputs():
         assert hochster_table(K, INT).subsets == want, K
 
 
-def test_walk_settles_subsets_without_the_smith_form():
-    # every subset of a polygon but the whole cycle is a face, a union of
-    # paths, or a path with a dominated end; a stacked sphere collapses
-    # likewise.  reference_integral_table adds thousands of misses here.
-    _TABLES.clear()
-    reduced_homology.cache_clear()
-    hochster_table(polygon(14), INT)
-    hochster_table(stacked_sphere(2, 9), INT)
-    assert reduced_homology.cache_info().misses < 50
+def _homology_work(monkeypatch):
+    """Counts of the walk's homology work from now on: calls of the
+    homology kernel, Smith forms (int_invariant_factors), and full
+    subcomplexes built while hochster._walk runs."""
+    work = {"kernel": 0, "smith": 0, "built": 0}
+    walking = []
+
+    def counter(key, fn):
+        def counted(*args):
+            if key != "built" or walking:
+                work[key] += 1
+            return fn(*args)
+
+        return counted
+
+    def walk(K):
+        walking.append(K)
+        try:
+            return plain_walk(K)
+        finally:
+            walking.pop()
+
+    plain_walk = hochster._walk
+    monkeypatch.setattr(hochster, "_walk", walk)
+    monkeypatch.setattr(
+        hochster,
+        "full_subcomplex_homology",
+        counter("kernel", hochster.full_subcomplex_homology),
+    )
+    monkeypatch.setattr(
+        linalg,
+        "int_invariant_factors",
+        counter("smith", linalg.int_invariant_factors),
+    )
+    monkeypatch.setattr(
+        SimplicialComplex,
+        "full_subcomplex",
+        counter("built", SimplicialComplex.full_subcomplex),
+    )
+    return work
+
+
+def test_walk_settles_subsets_without_the_smith_form(monkeypatch):
+    # work counts from empty caches.  Every subset of a polygon but the
+    # whole cycle is a face, a union of paths, or a path with a dominated
+    # end, and the cycle is a graph, read off without listing a face.  A
+    # stacked sphere collapses likewise but for 89 subsets: graphs, and
+    # the whole sphere, which coreduces to one 2-cell.  Every proper
+    # subset of the boundary of a simplex is a face, and K itself
+    # coreduces to one top cell.  None of them reaches a Smith form.
+    work = _homology_work(monkeypatch)
+    for K, calls in [
+        (polygon(14), 1),
+        (stacked_sphere(2, 9), 89),
+        (boundary_simplex(13), 1),
+    ]:
+        _TABLES.clear()
+        work.update(kernel=0, smith=0)
+        hochster_table(K, INT)
+        assert work == {"kernel": calls, "smith": 0, "built": 0}, K
 
 
 def test_walk_builds_traces_only_for_connected_non_faces(monkeypatch):
@@ -193,7 +244,10 @@ def test_walk_neighbourhood_tests_stay_few(monkeypatch):
     # from empty caches.  Trying the fewest neighbours first lets the
     # memos hit; trying the lowest label first ran 8,247 tests on the
     # stacked sphere (its degree-12 apexes are vertices 1 and 2) and 8,413
-    # on the benchmark's walk inputs, with the same 8 Smith-form misses.
+    # on the benchmark's walk inputs.  The 92 subsets of those inputs no
+    # rule settles go to the homology kernel, straight off K's facets:
+    # no K_I is built and none reaches a Smith form.
+    work = _homology_work(monkeypatch)
     tests = []
 
     def counted_test(*args):
@@ -203,16 +257,15 @@ def test_walk_neighbourhood_tests_stay_few(monkeypatch):
     dominates = hochster._dominates
     monkeypatch.setattr(hochster, "_dominates", counted_test)
     _TABLES.clear()
-    reduced_homology.cache_clear()
     hochster_table(stacked_sphere(2, 9), INT)
     assert len(tests) == 282
     _TABLES.clear()
-    reduced_homology.cache_clear()
     tests.clear()
+    work.update(kernel=0, smith=0)
     for K in benchmark_inputs("walk"):
         hochster_table(K, INT)
     assert len(tests) == 389
-    assert reduced_homology.cache_info().misses == 8
+    assert work == {"kernel": 92, "smith": 0, "built": 0}
 
 
 def _counted_walks(monkeypatch):
@@ -410,7 +463,6 @@ def test_a_table_holds_its_index_and_builds_no_pairs():
     # Building the (mask, profile) pairs of its 16,202 nonzero subsets
     # took about 1.4 MB more, and the peak was about 1.6 MB.
     _TABLES.clear()
-    reduced_homology.cache_clear()
     tracemalloc.start()
     try:
         table = hochster_table(polygon(14), INT)
@@ -433,12 +485,13 @@ def test_field_table_derivation_matches_direct(corpus):
             assert derived.subsets == direct.subsets, (K, str(coeffs))
 
 
-def test_field_tables_reuse_the_integral_walk():
+def test_field_tables_reuse_the_integral_walk(monkeypatch):
     # RP^2 plus a disjoint edge: torsion makes the F_3 and Q tables
     # differ from the F_2 one, and no other test builds this complex
     K = from_facets(8, (*RP2_FACETS, (7, 8)))
     t = hochster_table(K, INT)
-    misses = reduced_homology.cache_info().misses
+    walked = _counted_walks(monkeypatch)
+    work = _homology_work(monkeypatch)
     q = hochster_table(K, RAT)
     assert q.subsets and q.subsets == t.over(RAT).subsets
     assert hochster_table(K, PRIME(3)).subsets
@@ -446,7 +499,7 @@ def test_field_tables_reuse_the_integral_walk():
     assert hochster_table(K, RAT) is q
     assert hochster_table(K, PRIME(3)) is hochster_table(K, PRIME(3))
     assert hochster_table(K, INT) is t
-    assert reduced_homology.cache_info().misses == misses
+    assert walked == [] and work["kernel"] == 0
 
 
 def test_over_validation():

@@ -11,7 +11,8 @@ Z_K x Z_L, whose Poincare polynomial is the product of the two.  Tables
 and the Golod and minimally non-Golod verdicts must not change when the
 vertices are renamed.  The walk's component and dominated-vertex rules
 are also checked subset by subset against oracles that look at K_I
-alone.
+alone.  The homology kernel that settles the rest keeps the Z/2 of
+RP^2 through disjoint unions and joins.
 """
 
 from functools import reduce
@@ -35,12 +36,14 @@ from momangle import (
     simplex,
     vertices_of,
 )
+from momangle.linalg import full_subcomplex_homology
 
 from helpers import (
     RP2_FACETS,
     reference_component,
     reference_dominated,
     reference_integral_table,
+    smith_form_homology,
     trim,
 )
 
@@ -222,3 +225,24 @@ def test_walk_equals_the_smith_form_on_disjoint_unions(data):
     U = from_facets(K.m + L.m, [*map(vertices_of, K.facets), *shifted])
     want = reference_integral_table(U).subsets
     assert hochster_table(U, INT).subsets == want
+
+
+@seed(SEED)
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(complexes(4), st.booleans(), st.data())
+def test_kernel_keeps_the_torsion_of_unions_and_joins(L, join, data):
+    # RP^2 joined with L carries the Z/2 up by the degrees of L; beside
+    # L it adds a component.  The kernel on the whole vertex set and on
+    # a drawn subset, most of them holding all of RP^2, must equal the
+    # Smith form of the relabelled K_I's whole chain complex.
+    rp2 = from_facets(6, RP2_FACETS)
+    if join:
+        K = rp2.join(L)
+    else:
+        shifted = [[v + 6 for v in vertices_of(f)] for f in L.facets]
+        K = from_facets(6 + L.m, [*RP2_FACETS, *shifted])
+    keep = data.draw(st.sampled_from([0b111111, 0b111111, 0b011111]))
+    I = keep | data.draw(st.integers(0, (1 << L.m) - 1)) << 6
+    for mask in ((1 << K.m) - 1, I):
+        want = smith_form_homology(K.full_subcomplex(vertices_of(mask)))
+        assert full_subcomplex_homology(mask, K.facets) == want, mask
