@@ -30,6 +30,9 @@ minimally non-Golod), so their exit code is part of the file name:
 `verify-thm1.1-cone_polygon5-exit1.json`.  `analyze --json`, the whole
 report (Betti numbers, core, Golod and minimally non-Golod verdicts with
 their witnesses, Gorenstein*, recognition), is stored the same way.
+`mng --json` on `stacked_sphere 2 9` and `polygon 11`, and `analyze
+--json` on `polygon 11`, are stored the same way too: on these the
+minimally non-Golod test once searched every vertex deletion.
 
 To record the files again (only when the outputs are meant to change):
 
@@ -72,6 +75,9 @@ LARGE_CASES = {
     "boundary_simplex13": ["--gen", "boundary_simplex", "13"],
 }
 
+# inputs of LARGE_VERDICTS alone
+VERDICT_CASES = {"polygon11": ["--gen", "polygon", "11"]}
+
 # commands without --field whose exit code is recorded with the output
 VERDICTS = {
     "verify-thm1.1": ["verify", "thm1.1"],
@@ -80,6 +86,14 @@ VERDICTS = {
     "mng": ["mng"],
     "analyze": ["analyze"],
 }
+
+# (verdict, case) pairs on which every vertex deletion used to be
+# searched, pinned like VERDICTS
+LARGE_VERDICTS = [
+    ("mng", "stacked2_9"),
+    ("mng", "polygon11"),
+    ("analyze", "polygon11"),
+]
 
 RUNS = [
     (command, name, field)
@@ -90,7 +104,7 @@ RUNS = [
 
 
 def _run(argv: list[str], name: str, tmp_dir: Path) -> tuple[int, str]:
-    source = (CASES | LARGE_CASES)[name]
+    source = (CASES | LARGE_CASES | VERDICT_CASES)[name]
     if not isinstance(source, list):
         path = tmp_dir / f"{name}.json"
         path.write_text(source.to_json())
@@ -147,6 +161,13 @@ def test_verdicts_match_golden(verdict, name, tmp_path):
     assert _run(VERDICTS[verdict], name, tmp_path) == want
 
 
+@pytest.mark.parametrize("verdict, name", LARGE_VERDICTS)
+def test_large_verdicts_match_golden(verdict, name, tmp_path):
+    (path,) = GOLDEN.glob(f"{verdict}-{name}-exit*.json")
+    want = int(path.stem.rpartition("exit")[2]), path.read_text()
+    assert _run(VERDICTS[verdict], name, tmp_path) == want
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -155,9 +176,9 @@ if __name__ == "__main__":
         for command, name, field in RUNS:
             text = _stdout(command, name, field, Path(tmp))
             _golden_path(command, name, field).write_text(text)
-        for verdict, argv in VERDICTS.items():
-            for name in CASES:
-                for old in GOLDEN.glob(f"{verdict}-{name}-exit*.json"):
-                    old.unlink()
-                code, text = _run(argv, name, Path(tmp))
-                (GOLDEN / f"{verdict}-{name}-exit{code}.json").write_text(text)
+        verdicts = [(v, name) for v in VERDICTS for name in CASES]
+        for verdict, name in verdicts + LARGE_VERDICTS:
+            for old in GOLDEN.glob(f"{verdict}-{name}-exit*.json"):
+                old.unlink()
+            code, text = _run(VERDICTS[verdict], name, Path(tmp))
+            (GOLDEN / f"{verdict}-{name}-exit{code}.json").write_text(text)
