@@ -1,11 +1,11 @@
 """Combinatorial classification predicates and the theorem harnesses.
 
 Everything here reduces to the tables and product machinery: minimal
-non-Golodness deletes one vertex at a time, Gorenstein*-ness inspects
-every face link, the join/TFAE checker compares five equivalent
-characterizations of cone-vertex subsets, and the recognizer matches the
-rational cohomology ring of Z_K against the ring of a connected sum of
-sphere products.
+non-Golodness searches the vertex deletions that K's own table shows
+may carry a product, Gorenstein*-ness inspects every face link, the
+join/TFAE checker compares five equivalent characterizations of
+cone-vertex subsets, and the recognizer matches the rational cohomology
+ring of Z_K against the ring of a connected sum of sphere products.
 
 The verify_* harnesses evaluate an implication: status CONFIRMED means
 hypothesis and conclusion both hold, HYPOTHESIS_NOT_MET means the input
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 from .complexes import SimplicialComplex, from_facets, mask_of, vertices_of
 from .errors import EmptySubset, OutOfRange
 from .hochster import cached_integral_table, hochster_table
-from .linalg import INT, RAT, Echelon, reduced_homology
-from .products import is_cup_golod, product_table
+from .linalg import INT, MAX_FIELD_PRIME, PRIME, RAT, Echelon, reduced_homology
+from .products import _component_spans, is_cup_golod, product_table
 
 # -- minimal non-Golodness ----------------------------------------------------
 
@@ -50,6 +50,16 @@ def is_minimally_non_golod(K: SimplicialComplex) -> MNGReport:
 
     False comes with a witness: either K itself is product-free, or some
     deletion still carries a product (witness_vertex names it).
+
+    The full subcomplexes of K - v are those of K that avoid v, so a
+    product of K - v lands in a component (S, d) of K's table with v
+    outside S, and its factors are components (I, d1) and (S - I,
+    d - d1 - 1) of K's table.  The deletions are tried in vertex order,
+    each restricted and searched as is_cup_golod does, but only for the
+    v outside some such split target over Q or over F_p for a torsion
+    prime p of K (those of K - v are among them); every other K - v is
+    product-free.  A torsion prime beyond MAX_FIELD_PRIME makes every
+    vertex a candidate.
     """
     own = is_cup_golod(K)
     caveats = own.caveats
@@ -63,8 +73,9 @@ def is_minimally_non_golod(K: SimplicialComplex) -> MNGReport:
         )
     undecided = False
     table = hochster_table(K, INT)
-    for v in range(1, K.m + 1):
-        sub = table.restrict(((1 << K.m) - 1) & ~(1 << (v - 1))).complex
+    full = (1 << K.m) - 1
+    for v in vertices_of(_deletion_candidates(K)):
+        sub = table.restrict(full & ~(1 << (v - 1))).complex
         rep = is_cup_golod(sub)
         if rep.verdict == "NON_GOLOD":
             return MNGReport(
@@ -78,6 +89,57 @@ def is_minimally_non_golod(K: SimplicialComplex) -> MNGReport:
     if undecided:
         return MNGReport(None, caveats=caveats)
     return MNGReport(True, witness=own.witness, caveats=caveats)
+
+
+def _deletion_candidates(K: SimplicialComplex) -> int:
+    """Mask of the vertices v whose deletion K - v may carry a product.
+
+    v is one when some component (S, d) of K's table over Q or over F_p,
+    p a torsion prime of K, has d >= 1, v outside S, and splits into
+    components (I, d1) and (S - I, d - d1 - 1); all vertices are when a
+    torsion prime is beyond MAX_FIELD_PRIME.  A target is skipped when
+    every vertex outside it is a candidate already.
+    """
+    full = (1 << K.m) - 1
+    torsion = hochster_table(K, INT).torsion_primes
+    if any(p > MAX_FIELD_PRIME for p in torsion):
+        return full
+    found = 0
+    for field in (RAT, *map(PRIME, torsion)):
+        components = _component_spans(hochster_table(K, field))
+        by_degree: dict[int, set[int]] = {}
+        for I, d in components:
+            by_degree.setdefault(d, set()).add(I)
+        for S, d in components:
+            if d >= 1 and full & ~S & ~found and _splits(S, d, by_degree):
+                found |= full & ~S
+    return found
+
+
+def _splits(S: int, d: int, by_degree: dict[int, set[int]]) -> bool:
+    """Whether S is the disjoint union of masks I in by_degree[d1] and
+    J in by_degree[d - d1 - 1] for some d1.  Each degree pair is searched
+    over the smaller of its first set and the 2^(|S| - 1) splits of S,
+    which hold S's lowest vertex on one side."""
+    low = S & -S
+    for d1 in range((d + 1) // 2):  # d1 <= d - d1 - 1
+        A, B = by_degree.get(d1), by_degree.get(d - d1 - 1)
+        if not A or not B:
+            continue
+        if len(B) < len(A):
+            A, B = B, A
+        if len(A) < 1 << (S.bit_count() - 1):
+            for I in A:
+                if not I & ~S and S ^ I in B:
+                    return True
+            continue
+        rest = J = S ^ low  # J runs over the nonempty submasks without low
+        while J:
+            I = S ^ J
+            if I in A and J in B or J in A and I in B:
+                return True
+            J = (J - 1) & rest
+    return False
 
 
 # -- Gorenstein* ---------------------------------------------------------------
@@ -106,7 +168,7 @@ def is_gorenstein_star(K: SimplicialComplex) -> GorensteinReport:
     face is read off it, so a K that is not a homology sphere fails
     before any face is listed; no table is walked for this test.
     """
-    cone_verts, _ = K.core()
+    cone_verts = K.cone_vertices()
     if cone_verts:
         return GorensteinReport(
             False,
@@ -291,28 +353,12 @@ def recognize_connected_sum(K: SimplicialComplex) -> RecognitionReport:
                 N,
                 reason="a product of middle classes lands below the top",
             )
-    by_degree: dict[int, list[int]] = {}
-    for t, c in enumerate(classes):
-        by_degree.setdefault(c.total_degree, []).append(t)
-    lookup = {(i, j): coords for i, j, coords in pt.products}
-
-    def gram_rank(k: int) -> int:
-        echelon = Echelon(RAT)
-        cols = by_degree.get(N - k, [])
-        for i in by_degree.get(k, []):
-            row = {}
-            for c, j in enumerate(cols):
-                coords = lookup.get((min(i, j), max(i, j)))
-                if coords:
-                    row[c] = coords[0][1]
-            echelon.insert(row)
-        return len(echelon)
-
+    ranks = _gram_ranks(pt, N)
     half = N // 2 if N % 2 == 0 else (N - 1) // 2
     for k in range(3, half + 1):
         if not b[k]:
             continue
-        if gram_rank(k) != b[k]:
+        if ranks[k] != b[k]:
             return RecognitionReport(
                 "NONE",
                 N,
@@ -324,6 +370,37 @@ def recognize_connected_sum(K: SimplicialComplex) -> RecognitionReport:
     if N % 2 == 0:
         pairs.extend([(N // 2, N // 2)] * (b[N // 2] // 2))
     return RecognitionReport("CONNECTED_SUM", N, tuple(pairs))
+
+
+def _gram_ranks(pt, N: int) -> dict[int, int]:
+    """Rank of the pairing of degree k with degree N - k, for each degree
+    k <= N - k that holds a class.
+
+    Row i of degree k has, in the column of j's position among the
+    classes of degree N - k, the first coordinate of the stored product
+    of i and j; every row is built in one pass over the products, of
+    which those landing in degree N count.  Rows are kept for the
+    degrees k <= N - k only.
+    """
+    degree = [c.total_degree for c in pt.classes]
+    by_degree: dict[int, list[int]] = {}
+    for t, k in enumerate(degree):
+        by_degree.setdefault(k, []).append(t)
+    column = {t: c for ts in by_degree.values() for c, t in enumerate(ts)}
+    rows: dict[int, dict[int, object]] = {}
+    for i, j, coords in pt.products:
+        if degree[i] + degree[j] == N:
+            for row, col in ((i, j), (j, i)):
+                if 2 * degree[row] <= N:
+                    rows.setdefault(row, {})[column[col]] = coords[0][1]
+    ranks = {}
+    for k, ts in by_degree.items():
+        if k <= N - k:
+            echelon = Echelon(pt.coeffs)
+            for i in ts:
+                echelon.insert(rows.get(i, {}))
+            ranks[k] = len(echelon)
+    return ranks
 
 
 # -- theorem harnesses ------------------------------------------------------------

@@ -356,7 +356,7 @@ def _cmd_gen(args) -> int:
 def _cmd_analyze(args) -> int:
     K = _load_complex(args)
     table = hochster_table(K, INT)
-    cone_verts, _ = K.core()
+    cone_verts = K.cone_vertices()
     golod = is_cup_golod(K)
     mng = is_minimally_non_golod(K)
     gor = is_gorenstein_star(K)

@@ -192,6 +192,11 @@ class SimplicialComplex:
         bit = 1 << (v - 1)
         return all(f & bit for f in self.facets)
 
+    def cone_vertices(self) -> tuple[int, ...]:
+        """The vertices lying in every facet, in order, read off the AND
+        of the facets with no complex built."""
+        return vertices_of(reduce(int.__and__, self.facets))
+
     def core_vertices(self) -> tuple[int, ...]:
         """The vertices missing from some facet, in order: vertex i of
         the core is vertex core_vertices()[i-1] of K."""
@@ -201,13 +206,11 @@ class SimplicialComplex:
     def core(self) -> tuple[tuple[int, ...], SimplicialComplex]:
         """Split off the maximal simplex join factor.
 
-        Returns (S, core) where S is the set of vertices lying in every
-        facet and core = K restricted to core_vertices(), so that
+        Returns (S, core) where S = cone_vertices(), the vertices lying in
+        every facet, and core = K restricted to core_vertices(), so that
         K = simplex(S) * core up to that renumbering.
         """
-        cone_mask = reduce(int.__and__, self.facets)
-        core = self.full_subcomplex(self.core_vertices())
-        return vertices_of(cone_mask), core
+        return self.cone_vertices(), self.full_subcomplex(self.core_vertices())
 
     def join(self, other: SimplicialComplex) -> SimplicialComplex:
         """Simplicial join; the second factor is shifted to labels m+1..m+m'."""

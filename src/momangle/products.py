@@ -270,6 +270,20 @@ def _component_pairs(components):
                 yield (I, d1), (J, d2), target
 
 
+def _component_spans(table: HochsterTable) -> dict:
+    """(subset, degree) -> (first class, rank) for the nonzero components
+    of the table on nonempty subsets, in increasing order: the classes of
+    a component are numbered by running sums of the ranks, read off the
+    table's index and profiles."""
+    spans, n = {}, 0
+    index = table.index[1:]  # the nonempty subsets, read off the index
+    for mask, k in compress(enumerate(index, 1), index):
+        for degree, rank in table.profiles[k].ranks:
+            spans[mask, degree] = n, rank
+            n += rank
+    return spans
+
+
 def _iter_nonzero_products(K: SimplicialComplex, table: HochsterTable):
     """Yield (x, y, (i, j, coords)) for the nonzero products of classes.
 
@@ -279,12 +293,7 @@ def _iter_nonzero_products(K: SimplicialComplex, table: HochsterTable):
     in increasing (i, j) order, grouped by first component, and a
     component's basis is built when a pair first reaches it.
     """
-    spans, n = {}, 0
-    index = table.index[1:]  # the nonempty subsets, read off the index
-    for mask, k in compress(enumerate(index, 1), index):
-        for degree, rank in table.profiles[k].ranks:
-            spans[mask, degree] = n, rank
-            n += rank
+    spans = _component_spans(table)
 
     def indexed(key):
         start, rank = spans[key]

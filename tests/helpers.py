@@ -14,7 +14,12 @@ and its universal-coefficients derivation, not the linear algebra
 itself.  reference_dominated and reference_component decide the walk's
 dominated-vertex and component rules for one subset from K_I alone.
 reference_golod runs the package's product search on every field of the
-Golod battery, so it checks which fields the Golod test skips.
+Golod battery, so it checks which fields the Golod test skips;
+reference_mng restricts K's table to every vertex deletion and runs the
+Golod test on each, so it checks which deletions the minimally non-Golod
+test skips.  reference_gram_rank builds the Gram matrix of a degree by
+looking up every pair of classes, the check on the one pass over the
+products that recognition makes.
 reference_restrict, reference_lift, reference_over and
 reference_aggregates work one (mask, profile) pair at a time: they are
 the references for the table's operations on its index array, and
@@ -50,6 +55,7 @@ from momangle import (
     GolodReport,
     INT,
     MAX_FIELD_PRIME,
+    MNGReport,
     PRIME,
     RAT,
     HochsterTable,
@@ -62,6 +68,7 @@ from momangle import (
     from_json,
     hochster_table,
     homology_profile,
+    is_cup_golod,
     multiply,
     vertices_of,
 )
@@ -87,6 +94,14 @@ RP2_FACETS = (
     (3, 4, 5),
     (3, 4, 6),
 )
+
+# RP^2 with the facet 123 subdivided at a new vertex 7.  No longer
+# 2-neighbourly, it has disconnected full subcomplexes, and their classes
+# multiply into the Z/2 of H^2(RP^2; F_2): it is minimally non-Golod over
+# F_2 and has no nonzero product over Q.
+RP2_STELLAR_FACETS = tuple(
+    f for f in RP2_FACETS if f != (1, 2, 3)
+) + ((1, 2, 7), (1, 3, 7), (2, 3, 7))
 
 
 def rp2_variants():
@@ -554,6 +569,54 @@ def reference_golod(K):
             return GolodReport("NON_GOLOD", tuple(checked), witness, tuple(caveats))
     verdict = "UNKNOWN" if untestable else "CUP_GOLOD"
     return GolodReport(verdict, tuple(checked), None, tuple(caveats))
+
+
+def reference_mng(K):
+    """The MNGReport is_minimally_non_golod(K) should give, by restricting
+    K's table to every vertex deletion K - v in vertex order and running
+    the Golod test on each, with no deletion skipped."""
+    own = is_cup_golod(K)
+    caveats = own.caveats
+    if own.verdict == "UNKNOWN":
+        return MNGReport(None, caveats=caveats)
+    if own.verdict == "CUP_GOLOD":
+        return MNGReport(
+            False,
+            witness={"reason": "no nonzero cup products in K itself"},
+            caveats=caveats,
+        )
+    undecided = False
+    table = hochster_table(K, INT)
+    for v in range(1, K.m + 1):
+        sub = table.restrict(((1 << K.m) - 1) & ~(1 << (v - 1))).complex
+        rep = is_cup_golod(sub)
+        if rep.verdict == "NON_GOLOD":
+            return MNGReport(False, v, rep.witness, caveats)
+        if rep.verdict == "UNKNOWN":
+            undecided = True
+    if undecided:
+        return MNGReport(None, caveats=caveats)
+    return MNGReport(True, witness=own.witness, caveats=caveats)
+
+
+def reference_gram_rank(pt, N, k):
+    """Rank of the pairing of degree k with degree N - k in the product
+    table pt, from the first coordinate of the product of every pair of
+    a degree-k and a degree-(N - k) class, looked up one pair at a time."""
+    by_degree = {}
+    for t, c in enumerate(pt.classes):
+        by_degree.setdefault(c.total_degree, []).append(t)
+    lookup = {(i, j): coords for i, j, coords in pt.products}
+    echelon = Echelon(pt.coeffs)
+    cols = by_degree.get(N - k, [])
+    for i in by_degree.get(k, []):
+        row = {}
+        for c, j in enumerate(cols):
+            coords = lookup.get((min(i, j), max(i, j)))
+            if coords:
+                row[c] = coords[0][1]
+        echelon.insert(row)
+    return len(echelon)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import pytest
 
 from momangle import classify, hochster, products
 from momangle import (
+    INT,
     RAT,
     EmptySubset,
     HochsterTable,
@@ -17,6 +18,7 @@ from momangle import (
     is_gorenstein_star,
     is_minimally_non_golod,
     polygon,
+    product_table,
     recognize_connected_sum,
     simplex,
     stacked_sphere,
@@ -24,9 +26,17 @@ from momangle import (
     verify_theorem_1_1,
     verify_theorem_1_2,
     verify_theorem_4_2,
+    vertices_of,
 )
 
-from helpers import RP2_FACETS, benchmark_inputs, rp2_variants
+from helpers import (
+    RP2_FACETS,
+    RP2_STELLAR_FACETS,
+    benchmark_inputs,
+    reference_gram_rank,
+    reference_mng,
+    rp2_variants,
+)
 
 PYRAMID = from_facets(5, [(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)])
 PATH3 = from_facets(3, [(1, 2), (2, 3)])
@@ -36,6 +46,19 @@ def _cold_caches():
     for name in ("_component", "_relabelled_basis", "is_cup_golod"):
         getattr(products, name).cache_clear()
     hochster._TABLES.clear()
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Record the arguments of every call of owner.name in a list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 # -- minimally non-Golod -------------------------------------------------
@@ -69,20 +92,14 @@ def test_mng_polygons():
 
 
 def test_mng_builds_one_basis_per_relabelled_full_subcomplex(monkeypatch):
-    # The 9-cycle is non-Golod over Q; its deletions are paths, product-free
-    # without a basis.  The product search builds a basis only when a pair
-    # first reaches a component, and its first pair already multiplies to
-    # the witness: one build per distinct relabelled K_I among the
-    # witness's first, second and target components, from cold caches.
+    # The 9-cycle is non-Golod over Q; its deletions are paths, and no
+    # deletion is searched, as its one target of positive degree is K.
+    # The product search builds a basis only when a pair first reaches a
+    # component, and its first pair already multiplies to the witness:
+    # one build per distinct relabelled K_I among the witness's first,
+    # second and target components, from cold caches.
     K = polygon(9)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
-
-    build = products.cocycle_basis
-    monkeypatch.setattr(products, "cocycle_basis", counted)
+    calls = _count_calls(monkeypatch, products, "cocycle_basis")
     _cold_caches()
     rep = is_minimally_non_golod(K)
     assert rep.value is True
@@ -94,6 +111,85 @@ def test_mng_builds_one_basis_per_relabelled_full_subcomplex(monkeypatch):
     ]
     distinct = {(K.full_subcomplex(I), d) for I, d in components}
     assert len(calls) == len(distinct) == 3
+
+
+def _stellar_rp2_beside(L):
+    """The subdivided RP^2 on 1..7 and L on the labels after it."""
+    shifted = [[v + 7 for v in vertices_of(f)] for f in L.facets]
+    return from_facets(7 + L.m, [*RP2_STELLAR_FACETS, *shifted])
+
+
+def test_mng_matches_the_deletion_oracle(corpus):
+    # Every report, witness included, is the one restricting and
+    # searching every deletion gives.  The two disjoint copies of RP^2
+    # are left out: they are product-free, so no deletion is reached, and
+    # their Golod test alone takes 20 s.
+    variants = [K for K in rp2_variants() if K.m <= 11]
+    stellar = from_facets(7, RP2_STELLAR_FACETS)
+    extra = [stellar, cone(stellar), _stellar_rp2_beside(disjoint_points(1))]
+    for K in [*corpus, *variants, *extra]:
+        assert is_minimally_non_golod(K).to_dict() == reference_mng(K).to_dict(), K
+
+
+def test_mng_reads_a_product_over_f2_only_off_the_table():
+    # K - 8 is the subdivided RP^2, whose products are over F_2 only, so
+    # only the read-off over F_2 makes vertex 8 a candidate; the deletions
+    # before it are candidates too, and searched, and product-free
+    K = _stellar_rp2_beside(disjoint_points(1))
+    assert products.is_cup_golod(K.delete_vertex(8)).witness["field"] == "f2"
+    assert classify._deletion_candidates(K) == 0b10111111
+    rep = is_minimally_non_golod(K)
+    assert (rep.value, rep.witness_vertex, rep.witness["field"]) == (False, 8, "f2")
+
+
+@pytest.mark.parametrize(
+    "K, restricts, searches, witness_vertex",
+    [
+        (polygon(9), 0, 0, None),
+        (stacked_sphere(2, 6), 0, 219, None),
+        (cone(polygon(6)), 1, 1, 7),
+    ],
+    ids=["polygon9", "stacked_sphere2_6", "cone_polygon6"],
+)
+def test_mng_restricts_only_the_candidate_deletions(
+    K, restricts, searches, witness_vertex, monkeypatch
+):
+    # From cold caches: a deletion is restricted and searched only when a
+    # target of positive degree avoiding it splits into two components.
+    # polygon(9)'s one such target is K; the cone's is the base polygon,
+    # so only the apex, the witness, is tried.
+    _cold_caches()
+    restrict = _count_calls(monkeypatch, HochsterTable, "restrict")
+    split = _count_calls(monkeypatch, classify, "_splits")
+    rep = is_minimally_non_golod(K)
+    assert (rep.witness_vertex, len(restrict), len(split)) == (
+        witness_vertex, restricts, searches
+    )
+    assert rep.to_dict() == reference_mng(K).to_dict()
+
+
+def test_mng_tries_every_deletion_past_the_field_bound(monkeypatch):
+    # RP^2 with a vertex 7 coned over its edges 14, 24, 26 and 46: K is
+    # non-Golod over Q, every K - v is product-free, and only K - 7 = RP^2
+    # has torsion.  No target splits, so no deletion is tried.  With the
+    # field bound lowered below 2, the Z/2 cannot be tested: every
+    # deletion is tried, K - 7 is undecided, and so is K.
+    K = from_facets(7, [*RP2_FACETS, (1, 4, 7), (2, 4, 7), (2, 6, 7), (4, 6, 7)])
+    _cold_caches()
+    restrict = _count_calls(monkeypatch, HochsterTable, "restrict")
+    assert is_minimally_non_golod(K).value is True
+    assert len(restrict) == 0
+    monkeypatch.setattr(classify, "MAX_FIELD_PRIME", 1)
+    monkeypatch.setattr(products, "MAX_FIELD_PRIME", 1)
+    try:
+        _cold_caches()
+        assert classify._deletion_candidates(K) == (1 << 7) - 1
+        rep = is_minimally_non_golod(K)
+        assert (rep.value, len(restrict)) == (None, 7)
+        assert "not tested: 2" in rep.caveats[-1]
+        assert rep.to_dict() == reference_mng(K).to_dict()
+    finally:
+        _cold_caches()  # no report of the lowered bound stays cached
 
 
 def test_mng_report_dict():
@@ -260,6 +356,21 @@ def test_recognize_example_is_ring_level():
     rep = recognize_connected_sum(PYRAMID)
     assert rep.kind == "CONNECTED_SUM"
     assert rep.pairs == ((3, 3),)
+
+
+def test_gram_ranks_match_the_pairwise_lookup(corpus):
+    # the rows built in one pass over the products give the ranks that
+    # looking up every pair of classes gives, in every degree
+    spheres = [K for K in corpus if is_gorenstein_star(K).value]
+    assert len(spheres) >= 30
+    for K in [*spheres, *map(polygon, range(4, 11))]:
+        N = hochster_table(K, INT).top_degree
+        pt = product_table(K, RAT)
+        ranks = classify._gram_ranks(pt, N)
+        degrees = {c.total_degree for c in pt.classes}
+        assert set(ranks) == {k for k in degrees if k <= N - k}, K
+        for k, rank in ranks.items():
+            assert rank == reference_gram_rank(pt, N, k), (K, k)
 
 
 def test_recognize_report_dict():

@@ -166,6 +166,7 @@ def test_core(pyramid):
     apex_first = simplex(0).join(polygon(4))
     assert apex_first.core_vertices() == (2, 3, 4, 5)
     assert apex_first.core()[1] == polygon(4)
+    assert apex_first.cone_vertices() == (1,)
 
 
 def test_join():
@@ -319,7 +320,7 @@ def test_derived_complexes_match_from_facets(corpus):
                 )
             cone_mask = reduce(and_, K.facets)
             verts, core = K.core()
-            assert verts == vertices_of(cone_mask)
+            assert verts == K.cone_vertices() == vertices_of(cone_mask)
             rest = full & ~cone_mask
             assert K.core_vertices() == vertices_of(rest)
             assert _shape(core) == _expected(

@@ -12,7 +12,9 @@ and the Golod and minimally non-Golod verdicts must not change when the
 vertices are renamed.  The walk's component and dominated-vertex rules
 are also checked subset by subset against oracles that look at K_I
 alone.  The homology kernel that settles the rest keeps the Z/2 of
-RP^2 through disjoint unions and joins.
+RP^2 through disjoint unions and joins.  Beside or joined with a drawn
+complex, an RP^2 whose products are over F_2 only keeps the minimally
+non-Golod report equal to searching every vertex deletion.
 """
 
 from functools import reduce
@@ -40,9 +42,11 @@ from momangle.linalg import full_subcomplex_homology
 
 from helpers import (
     RP2_FACETS,
+    RP2_STELLAR_FACETS,
     reference_component,
     reference_dominated,
     reference_integral_table,
+    reference_mng,
     smith_form_homology,
     trim,
 )
@@ -246,3 +250,19 @@ def test_kernel_keeps_the_torsion_of_unions_and_joins(L, join, data):
     for mask in ((1 << K.m) - 1, I):
         want = smith_form_homology(K.full_subcomplex(vertices_of(mask)))
         assert full_subcomplex_homology(mask, K.facets) == want, mask
+
+
+@seed(SEED)
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(complexes(3), st.booleans())
+def test_mng_read_off_matches_searching_every_deletion(L, join):
+    # The subdivided RP^2 has products over F_2 only.  Beside L, deleting
+    # a vertex of L keeps them, and only K's table over F_2 shows that
+    # deletion's targets; joined with L, the deletions carry products
+    # over Q as well.
+    if join:
+        K = from_facets(7, RP2_STELLAR_FACETS).join(L)
+    else:
+        shifted = [[v + 7 for v in vertices_of(f)] for f in L.facets]
+        K = from_facets(7 + L.m, [*RP2_STELLAR_FACETS, *shifted])
+    assert is_minimally_non_golod(K).to_dict() == reference_mng(K).to_dict()
