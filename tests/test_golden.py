@@ -17,11 +17,14 @@ the Betti numbers, bigraded ranks and torsion primes read off the
 subset walk, so any change to how the walk settles a subset that moves
 a rank or a torsion prime fails here.
 
-The two largest walked inputs, `polygon 14` and `stacked_sphere 2 9`,
-have `hochster --json` over Z stored as well, in a case list of their
-own, beside `boundary_simplex 13`: its one subset the walk cannot
-settle from smaller ones is K itself, with 16,382 nonempty faces, the
-largest complex whose homology the walk computes.
+The largest walked inputs, `polygon 14`, `stacked_sphere 2 9` and
+`stacked_sphere 2 13`, have `hochster --json` over Z stored as well, in
+a case list of their own, beside `boundary_simplex 13`: its one subset
+the walk cannot settle from smaller ones is K itself, with 16,382
+nonempty faces, the largest complex whose homology the walk computes.
+The join of two pentagons, a 3-sphere, is stored there too: its full
+subcomplexes carry homology in degrees 0 to 3, not only in the degrees
+0 and 1 of a graph.
 
 And they hold `verify thm1.1|thm1.2|thm4.2 --json` and `mng --json`,
 the theorem checks and the minimally non-Golod verdict.  These commands
@@ -32,7 +35,9 @@ report (Betti numbers, core, Golod and minimally non-Golod verdicts with
 their witnesses, Gorenstein*, recognition), is stored the same way.
 `mng --json` on `stacked_sphere 2 9` and `polygon 11`, and `analyze
 --json` on `polygon 11`, are stored the same way too: on these the
-minimally non-Golod test once searched every vertex deletion.
+minimally non-Golod test once searched every vertex deletion.  So is
+`gorenstein --json` on `boundary_simplex 13`, whose 16,383 face links
+the Gorenstein* test once built one by one.
 
 To record the files again (only when the outputs are meant to change):
 
@@ -67,12 +72,15 @@ CASES = {
     "rp2": from_facets(6, RP2_FACETS),
 }
 
-# the two largest walks, 2^14 and 2^13 subsets, and the largest complex
-# the walk computes homology of: pinned by hochster over Z only
+# the largest walks, 2^17, 2^14 and 2^13 subsets, the largest complex
+# the walk computes homology of, and a 3-sphere whose subsets carry
+# homology in degrees 0 to 3: pinned by hochster over Z only
 LARGE_CASES = {
     "polygon14": ["--gen", "polygon", "14"],
     "stacked2_9": ["--gen", "stacked_sphere", "2", "9"],
+    "stacked2_13": ["--gen", "stacked_sphere", "2", "13"],
     "boundary_simplex13": ["--gen", "boundary_simplex", "13"],
+    "join_polygon5_polygon5": ["--gen", "join", "polygon", "5", "polygon", "5"],
 }
 
 # inputs of LARGE_VERDICTS alone
@@ -87,12 +95,17 @@ VERDICTS = {
     "analyze": ["analyze"],
 }
 
+# commands of LARGE_VERDICTS alone
+LARGE_COMMANDS = {**VERDICTS, "gorenstein": ["gorenstein"]}
+
 # (verdict, case) pairs on which every vertex deletion used to be
-# searched, pinned like VERDICTS
+# searched, and the Gorenstein* test on the boundary of the 13-simplex,
+# whose 16,383 face links it once built one by one; pinned like VERDICTS
 LARGE_VERDICTS = [
     ("mng", "stacked2_9"),
     ("mng", "polygon11"),
     ("analyze", "polygon11"),
+    ("gorenstein", "boundary_simplex13"),
 ]
 
 RUNS = [
@@ -165,7 +178,7 @@ def test_verdicts_match_golden(verdict, name, tmp_path):
 def test_large_verdicts_match_golden(verdict, name, tmp_path):
     (path,) = GOLDEN.glob(f"{verdict}-{name}-exit*.json")
     want = int(path.stem.rpartition("exit")[2]), path.read_text()
-    assert _run(VERDICTS[verdict], name, tmp_path) == want
+    assert _run(LARGE_COMMANDS[verdict], name, tmp_path) == want
 
 
 if __name__ == "__main__":
@@ -180,5 +193,5 @@ if __name__ == "__main__":
         for verdict, name in verdicts + LARGE_VERDICTS:
             for old in GOLDEN.glob(f"{verdict}-{name}-exit*.json"):
                 old.unlink()
-            code, text = _run(VERDICTS[verdict], name, Path(tmp))
+            code, text = _run(LARGE_COMMANDS[verdict], name, Path(tmp))
             (GOLDEN / f"{verdict}-{name}-exit{code}.json").write_text(text)
