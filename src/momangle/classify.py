@@ -2,7 +2,7 @@
 
 Everything here reduces to the tables and product machinery: minimal
 non-Golodness searches the vertex deletions that K's own table shows
-may carry a product, Gorenstein*-ness inspects every face link, the
+may carry a product, Gorenstein*-ness recurses into vertex links, the
 join/TFAE checker compares five equivalent characterizations of
 cone-vertex subsets, and the recognizer matches the rational cohomology
 ring of Z_K against the ring of a connected sum of sphere products.
@@ -19,8 +19,8 @@ import json
 from dataclasses import dataclass, field, replace
 
 from .complexes import SimplicialComplex, from_facets, mask_of, vertices_of
-from .errors import EmptySubset, OutOfRange
-from .hochster import cached_integral_table, hochster_table
+from .errors import EmptySubset, InternalInvariant, OutOfRange
+from .hochster import _links_are_spheres, cached_integral_table, hochster_table
 from .linalg import INT, MAX_FIELD_PRIME, PRIME, RAT, Echelon, reduced_homology
 from .products import _component_spans, is_cup_golod, product_table
 
@@ -164,9 +164,13 @@ def is_gorenstein_star(K: SimplicialComplex) -> GorensteinReport:
 
     The link of a face sigma must look like S^(dim K - |sigma|); the empty
     face is included, so K itself must be a homology sphere of its own
-    dimension.  When K's integral Hochster table is cached, the empty
-    face is read off it, so a K that is not a homology sphere fails
-    before any face is listed; no table is walked for this test.
+    dimension.  The link of a face sigma + v is the link of sigma in the
+    link of v, so this holds exactly when K is a homology sphere and every
+    vertex link is Gorenstein* one dimension down, which the walk's
+    memoized link recursion decides.  When K's integral Hochster table is
+    cached, K's homology is read off it; no table is walked for this
+    test.  Faces are listed only when K fails, to name the first face in
+    size-then-vertex order whose link is not the right sphere.
     """
     cone_verts = K.cone_vertices()
     if cone_verts:
@@ -176,7 +180,15 @@ def is_gorenstein_star(K: SimplicialComplex) -> GorensteinReport:
             {"cone_vertices": list(cone_verts)},
         )
     n = K.dim
-    for face, prof in _link_homology(K):
+    table = cached_integral_table(K)
+    whole = (
+        reduced_homology(K)
+        if table is None
+        else table.profile_of((1 << K.m) - 1)
+    )
+    if whole.is_sphere(n) and _links_are_spheres(K, n):
+        return GorensteinReport(True, "all face links are homology spheres")
+    for face, prof in _link_homology(K, whole):
         size = face.bit_count()
         if not prof.is_sphere(n - size):
             return GorensteinReport(
@@ -191,19 +203,16 @@ def is_gorenstein_star(K: SimplicialComplex) -> GorensteinReport:
                     ],
                 },
             )
-    return GorensteinReport(True, "all face links are homology spheres")
+    raise InternalInvariant("every face link of a non-Gorenstein* K is a sphere")
 
 
-def _link_homology(K: SimplicialComplex):
+def _link_homology(K: SimplicialComplex, whole):
     """(face, reduced homology of its link) for the faces of K by size,
-    then vertices.  The empty face's link is K: with K's integral table
-    cached, it is read off the full-subset entry before any face is
-    listed."""
-    table = cached_integral_table(K)
-    if table is not None:
-        yield 0, table.profile_of((1 << K.m) - 1)
+    then vertices; the empty face's link is K, whose homology is given.
+    The links of the other faces are built only as the caller asks."""
+    yield 0, whole
     faces = sorted(K.faces(), key=lambda f: (f.bit_count(), vertices_of(f)))
-    for face in faces[1:] if table is not None else faces:
+    for face in faces[1:]:
         yield face, reduced_homology(K.link(vertices_of(face)))
 
 

@@ -41,6 +41,28 @@ few values and their answers are reused most.  Only the rest goes to
 linalg.full_subcomplex_homology, which reads K_I off K's facet masks
 with no relabelled complex built; its profiles get one index per value.
 
+The subsets through the last vertex m come last, and for a Gorenstein*
+K of dimension D on V they are not walked.  |K| is then a homology
+D-sphere, and Alexander duality in it gives H~_i(K_(V - I)) =
+H~^(D-1-i)(K_I) (Munkres, Elements of Algebraic Topology, sections
+70-72; Buchstaber-Panov, Toric Topology, on the bigraded Poincare
+duality of Gorenstein* complexes).  So the ranks of K_(V - I) are K_I's
+moved from degree d to D - 1 - d, and its torsion is K_I's moved from d
+to D - 2 - d.  Every complement of a mask through m lacks m and is
+walked already, so the upper half of the index is the lower half
+reversed and dualized, one distinct profile at a time.  The walk takes
+this fill when K - m is acyclic, which the index already says, and
+every vertex link is Gorenstein* of dimension D - 1.  The gate is exact.
+K is the union of K - m and the star of m, which meet in the link of m.
+With the first acyclic and the star a cone, Mayer-Vietoris gives
+H~_i(K) = H~_(i-1)(lk m), so K is a homology D-sphere whose face links
+are its vertex links' face links: K is Gorenstein*.  Conversely,
+Alexander duality on the vertex {m} makes K - m acyclic.  The vertex
+links are decided by one memoized recursion on the relabelled link and
+its dimension, which classify.is_gorenstein_star shares; purity and two
+facets per ridge are checked first, as they are cheap.  Any other K
+walks its last block like the others.
+
 The index array is the table.  An aggregate counts the subsets per
 (size, index) once and reads each distinct profile once.  A table over
 Q or F_p follows from the integral one by universal coefficients: it
@@ -61,9 +83,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import compress, repeat
 from operator import add, mul
+from struct import pack
 
 from .complexes import SimplicialComplex, mask_of, vertices_of
 from .errors import BadParams, TooManyVertices
@@ -73,6 +96,7 @@ from .linalg import (
     HomologyProfile,
     full_subcomplex_homology,
     make_profile,
+    reduced_homology,
 )
 
 HOCHSTER_MAX_VERTICES = 20
@@ -230,9 +254,11 @@ def hochster_table(
 ) -> HochsterTable:
     """Reduced homology of every full subcomplex of K, assembled per subset.
 
-    Walks all 2^m vertex subsets over the integers, so the vertex count
+    Walks the 2^m vertex subsets over the integers, so the vertex count
     is capped at HOCHSTER_MAX_VERTICES (TooManyVertices beyond it); a
-    complex with cone vertices takes its core's table instead.  The
+    Gorenstein* complex walks the half without its last vertex and fills
+    the rest by Alexander duality, and a complex with cone vertices
+    takes its core's table instead.  The
     integral table is cached per complex; a field table is derived from
     it by universal coefficients, once, and cached beside it.
     """
@@ -288,7 +314,7 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
     # and its neighbours in the 1-skeleton of K)
     star = {1 << v: [f for f in K.facets if f >> v & 1] for v in range(K.m)}
     edges = {v: reduce(int.__or__, fs) for v, fs in star.items()}
-    order = _try_order(edges)
+    records = _records(star, edges)
     # comp[I]: the component of I's top vertex in K_I, 4 bytes a subset
     comp = memoryview(bytearray(4 << K.m)).cast("I")
     # idx[I]: K_I's profile as an index into profiles, 4 bytes a subset;
@@ -300,10 +326,15 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
     # and of each other profile by value
     sums: dict[tuple[int, int], int] = {}
     found: dict[HomologyProfile, int] = {}
-    # domination answers per tried vertex, see _dominated: at most 2^m
-    # bytes a vertex, and far less when its neighbours are close in label
-    seen: dict[int, bytearray] = {}
+    last = 1 << K.m >> 1
     for top, near in edges.items():
+        # the subsets through the last vertex are the complements of the
+        # walked ones: when K - m is acyclic and every vertex link is
+        # Gorenstein*, K is a homology sphere and Alexander duality in it
+        # gives their profiles
+        if top == last and not idx[top - 1] and _links_are_spheres(K, K.dim):
+            _fill_by_duality(idx, profiles, K.dim)
+            break
         # I in increasing order, top the highest vertex bit of I; top
         # joins the components of K_(I - top) that meet its edges, and
         # those are peeled off I - top one comp at a time, until no
@@ -330,7 +361,7 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
             # holds it; none does once I outgrows them
             if I.bit_count() <= width and _in_a_facet(I, facets):
                 continue
-            v = _dominated(I, order, star, edges, seen)
+            v = _dominated(I, records)
             if v:
                 idx[I] = idx[I & ~v]
                 continue
@@ -342,6 +373,82 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
                     profiles.append(prof)
                 idx[I] = k
     return HochsterTable(K, INT, idx.toreadonly(), tuple(profiles))
+
+
+# masks per slice of the dual fill, which packs one chunk at a time
+FILL_CHUNK = 4096
+
+
+def _fill_by_duality(
+    idx: memoryview, profiles: list[HomologyProfile], D: int
+) -> None:
+    """Fill the upper half of the index of a homology D-sphere K from
+    the lower half: the mask top + j is the complement of top - 1 - j.
+    Each profile is dualized once and looked up by value among all
+    profiles.
+    """
+    position: dict[HomologyProfile, int] = {}
+    for k, prof in enumerate(profiles):
+        position.setdefault(prof, k)
+    dual = []
+    for prof in profiles[:]:
+        flipped = _dual(prof, D)
+        k = position.setdefault(flipped, len(profiles))
+        if k == len(profiles):
+            profiles.append(flipped)
+        dual.append(k)
+    top = len(idx) >> 1
+    below = idx[top - 1 :: -1]  # below[j] is the complement of top + j
+    for lo in range(0, top, FILL_CHUNK):
+        part = below[lo : lo + FILL_CHUNK]
+        packed = pack(f"{len(part)}I", *map(dual.__getitem__, part))
+        idx[top + lo : top + lo + len(part)] = memoryview(packed).cast("I")
+
+
+def _dual(prof: HomologyProfile, D: int) -> HomologyProfile:
+    """The profile of K_(V - I) from K_I's, for K a homology D-sphere on V.
+
+    Alexander duality in |K| gives H~_i(K_(V - I)) = H~^(D-1-i)(K_I), so by
+    universal coefficients the ranks of degree d move to degree D - 1 - d
+    and the torsion of degree d to D - 2 - d; the empty subset and K swap
+    the classes of degree -1 and D.
+    """
+    ranks = {D - 1 - d: r for d, r in prof.ranks}
+    torsion = {D - 2 - d: t for d, t in prof.torsion}
+    return make_profile(INT, ranks, torsion)
+
+
+def _links_are_spheres(K: SimplicialComplex, n: int) -> bool:
+    """Whether K is pure of dimension n, each ridge lies in two facets,
+    and every vertex link passes _is_sphere_by_links at n - 1; the two
+    counts are cheap and necessary, so they run first."""
+    ridges: Counter = Counter()
+    for f in K.facets:
+        if f.bit_count() != n + 1:
+            return False
+        rest = f
+        while rest:
+            low = rest & -rest
+            ridges[f ^ low] += 1
+            rest ^= low
+    if any(c != 2 for c in ridges.values()):
+        return False
+    return all(
+        _is_sphere_by_links(K.link((v,)), n - 1) for v in range(1, K.m + 1)
+    )
+
+
+@lru_cache(maxsize=4096)
+def _is_sphere_by_links(L: SimplicialComplex, n: int) -> bool:
+    """Whether L is Gorenstein* of dimension n: H~(L) = H~(S^n), and every
+    vertex link passes at n - 1 (the empty complex at n = -1).
+
+    The link of a face s + v in L is the link of s in L's link of v, so
+    this holds exactly when every face link of L is a homology sphere of
+    dimension n - |face|, the empty face's being L.  Memoized per
+    relabelled complex and n, so equal links are decided once.
+    """
+    return reduced_homology(L).is_sphere(n) and _links_are_spheres(L, n)
 
 
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
@@ -396,6 +503,19 @@ def _disjoint_sum(a: HomologyProfile, b: HomologyProfile) -> HomologyProfile:
     return make_profile(INT, ranks, torsion)
 
 
+def _records(
+    star: dict[int, list[int]], edges: dict[int, int]
+) -> list[list]:
+    """One record per vertex bit, in _try_order: [v, N(v), lowbit(N(v)),
+    memo, facets through v].  The memo is None until v is first tried,
+    then N(v) // lowbit(N(v)) + 1 bytes: at most 2^m, and far less when
+    v's neighbours are close in label."""
+    return [
+        [v, edges[v], edges[v] & -edges[v], None, star[v]]
+        for v in _try_order(edges)
+    ]
+
+
 def _try_order(edges: dict[int, int]) -> list[int]:
     """The vertex bits in the order _dominated tries them: fewest
     neighbours first, then the narrowest span edges[v] // lowbit(edges[v])
@@ -411,35 +531,28 @@ def _try_order(edges: dict[int, int]) -> list[int]:
     return sorted(edges, key=key)
 
 
-def _dominated(
-    I: int,
-    order: list[int],
-    star: dict[int, list[int]],
-    edges: dict[int, int],
-    seen: dict[int, bytearray],
-) -> int:
-    """The first vertex bit of I in order dominated in K_I, or 0 if none is.
+def _dominated(I: int, records: list[list]) -> int:
+    """The first vertex bit of I in the records' order dominated in K_I,
+    or 0 if none is.
 
     Any dominated vertex will do: K_I strong-collapses onto K_(I - v).
-    Whether v is dominated depends only on J = I & edges[v], as every
-    face through v lies in v's closed neighbourhood.  seen[v], made on
-    v's first try, holds the answer per J at J // lowbit(edges[v]):
-    0 untested, 1 no, 2 yes.
+    Whether v is dominated depends only on J = I & N(v), as every face
+    through v lies in v's closed neighbourhood.  v's memo, made on its
+    first try, holds the answer per J at J // lowbit(N(v)): 0 untested,
+    1 no, 2 yes.
     """
-    for v in order:
-        if not I & v:
-            continue
-        near = edges[v]
-        low = near & -near
-        memo = seen.get(v)
-        if memo is None:
-            memo = seen[v] = bytearray(near // low + 1)
-        J = I & near
-        k = J // low
-        if not memo[k]:
-            memo[k] = 2 if _dominates(v, J, star[v]) else 1
-        if memo[k] == 2:
-            return v
+    for rec in records:
+        if I & rec[0]:
+            v, near, low, memo, facets = rec
+            if memo is None:
+                memo = rec[3] = bytearray(near // low + 1)
+            J = I & near
+            k = J // low
+            answer = memo[k]
+            if not answer:
+                answer = memo[k] = 2 if _dominates(v, J, facets) else 1
+            if answer == 2:
+                return v
     return 0
 
 

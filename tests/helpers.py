@@ -19,7 +19,10 @@ reference_mng restricts K's table to every vertex deletion and runs the
 Golod test on each, so it checks which deletions the minimally non-Golod
 test skips.  reference_gram_rank builds the Gram matrix of a degree by
 looking up every pair of classes, the check on the one pass over the
-products that recognition makes.
+products that recognition makes.  reference_gorenstein builds the link
+of every face in order and stops at the first that is not the right
+homology sphere, the check on the Gorenstein* test's vertex-link
+recursion and on the witness it names.
 reference_restrict, reference_lift, reference_over and
 reference_aggregates work one (mask, profile) pair at a time: they are
 the references for the table's operations on its index array, and
@@ -53,6 +56,7 @@ from momangle import (
     BadParams,
     ChainComplex,
     GolodReport,
+    GorensteinReport,
     INT,
     MAX_FIELD_PRIME,
     MNGReport,
@@ -64,6 +68,7 @@ from momangle import (
     TorClass,
     cocycle_basis,
     cone,
+    disjoint_points,
     from_facets,
     from_json,
     hochster_table,
@@ -73,7 +78,7 @@ from momangle import (
     vertices_of,
 )
 from momangle.complexes import _compress, _lift_mask
-from momangle.linalg import Echelon, make_profile, rank_mod_p
+from momangle.linalg import Echelon, make_profile, rank_mod_p, reduced_homology
 from momangle.products import (
     CUP_CAVEAT,
     _iter_nonzero_products,
@@ -102,6 +107,21 @@ RP2_FACETS = (
 RP2_STELLAR_FACETS = tuple(
     f for f in RP2_FACETS if f != (1, 2, 3)
 ) + ((1, 2, 7), (1, 3, 7), (2, 3, 7))
+
+
+# the 7-vertex torus, and the suspension of two disjoint triangles: closed
+# pseudomanifolds that are not spheres.  The suspension less either apex
+# is a cone, so only the apexes' links tell it from a sphere.
+TORUS7 = from_facets(
+    7,
+    [
+        tuple(sorted((i + x) % 7 + 1 for x in t))
+        for i in range(7)
+        for t in ((0, 1, 3), (0, 2, 3))
+    ],
+)
+TWO_TRIANGLES = from_facets(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
+PINCHED = TWO_TRIANGLES.join(disjoint_points(2))
 
 
 def rp2_variants():
@@ -597,6 +617,37 @@ def reference_mng(K):
     if undecided:
         return MNGReport(None, caveats=caveats)
     return MNGReport(True, witness=own.witness, caveats=caveats)
+
+
+def reference_gorenstein(K):
+    """The GorensteinReport is_gorenstein_star(K) should give, by building
+    the link of every face of K in size-then-vertex order, the empty face
+    (K itself) first, and stopping at the first whose reduced homology is
+    not that of S^(dim K - |face|)."""
+    cone_verts = K.cone_vertices()
+    if cone_verts:
+        return GorensteinReport(
+            False,
+            "K has cone vertices, so K != core(K)",
+            {"cone_vertices": list(cone_verts)},
+        )
+    n = K.dim
+    faces = sorted(K.faces(), key=lambda f: (f.bit_count(), vertices_of(f)))
+    for face in faces:
+        prof = reduced_homology(K.link(vertices_of(face)))
+        size = face.bit_count()
+        if not prof.is_sphere(n - size):
+            return GorensteinReport(
+                False,
+                "a face link is not a homology sphere of the right dimension",
+                {
+                    "face": list(vertices_of(face)),
+                    "expected_sphere": n - size,
+                    "ranks": [list(r) for r in prof.ranks],
+                    "torsion": [[d, list(t)] for d, t in prof.torsion],
+                },
+            )
+    return GorensteinReport(True, "all face links are homology spheres")
 
 
 def reference_gram_rank(pt, N, k):

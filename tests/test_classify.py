@@ -17,6 +17,7 @@ from momangle import (
     hochster_table,
     is_gorenstein_star,
     is_minimally_non_golod,
+    mask_of,
     polygon,
     product_table,
     recognize_connected_sum,
@@ -30,9 +31,12 @@ from momangle import (
 )
 
 from helpers import (
+    PINCHED,
     RP2_FACETS,
     RP2_STELLAR_FACETS,
+    TWO_TRIANGLES,
     benchmark_inputs,
+    reference_gorenstein,
     reference_gram_rank,
     reference_mng,
     rp2_variants,
@@ -236,14 +240,32 @@ def test_gorenstein_disjoint_points():
     assert is_gorenstein_star(disjoint_points(3)).value is False
 
 
+# complexes that are not Gorenstein*: the suspension of two disjoint
+# triangles, alone or joined with a square, is a pseudomanifold but no
+# homology sphere; a 2-sphere with an edge sticking out, alone or
+# suspended, is a homology sphere whose edge's far vertex has a point
+# for its link.
+WHISKER = from_facets(5, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (4, 5)])
+NOT_GORENSTEIN = [
+    PINCHED,
+    TWO_TRIANGLES.join(polygon(4)),
+    WHISKER,
+    WHISKER.join(disjoint_points(2)),
+]
+
+
 def test_gorenstein_reads_a_cached_table_like_the_cold_path(corpus, monkeypatch):
     # The empty face's link is K, the full-subset entry of K's table.  With
     # the table cached, K fails there before any face is listed and passes
-    # without computing H~(K) again; the report is the cold one.
+    # without computing H~(K) again; the report is the cold one and the
+    # face scan's.  A Gorenstein* K is decided by the vertex-link
+    # recursion, with no face listed; a K that fails at a proper face
+    # lists its faces once and asks the homology of one link per face
+    # before the witness, in size-then-vertex order.
     pool = list(dict.fromkeys(benchmark_inputs("verify")))
     cone_free = [K for K in pool if not K.core()[0]]
     assert len(pool) == 60 and len(cone_free) == 53
-    inputs = [*corpus, *rp2_variants(), *cone_free, simplex(-1)]
+    inputs = [*corpus, *rp2_variants(), *cone_free, simplex(-1), *NOT_GORENSTEIN]
     assert sum(bool(K.core()[0]) for K in inputs) > 30
     links, listed = [], []
     link_homology = classify.reduced_homology
@@ -254,23 +276,40 @@ def test_gorenstein_reads_a_cached_table_like_the_cold_path(corpus, monkeypatch)
     monkeypatch.setattr(
         SimplicialComplex, "faces", lambda K: listed.append(K) or faces(K)
     )
-    read_off = 0
+    read_off = passed = at_a_face = 0
     for K in inputs:
         hochster._TABLES.clear()
         cold = is_gorenstein_star(K).to_dict()
+        assert cold == reference_gorenstein(K).to_dict(), K
         hochster_table(K)
         links.clear()
         listed.clear()
         assert is_gorenstein_star(K).to_dict() == cold, K
         witness = cold["witness"] or {}
         if cold["gorenstein_star"]:
-            assert len(links) == len(faces(K)) - 1, K
+            assert links == listed == [], K
+            passed += 1
         elif witness.get("face", []) == []:  # K itself, or a cone vertex
             assert links == listed == [], K
             read_off += "face" in witness
-    assert read_off > 53
+        else:
+            order = sorted(faces(K), key=lambda f: (f.bit_count(), vertices_of(f)))
+            at = order.index(mask_of(witness["face"]))
+            assert len(links) == at and listed == [K], K
+            at_a_face += 1
+    assert (passed, read_off, at_a_face) == (39, 137, 2)
     torsion = [is_gorenstein_star(K).witness for K in rp2_variants()[::2]]
     assert all(w["face"] == [] and w["torsion"] for w in torsion)
+
+
+def test_gorenstein_matches_the_face_scan(corpus):
+    # the verdict and its witness equal building every face link in
+    # size-then-vertex order, cold, on the corpus, the RP^2 variants, the
+    # verify pool, and complexes whose links fail below the empty face
+    pool = benchmark_inputs("verify")
+    for K in dict.fromkeys([*corpus, *rp2_variants(), *pool, *NOT_GORENSTEIN]):
+        hochster._TABLES.clear()
+        assert is_gorenstein_star(K).to_dict() == reference_gorenstein(K).to_dict()
 
 
 # -- the five equivalent cone-vertex conditions ------------------------------

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -28,14 +29,18 @@ from momangle import (
 )
 from momangle import hochster, linalg
 from momangle.hochster import _TABLES
+from momangle.linalg import make_profile
 
 from helpers import (
+    PINCHED,
     RP2_FACETS,
+    TORUS7,
     benchmark_inputs,
     brute_hochster_betti,
     reference_aggregates,
     reference_dominated,
     reference_field_table,
+    reference_gorenstein,
     reference_integral_table,
     reference_lift,
     reference_over,
@@ -130,11 +135,100 @@ def test_walk_matches_the_smith_form_on_benchmark_inputs():
         assert hochster_table(K, INT).subsets == want, K
 
 
+def _fills(monkeypatch):
+    """The dimensions hochster._fill_by_duality is called with from now
+    on, one per table filled by duality."""
+    fills = []
+
+    def fill(idx, profiles, D):
+        fills.append(D)
+        return plain_fill(idx, profiles, D)
+
+    plain_fill = hochster._fill_by_duality
+    monkeypatch.setattr(hochster, "_fill_by_duality", fill)
+    return fills
+
+
+def test_sphere_tables_are_filled_by_duality(corpus, monkeypatch):
+    # the subsets through the last vertex of a sphere are the complements
+    # of the walked ones; each table must still equal the Smith form of
+    # every full subcomplex.  The spheres: every Gorenstein* member of the
+    # corpus (by the face scan) but the empty complex, which has no subset
+    # to fill, polygons, stacked spheres, boundaries of simplices, and
+    # joins and suspensions of spheres.
+    atoms = [
+        polygon(4),
+        polygon(5),
+        boundary_simplex(2),
+        boundary_simplex(3),
+        stacked_sphere(2, 1),
+        disjoint_points(2),
+    ]
+    members = [K for K in corpus if K.m and reference_gorenstein(K).value]
+    assert len(members) == 37
+    spheres = [
+        *members,
+        *(polygon(m) for m in range(4, 15)),
+        *(stacked_sphere(2, k) for k in range(10)),
+        *(stacked_sphere(3, k) for k in range(6)),
+        *(boundary_simplex(n) for n in range(1, 14)),
+        *(a.join(b) for a, b in combinations_with_replacement(atoms, 2)),
+        *(K.join(disjoint_points(2)) for K in [*atoms, polygon(7)]),
+        stacked_sphere(3, 2).join(disjoint_points(2)),
+    ]
+    fills = _fills(monkeypatch)
+    for K in dict.fromkeys(spheres):
+        _TABLES.clear()
+        fills.clear()
+        table = hochster_table(K, INT)
+        assert fills == [K.dim], K
+        assert table == reference_integral_table(K), K
+
+
+def test_manifolds_that_are_not_spheres_walk_every_subset(monkeypatch):
+    # RP^2 and the torus have vertex links that are circles, but K less a
+    # vertex is not acyclic; the pinched suspension less an apex is a
+    # cone, but that apex's link is two triangles.  None is filled.
+    fills = _fills(monkeypatch)
+    for K in [from_facets(6, RP2_FACETS), TORUS7, PINCHED, *rp2_variants()]:
+        _TABLES.clear()
+        table = hochster_table(K, INT)
+        assert table == reference_integral_table(K), K
+    assert fills == []
+
+
+def test_dual_profiles_obey_universal_coefficients():
+    # Alexander duality in a homology D-sphere gives H~_i(K_(V - I)) =
+    # H~^(D-1-i)(K_I), and over a field cohomology has the dimensions of
+    # homology: the field Betti numbers of the dual profile in degree i
+    # are the profile's in degree D - 1 - i, over Q and over F_p for p
+    # dividing the torsion or not.  Torsion shifts one degree further
+    # than the ranks, so a dual that moves it with them fails over F_p.
+    profiles = [
+        make_profile(INT, {}),
+        make_profile(INT, {-1: 1}),
+        make_profile(INT, {0: 2, 1: 1}),
+        make_profile(INT, {1: 1}, {1: [2]}),
+        make_profile(INT, {0: 1}, {1: [2, 4], 2: [3]}),
+        make_profile(INT, {2: 3}, {1: [9, 5]}),
+    ]
+    for D in range(3, 7):
+        for prof in profiles:
+            dual = hochster._dual(prof, D)
+            assert hochster._dual(dual, D) == prof
+            assert dual.torsion_primes() == prof.torsion_primes()
+            for coeffs in (RAT, PRIME(2), PRIME(3), PRIME(5)):
+                want, got = prof.over_field(coeffs), dual.over_field(coeffs)
+                for i in range(-1, D + 1):
+                    assert got.rank(i) == want.rank(D - 1 - i), (prof, D, i)
+
+
 def _homology_work(monkeypatch):
     """Counts of the walk's homology work from now on: calls of the
-    homology kernel, Smith forms (int_invariant_factors), and full
+    homology kernel, link homologies asked by the duality gate
+    (reduced_homology), Smith forms (int_invariant_factors), and full
     subcomplexes built while hochster._walk runs."""
-    work = {"kernel": 0, "smith": 0, "built": 0}
+    work = {"kernel": 0, "links": 0, "smith": 0, "built": 0}
     walking = []
 
     def counter(key, fn):
@@ -160,6 +254,11 @@ def _homology_work(monkeypatch):
         counter("kernel", hochster.full_subcomplex_homology),
     )
     monkeypatch.setattr(
+        hochster,
+        "reduced_homology",
+        counter("links", hochster.reduced_homology),
+    )
+    monkeypatch.setattr(
         linalg,
         "int_invariant_factors",
         counter("smith", linalg.int_invariant_factors),
@@ -172,30 +271,44 @@ def _homology_work(monkeypatch):
     return work
 
 
+def _cold_caches():
+    """Empty the table cache and the homology and link caches that the
+    walk's duality gate reads."""
+    _TABLES.clear()
+    linalg.reduced_homology.cache_clear()
+    hochster._is_sphere_by_links.cache_clear()
+
+
 def test_walk_settles_subsets_without_the_smith_form(monkeypatch):
-    # work counts from empty caches.  Every subset of a polygon but the
-    # whole cycle is a face, a union of paths, or a path with a dominated
-    # end, and the cycle is a graph, read off without listing a face.  A
-    # stacked sphere collapses likewise but for 89 subsets: graphs, and
-    # the whole sphere, which coreduces to one 2-cell.  Every proper
-    # subset of the boundary of a simplex is a face, and K itself
-    # coreduces to one top cell.  None of them reaches a Smith form.
+    # work counts from empty caches.  Each of these is a sphere, so the
+    # subsets through its last vertex are filled by Alexander duality from
+    # their complements, and only the subsets without it are walked.
+    # Each of those of a polygon is a face, a union of paths, or a path
+    # with a dominated end; those of a stacked sphere collapse likewise
+    # but for 88 graphs; those of the boundary of a simplex are faces.
+    # The gate asks the homology of each distinct vertex link, and of
+    # theirs in turn, once: S^0 and the empty complex for the polygon,
+    # the 3-, 4- and 12-gon besides for the stacked sphere, and the
+    # boundaries of the 12- down to the 0-simplex for the boundary of
+    # the 13-simplex.  None of them reaches a Smith form.
     work = _homology_work(monkeypatch)
-    for K, calls in [
-        (polygon(14), 1),
-        (stacked_sphere(2, 9), 89),
-        (boundary_simplex(13), 1),
+    for K, calls, links in [
+        (polygon(14), 0, 2),
+        (stacked_sphere(2, 9), 88, 5),
+        (boundary_simplex(13), 0, 13),
     ]:
-        _TABLES.clear()
-        work.update(kernel=0, smith=0)
+        _cold_caches()
+        work.update(kernel=0, links=0, smith=0)
         hochster_table(K, INT)
-        assert work == {"kernel": calls, "smith": 0, "built": 0}, K
+        want = {"kernel": calls, "links": links, "smith": 0, "built": 0}
+        assert work == want, K
 
 
 def test_walk_builds_traces_only_for_connected_non_faces(monkeypatch):
-    # the connected non-faces of the 14-cycle are its 154 arcs on 3 to 13
-    # vertices and the whole cycle; every other subset is a face or splits
-    # (a walk that reads the traces first builds them for all 16,383).
+    # the walked subsets of the 14-cycle are those without vertex 14, the
+    # rest being filled by duality.  Their connected non-faces are the 66
+    # paths on 3 to 13 vertices of 1..13; every other subset is a face or
+    # splits (a walk that reads the traces first builds them for all).
     # The domination step runs once per connected non-face.  It tries the
     # vertices v of I to the first dominated one, fewest neighbours first,
     # then the narrowest neighbourhood span, then by label; the walk runs
@@ -213,10 +326,10 @@ def test_walk_builds_traces_only_for_connected_non_faces(monkeypatch):
     dominated, dominates = hochster._dominated, hochster._dominates
     monkeypatch.setattr(hochster, "_dominated", counted_step)
     monkeypatch.setattr(hochster, "_dominates", counted_test)
-    _TABLES.clear()
+    _cold_caches()
     K = polygon(14)
     hochster_table(K, INT)
-    assert len(steps) == 155
+    assert len(steps) == 66
     near = {  # N(v), the vertices of v's facets, per vertex bit v
         1 << (u - 1): mask_of(
             w for f in K.facets if f >> (u - 1) & 1 for w in vertices_of(f)
@@ -235,7 +348,7 @@ def test_walk_builds_traces_only_for_connected_non_faces(monkeypatch):
             tried.add((v, I & near[v]))
             if reference_dominated(K, I, v):
                 break
-    assert len(tests) == len(tried) == 38
+    assert len(tests) == len(tried) == 32
     assert set(tests) == tried
 
 
@@ -244,9 +357,12 @@ def test_walk_neighbourhood_tests_stay_few(monkeypatch):
     # from empty caches.  Trying the fewest neighbours first lets the
     # memos hit; trying the lowest label first ran 8,247 tests on the
     # stacked sphere (its degree-12 apexes are vertices 1 and 2) and 8,413
-    # on the benchmark's walk inputs.  The 92 subsets of those inputs no
-    # rule settles go to the homology kernel, straight off K's facets:
-    # no K_I is built and none reaches a Smith form.
+    # on the benchmark's walk inputs, and walking the subsets that duality
+    # fills ran 282 and 389.  The 89 subsets of those inputs no rule
+    # settles go to the homology kernel, straight off K's facets: no K_I
+    # is built and none reaches a Smith form.  The duality gate asks the
+    # homology of 5 distinct links: S^0, the empty complex, and the 3-,
+    # 4- and 12-gon.
     work = _homology_work(monkeypatch)
     tests = []
 
@@ -256,16 +372,16 @@ def test_walk_neighbourhood_tests_stay_few(monkeypatch):
 
     dominates = hochster._dominates
     monkeypatch.setattr(hochster, "_dominates", counted_test)
-    _TABLES.clear()
+    _cold_caches()
     hochster_table(stacked_sphere(2, 9), INT)
-    assert len(tests) == 282
-    _TABLES.clear()
+    assert len(tests) == 271
+    _cold_caches()
     tests.clear()
-    work.update(kernel=0, smith=0)
+    work.update(kernel=0, links=0, smith=0)
     for K in benchmark_inputs("walk"):
         hochster_table(K, INT)
-    assert len(tests) == 389
-    assert work == {"kernel": 92, "smith": 0, "built": 0}
+    assert len(tests) == 366
+    assert work == {"kernel": 89, "links": 5, "smith": 0, "built": 0}
 
 
 def _counted_walks(monkeypatch):

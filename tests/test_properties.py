@@ -15,29 +15,46 @@ alone.  The homology kernel that settles the rest keeps the Z/2 of
 RP^2 through disjoint unions and joins.  Beside or joined with a drawn
 complex, an RP^2 whose products are over F_2 only keeps the minimally
 non-Golod report equal to searching every vertex deletion.
+
+Spheres built from polygons and boundaries of simplices by joins and
+stellar subdivisions have their tables filled by Alexander duality past
+the last vertex, and must still equal the Smith form of every subset.
+The command line, given generated --gen token lists and complex files,
+keeps its exit codes 0-4, prints no traceback, and prints JSON under
+--json whenever it exits 0 or 1.
 """
 
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
 from unittest import mock
 
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from momangle import (
     INT,
     PRIME,
     RAT,
+    boundary_simplex,
     cone,
+    disjoint_points,
     from_facets,
     hochster,
     hochster_table,
     is_cup_golod,
+    is_gorenstein_star,
     is_minimally_non_golod,
     mask_of,
+    polygon,
     recognize_connected_sum,
     simplex,
     vertices_of,
 )
+from momangle.cli import main
+from momangle.complexes import FAMILIES
 from momangle.linalg import full_subcomplex_homology
 
 from helpers import (
@@ -45,6 +62,7 @@ from helpers import (
     RP2_STELLAR_FACETS,
     reference_component,
     reference_dominated,
+    reference_gorenstein,
     reference_integral_table,
     reference_mng,
     smith_form_homology,
@@ -86,9 +104,12 @@ def test_walk_equals_the_smith_form_of_every_subset(K):
 @seed(SEED)
 @EXAMPLES
 @given(complexes(8))
+@example(polygon(7))
+@example(boundary_simplex(3).join(disjoint_points(2)))
+@example(from_facets(6, RP2_FACETS))
 def test_walk_rules_agree_with_oracles_on_every_subset(K):
-    # the buffers under the walk's comp and profile index arrays, captured
-    # as the walk views them (comp first)
+    # the buffer under the walk's comp array, captured as the walk views
+    # it; the index is the table's
     made = []
 
     def recorded(buffer):
@@ -96,9 +117,8 @@ def test_walk_rules_agree_with_oracles_on_every_subset(K):
         return memoryview(buffer)
 
     with mock.patch.object(hochster, "memoryview", recorded, create=True):
-        hochster._walk(K)
-    buffer, _ = made
-    comp = memoryview(buffer).cast("I")
+        table = hochster._walk(K)
+    comp = memoryview(made[0]).cast("I")
     star = {1 << v: [f for f in K.facets if f >> v & 1] for v in range(K.m)}
     edges = {v: reduce(int.__or__, fs) for v, fs in star.items()}
     # the walk tries vertices with the fewest neighbours first, then the
@@ -108,8 +128,18 @@ def test_walk_rules_agree_with_oracles_on_every_subset(K):
     }
     order = sorted(edges, key=key.get)
     assert hochster._try_order(edges) == order
-    seen = {}
+    records = hochster._records(star, edges)
+    assert [rec[0] for rec in records] == order
+    # the subsets through the last vertex of a Gorenstein* K are filled by
+    # duality, not visited: their comp entries stay 0
+    filled = reference_gorenstein(K).value
+    visited = 1 << K.m >> 1 if filled else 1 << K.m
+    assert not any(comp[visited:])
     for I in range(1, 1 << K.m):
+        KI = K.full_subcomplex(vertices_of(I))
+        assert table.profile_of(I) == smith_form_homology(KI), I
+        if I >= visited:
+            continue
         assert comp[I] == reference_component(K, I), I
         if comp[I] != I or K.contains_mask(I):
             continue
@@ -118,8 +148,65 @@ def test_walk_rules_agree_with_oracles_on_every_subset(K):
         for v in bits:
             got = hochster._dominates(v, I & edges[v], star[v])
             assert got == (v in want), (I, v)
-        first = hochster._dominated(I, order, star, edges, seen)
+        first = hochster._dominated(I, records)
         assert first == next((v for v in order if v in want), 0), I
+
+
+@st.composite
+def spheres(draw, max_m=9):
+    """A homology sphere: the boundary of a simplex or a polygon, joined
+    with another such sphere or not, then stellarly subdivided at drawn
+    faces of at least two vertices, and relabelled."""
+
+    def atom():
+        if draw(st.booleans()):
+            return boundary_simplex(draw(st.integers(1, 3)))
+        return polygon(draw(st.integers(3, 5)))
+
+    K = atom()
+    if draw(st.booleans()):
+        L = atom()
+        if K.m + L.m <= max_m:
+            K = K.join(L)
+    for _ in range(draw(st.integers(0, 3))):
+        faces = sorted(f for f in K.faces() if f.bit_count() >= 2)
+        if K.m == max_m or not faces:
+            break
+        face = draw(st.sampled_from(faces))
+        apex = 1 << K.m
+        facets = [f for f in K.facets if face & ~f]
+        for f in K.facets:
+            if not face & ~f:  # f holds the face: one cone per face vertex
+                rest = face
+                while rest:
+                    low = rest & -rest
+                    facets.append(f & ~low | apex)
+                    rest ^= low
+        K = from_facets(K.m + 1, map(vertices_of, facets))
+    return K.relabel(draw(st.permutations(range(1, K.m + 1))))
+
+
+@seed(SEED)
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(spheres())
+def test_spheres_fill_their_tables_by_duality(K):
+    # stellar subdivisions and joins keep a sphere a sphere, so the walk
+    # takes the duality fill, and its table equals the Smith form of
+    # every full subcomplex; the Gorenstein* report equals the face scan
+    fills = []
+
+    def fill(*args):
+        fills.append(args[-1])
+        return plain_fill(*args)
+
+    plain_fill = hochster._fill_by_duality
+    with mock.patch.object(hochster, "_fill_by_duality", fill):
+        table = hochster._walk(K)
+    assert fills == [K.dim]
+    assert table == reference_integral_table(K)
+    report = is_gorenstein_star(K).to_dict()
+    assert report == reference_gorenstein(K).to_dict()
+    assert report["gorenstein_star"] is True
 
 
 @seed(SEED)
@@ -266,3 +353,102 @@ def test_mng_read_off_matches_searching_every_deletion(L, join):
         shifted = [[v + 7 for v in vertices_of(f)] for f in L.facets]
         K = from_facets(7 + L.m, [*RP2_STELLAR_FACETS, *shifted])
     assert is_minimally_non_golod(K).to_dict() == reference_mng(K).to_dict()
+
+
+# -- the command line on drawn input -------------------------------------
+
+COMMANDS = [
+    ["hochster"],
+    ["hochster", "--field", "f2"],
+    ["gorenstein"],
+    ["analyze"],
+    ["verify", "thm1.1"],
+    ["verify", "thm1.2"],
+    ["verify", "thm4.2"],
+]
+# family names, small integers and junk; junk never starts with "-", as
+# argparse would read it as an option of its own
+JUNK = st.one_of(
+    st.sampled_from(sorted(FAMILIES)),
+    st.sampled_from(["cone", "join"]),
+    st.integers(-1, 3).map(str),
+    st.sampled_from(["", "x", "1.5", "3e2", "polygon4", "cone("]),
+    st.text("abcxyz_", min_size=1, max_size=6),
+)
+ATOMS = st.one_of(
+    st.tuples(st.just("simplex"), st.integers(-1, 3)),
+    st.tuples(st.just("boundary_simplex"), st.integers(0, 4)),
+    st.tuples(st.just("polygon"), st.integers(3, 5)),
+    st.tuples(st.just("disjoint_points"), st.integers(1, 3)),
+    st.tuples(st.just("stacked_sphere"), st.integers(1, 2), st.integers(0, 2)),
+).map(lambda atom: [atom[0], *map(str, atom[1:])])
+# well-formed generator expressions: the atoms, coned any number of
+# times, and joins of two of those
+EXPRESSIONS = st.recursive(
+    ATOMS,
+    lambda inner: inner.map(lambda e: ["cone", *e])
+    | st.tuples(inner, inner).map(lambda p: ["join", *p[0], *p[1]]),
+    max_leaves=2,
+)
+GEN_TOKENS = st.one_of(
+    EXPRESSIONS,
+    st.tuples(EXPRESSIONS, JUNK).map(lambda p: [*p[0], p[1]]),
+    EXPRESSIONS.filter(lambda e: len(e) > 1).map(lambda e: e[:-1]),
+    st.lists(JUNK, min_size=1, max_size=6),
+)
+FACETS = st.lists(
+    st.lists(
+        st.one_of(st.integers(-1, 10), st.sampled_from([True, 2.5, "1"])),
+        max_size=5,
+    ),
+    max_size=10,
+)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["vertices", "facets", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+VALID_JSON = complexes(9).map(lambda K: K.to_json())
+COMPLEX_JSON = st.one_of(
+    VALID_JSON,
+    st.builds(
+        lambda m, facets: json.dumps({"vertices": m, "facets": facets}),
+        st.integers(0, 9),
+        FACETS,
+    ),
+    JSON_VALUES.map(json.dumps),
+    st.sampled_from(["", "{", "[1, 2", '{"vertices": 3}', "\ud800"]),
+)
+
+
+def _cli(argv, stdin=""):
+    """(exit code, stdout, stderr) of cli.main on argv; argparse's own
+    exits count as their codes."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), mock.patch.object(
+        sys, "stdin", io.StringIO(stdin)
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@seed(SEED)
+@EXAMPLES
+@given(st.one_of(EXPRESSIONS, VALID_JSON, GEN_TOKENS, COMPLEX_JSON))
+def test_the_cli_keeps_its_exit_codes_on_drawn_input(source):
+    # --gen token lists, or a complex file read from stdin, through every
+    # command: each run exits 0-4 with no traceback, and prints JSON when
+    # it exits 0 or 1
+    for command in COMMANDS:
+        if isinstance(source, list):
+            code, out, err = _cli([*command, "--gen", *source, "--json"])
+        else:
+            code, out, err = _cli([*command, "-", "--json"], source)
+        assert code in range(5), (command, code, err)
+        assert "Traceback" not in err
+        if code in (0, 1):
+            json.loads(out)
