@@ -22,7 +22,13 @@ from .complexes import SimplicialComplex, from_facets, mask_of, vertices_of
 from .errors import EmptySubset, InternalInvariant, OutOfRange
 from .hochster import _links_are_spheres, cached_integral_table, hochster_table
 from .linalg import INT, MAX_FIELD_PRIME, PRIME, RAT, Echelon, reduced_homology
-from .products import _component_spans, is_cup_golod, product_table
+from .products import (
+    _by_degree,
+    _component_spans,
+    _splits,
+    is_cup_golod,
+    product_table,
+)
 
 # -- minimal non-Golodness ----------------------------------------------------
 
@@ -56,10 +62,11 @@ def is_minimally_non_golod(K: SimplicialComplex) -> MNGReport:
     outside S, and its factors are components (I, d1) and (S - I,
     d - d1 - 1) of K's table.  The deletions are tried in vertex order,
     each restricted and searched as is_cup_golod does, but only for the
-    v outside some such split target over Q or over F_p for a torsion
-    prime p of K (those of K - v are among them); every other K - v is
-    product-free.  A torsion prime beyond MAX_FIELD_PRIME makes every
-    vertex a candidate.
+    v outside some target that has such a split over Q or over F_p for
+    a torsion prime p of K (those of K - v are among them); the split is
+    the first one that the product search's split generator yields.
+    Every other K - v is product-free.  A torsion prime beyond
+    MAX_FIELD_PRIME makes every vertex a candidate.
     """
     own = is_cup_golod(K)
     caveats = own.caveats
@@ -95,10 +102,11 @@ def _deletion_candidates(K: SimplicialComplex) -> int:
     """Mask of the vertices v whose deletion K - v may carry a product.
 
     v is one when some component (S, d) of K's table over Q or over F_p,
-    p a torsion prime of K, has d >= 1, v outside S, and splits into
-    components (I, d1) and (S - I, d - d1 - 1); all vertices are when a
-    torsion prime is beyond MAX_FIELD_PRIME.  A target is skipped when
-    every vertex outside it is a candidate already.
+    p a torsion prime of K, has d >= 1, v outside S, and has a split
+    into components (I, d1) and (S - I, d - d1 - 1): the first one that
+    the product search's _splits yields; all vertices are when a torsion
+    prime is beyond MAX_FIELD_PRIME.  A target is skipped when every
+    vertex outside it is a candidate already.
     """
     full = (1 << K.m) - 1
     torsion = hochster_table(K, INT).torsion_primes
@@ -106,40 +114,12 @@ def _deletion_candidates(K: SimplicialComplex) -> int:
         return full
     found = 0
     for field in (RAT, *map(PRIME, torsion)):
-        components = _component_spans(hochster_table(K, field))
-        by_degree: dict[int, set[int]] = {}
-        for I, d in components:
-            by_degree.setdefault(d, set()).add(I)
-        for S, d in components:
-            if d >= 1 and full & ~S & ~found and _splits(S, d, by_degree):
+        keys = list(_component_spans(hochster_table(K, field)))
+        by_degree = _by_degree(keys)
+        for S, d in keys:
+            if d >= 1 and full & ~S & ~found and next(_splits(S, d, by_degree), 0):
                 found |= full & ~S
     return found
-
-
-def _splits(S: int, d: int, by_degree: dict[int, set[int]]) -> bool:
-    """Whether S is the disjoint union of masks I in by_degree[d1] and
-    J in by_degree[d - d1 - 1] for some d1.  Each degree pair is searched
-    over the smaller of its first set and the 2^(|S| - 1) splits of S,
-    which hold S's lowest vertex on one side."""
-    low = S & -S
-    for d1 in range((d + 1) // 2):  # d1 <= d - d1 - 1
-        A, B = by_degree.get(d1), by_degree.get(d - d1 - 1)
-        if not A or not B:
-            continue
-        if len(B) < len(A):
-            A, B = B, A
-        if len(A) < 1 << (S.bit_count() - 1):
-            for I in A:
-                if not I & ~S and S ^ I in B:
-                    return True
-            continue
-        rest = J = S ^ low  # J runs over the nonempty submasks without low
-        while J:
-            I = S ^ J
-            if I in A and J in B or J in A and I in B:
-                return True
-            J = (J - 1) & rest
-    return False
 
 
 # -- Gorenstein* ---------------------------------------------------------------
@@ -265,8 +245,10 @@ def tfae_check(K: SimplicialComplex, subset) -> TFAEReport:
     imask = mask_of(I)
     outside = [v for v in range(1, K.m + 1) if v not in set(I)]
 
-    table = hochster_table(K, INT)
-    a = all(mask & ~imask == 0 for mask, _ in table.subsets)
+    # a vertex outside I that is no cone vertex lies in a minimal non-face
+    # M, and K_M is a sphere: the ranks alone decide (a)
+    spans = _component_spans(hochster_table(K, INT))
+    a = all(mask & ~imask == 0 for mask, _ in spans)
 
     b = mask_of(K.core_vertices()) & ~imask == 0
 

@@ -128,10 +128,6 @@ class SimplicialComplex:
     def faces(self) -> frozenset[int]:
         return _face_set(self.facets)
 
-    @property
-    def num_faces(self) -> int:
-        return len(self.faces())
-
     def k_faces(self, k: int) -> tuple[int, ...]:
         """Masks of the k-dimensional faces, in lex order on vertex tuples."""
         if k == -1:
@@ -140,18 +136,8 @@ class SimplicialComplex:
         found = {f for f in self.faces() if f.bit_count() == want}
         return tuple(sorted(found, key=vertices_of))
 
-    def f_vector(self) -> tuple[int, ...]:
-        """(f_-1, f_0, ..., f_dim)."""
-        counts = [0] * (self.dim + 2)
-        for f in self.faces():
-            counts[f.bit_count()] += 1
-        return tuple(counts)
-
     def contains_mask(self, mask: int) -> bool:
         return any(mask & ~f == 0 for f in self.facets)
-
-    def has_face(self, vertices: Iterable[int]) -> bool:
-        return self.contains_mask(mask_of(self._check_vertices(vertices)))
 
     # -- subcomplex operations ------------------------------------------
 
@@ -185,12 +171,6 @@ class SimplicialComplex:
         self._check_vertices([v])
         rest = [u for u in range(1, self.m + 1) if u != v]
         return self.full_subcomplex(rest)
-
-    def is_cone_vertex(self, v: int) -> bool:
-        """True iff star_K(v) = K, i.e. v lies in every facet."""
-        self._check_vertices([v])
-        bit = 1 << (v - 1)
-        return all(f & bit for f in self.facets)
 
     def cone_vertices(self) -> tuple[int, ...]:
         """The vertices lying in every facet, in order, read off the AND
@@ -230,22 +210,6 @@ class SimplicialComplex:
                 for f in self.facets
             ],
         )
-
-    def minimal_non_faces(self) -> tuple[tuple[int, ...], ...]:
-        """Inclusion-minimal subsets of [m] that are not faces."""
-        out = []
-        # a minimal non-face drops to faces when any vertex is removed,
-        # so its size is at most dim+2
-        for size in range(2, self.dim + 3):
-            for combo in it.combinations(range(1, self.m + 1), size):
-                cm = mask_of(combo)
-                if self.contains_mask(cm):
-                    continue
-                if all(
-                    self.contains_mask(cm & ~(1 << (v - 1))) for v in combo
-                ):
-                    out.append(combo)
-        return tuple(sorted(out))
 
     # -- serialization ---------------------------------------------------
 

@@ -203,9 +203,6 @@ class HochsterTable:
             primes |= self.profiles[k].torsion_primes()
         return tuple(sorted(primes))
 
-    def has_torsion(self) -> bool:
-        return bool(self.torsion_primes)
-
     def over(self, coeffs: Coefficients) -> "HochsterTable":
         """Derive the table over a field from an integral table: each
         distinct profile is converted once, and the index is shared."""

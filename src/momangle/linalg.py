@@ -421,23 +421,6 @@ class ChainComplex:
     dims: tuple[int, ...]
     boundaries: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
-    def dim_at(self, degree: int) -> int:
-        try:
-            return self.dims[self.degrees.index(degree)]
-        except ValueError:
-            return 0
-
-    def boundary_columns(self, degree: int):
-        try:
-            return self.boundaries[self.degrees.index(degree)]
-        except ValueError:
-            return ()
-
-    def euler_characteristic(self) -> int:
-        return sum(
-            (-1) ** d * n for d, n in zip(self.degrees, self.dims)
-        )
-
 
 def _prime_powers(n: int) -> tuple[int, ...]:
     out = []
@@ -469,12 +452,6 @@ class HomologyProfile:
                 return r
         return 0
 
-    def torsion_at(self, degree: int) -> tuple[int, ...]:
-        for d, t in self.torsion:
-            if d == degree:
-                return t
-        return ()
-
     @property
     def is_trivial(self) -> bool:
         return not self.ranks and not self.torsion
@@ -505,9 +482,6 @@ class HomologyProfile:
     def is_sphere(self, n: int) -> bool:
         """Integral reduced homology of S^n (n = -1 means the empty complex)."""
         return self.ranks == ((n, 1),) and not self.torsion
-
-    def total_rank(self) -> int:
-        return sum(r for _, r in self.ranks)
 
     def over_field(self, coeffs: Coefficients) -> "HomologyProfile":
         """Field Betti numbers derived from an integral profile.
@@ -689,14 +663,6 @@ class CocycleBasis:
     faces: tuple[int, ...]  # masks of the d-faces, lex order
     vectors: tuple[tuple, ...]  # one scalar row per basis class
     echelon: Echelon = field(compare=False, repr=False)
-
-    def as_cochains(self) -> list[dict[int, object]]:
-        out = []
-        for vec in self.vectors:
-            out.append(
-                {f: v for f, v in zip(self.faces, vec) if v != 0}
-            )
-        return out
 
     def __len__(self) -> int:
         return len(self.vectors)

@@ -20,17 +20,21 @@ primes too large to test.  An F_p with no p-torsion in the integral table
 is covered by the Q search and not searched itself.  product_table and
 every searched field of the Golod test run one product search, and a
 component's basis is built when a pair first reaches it.
+
+A nonzero product of classes on (I, d1) and (J, d2) lands in the target
+component (I u J, d1 + d2 + 1), so the search lists the splits of each
+target into two components and sorts them into pairs.  One generator,
+_splits, lists them; the minimally-non-Golod test asks it for the first
+split of a target, to see which vertex deletions may carry a product.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
-from bisect import bisect_right
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, groupby
-from operator import itemgetter
 
 from .complexes import SimplicialComplex, _lift_mask, vertices_of
 from .errors import FieldMismatch, InternalInvariant, NotAField
@@ -132,14 +136,15 @@ def tor_basis(
     Follows the Hochster table: cocycle bases are built only for the
     subsets and degrees where the reduced homology over the field is
     nonzero.  Classes are ordered by (subset mask, degree, basis index);
-    the unit is the empty-subset class in total degree 0.
+    the unit is the empty-subset class in total degree 0, and the rest
+    are the components of _component_spans.
     """
     if not coeffs.is_field:
         raise NotAField("cup products need field coefficients")
-    return tuple(
+    spans = _component_spans(hochster_table(K, coeffs))
+    return _classes(K, 0, -1, 1, coeffs) + tuple(
         c
-        for mask, prof in hochster_table(K, coeffs).subsets
-        for degree, rank in prof.ranks
+        for (mask, degree), (_, rank) in spans.items()
         for c in _classes(K, mask, degree, rank, coeffs)
     )
 
@@ -244,32 +249,6 @@ def product_table(
     return ProductTable(K, coeffs, classes, tuple(e for *_, e in search))
 
 
-def _component_pairs(components):
-    """Pairs of components whose cup product can be nonzero.
-
-    components lists the (subset, degree) keys of the nonzero components
-    H~^degree(K_subset) on nonempty subsets, in increasing order.  Classes
-    on (I, d1) and (J, d2) multiply into H~^(d1+d2+1)(K_{I u J}): nonzero
-    only when I and J are disjoint and that target is a component (so d2
-    is scanned only if degree d1+d2+1 has one).  Yields (first, second,
-    target) keys, first before second, partners in list order.
-    """
-    present = set(components)
-    by_degree: dict[int, list[int]] = {}
-    for b, (_, d) in enumerate(components):
-        by_degree.setdefault(d, []).append(b)
-    for a, (I, d1) in enumerate(components):
-        ds = [d2 for d2 in by_degree if d1 + d2 + 1 in by_degree]
-        later = [by_degree[d][bisect_right(by_degree[d], a) :] for d in ds]
-        for b in heapq.merge(*later):
-            J, d2 = components[b]
-            if I & J:
-                continue
-            target = (I | J, d1 + d2 + 1)
-            if target in present:
-                yield (I, d1), (J, d2), target
-
-
 def _component_spans(table: HochsterTable) -> dict:
     """(subset, degree) -> (first class, rank) for the nonzero components
     of the table on nonempty subsets, in increasing order: the classes of
@@ -284,24 +263,92 @@ def _component_spans(table: HochsterTable) -> dict:
     return spans
 
 
+def _by_degree(keys) -> dict[int, dict[int, int]]:
+    """degree -> {subset: position in keys} for the component keys."""
+    by_degree: dict[int, dict[int, int]] = {}
+    for pos, (I, d) in enumerate(keys):
+        by_degree.setdefault(d, {})[I] = pos
+    return by_degree
+
+
+def _splits(S: int, d: int, by_degree: dict[int, dict[int, int]]):
+    """Yield the splits ((I, d1), (S - I, d - d1 - 1)) of the target
+    (S, d) into two components of by_degree, with I holding S's lowest
+    vertex.  Each pair of degrees is searched over the smaller of its
+    component sets and the 2^(|S| - 1) splits of S."""
+    low = S & -S
+    for d1 in range((d + 1) // 2):  # d1 <= d2
+        d2 = d - d1 - 1
+        A, B = by_degree.get(d1), by_degree.get(d2)
+        if not A or not B:
+            continue
+        if len(B) < len(A):
+            A, B, d1, d2 = B, A, d2, d1
+        if len(A) < 1 << (S.bit_count() - 1):
+            for I in A:
+                J = S ^ I
+                if I & ~S or J not in B:
+                    continue
+                if I & low:
+                    yield (I, d1), (J, d2)
+                elif d1 != d2:  # else (J, d2), (I, d1) is met at J
+                    yield (J, d2), (I, d1)
+            continue
+        rest = J = S ^ low  # J runs over the nonempty submasks without low
+        while J:
+            I = S ^ J
+            if I in A and J in B:
+                yield (I, d1), (J, d2)
+            if d1 != d2 and J in A and I in B:
+                yield (I, d2), (J, d1)
+            J = (J - 1) & rest
+
+
+def _sorted_pairs(keys) -> array:
+    """The pairs of components whose cup product can be nonzero.
+
+    keys lists the (subset, degree) keys of the nonzero components on
+    nonempty subsets, in increasing order.  Classes on (I, d1) and
+    (J, d2) multiply into H~^(d1+d2+1)(K_{I u J}), so a pair is a split
+    of a target component; the splits of every target are listed.  The
+    pair at positions a < b is packed as a * len(keys) + b, and the pairs
+    are sorted, by first component and then by second, into an array of
+    machine integers (8 bytes a pair, where the sorted list takes 36).
+    """
+    n, by_degree = len(keys), _by_degree(keys)
+    pairs = []
+    for S, d in keys:
+        for (I, d1), (J, d2) in _splits(S, d, by_degree):
+            a, b = by_degree[d1][I], by_degree[d2][J]
+            pairs.append(a * n + b if a < b else b * n + a)
+    pairs.sort()
+    return array("q", pairs)
+
+
 def _iter_nonzero_products(K: SimplicialComplex, table: HochsterTable):
     """Yield (x, y, (i, j, coords)) for the nonzero products of classes.
 
     table is K's Hochster table over a field; i and j index the
     positive-degree classes in tor_basis order, as running sums of the
-    table's ranks.  The pairs that _component_pairs admits are multiplied
-    in increasing (i, j) order, grouped by first component, and a
-    component's basis is built when a pair first reaches it.
+    table's ranks.  The pairs of _sorted_pairs, read off the splits of
+    each target, are multiplied in increasing (i, j) order, grouped by
+    first component, and a component's basis is built when a pair first
+    reaches it.
     """
     spans = _component_spans(table)
+    keys = list(spans)
+    n = len(keys)
 
     def indexed(key):
         start, rank = spans[key]
         return enumerate(_classes(K, *key, rank, table.coeffs), start)
 
-    pairs = _component_pairs(list(spans))
-    for first, group in groupby(pairs, key=itemgetter(0)):
-        partners = [(second, spans[target][0]) for _, second, target in group]
+    for a, group in groupby(_sorted_pairs(keys), key=lambda packed: packed // n):
+        I, d1 = first = keys[a]
+        partners = []
+        for packed in group:
+            J, d2 = second = keys[packed % n]
+            partners.append((second, spans[I | J, d1 + d2 + 1][0]))
         for i, x in indexed(first):
             for second, t in partners:
                 for j, y in indexed(second):

@@ -74,6 +74,7 @@ from momangle import (
     hochster_table,
     homology_profile,
     is_cup_golod,
+    mask_of,
     multiply,
     vertices_of,
 )
@@ -211,12 +212,44 @@ def dense_nullspace(rows, ncols, p=None):
     return basis
 
 
+def has_face(K, vertices):
+    """Whether the vertex collection spans a face of K."""
+    return K.contains_mask(mask_of(vertices))
+
+
+def f_vector(K):
+    """(f_-1, f_0, ..., f_dim), counted over K.faces()."""
+    counts = [0] * (K.dim + 2)
+    for f in K.faces():
+        counts[f.bit_count()] += 1
+    return tuple(counts)
+
+
+def minimal_non_faces(K):
+    """Inclusion-minimal subsets of [m] that are not faces, by trying
+    every subset of at most dim + 2 vertices (a minimal non-face drops to
+    faces when any vertex is removed)."""
+    out = []
+    for size in range(2, K.dim + 3):
+        for combo in it.combinations(range(1, K.m + 1), size):
+            if has_face(K, combo):
+                continue
+            if all(has_face(K, combo[:i] + combo[i + 1 :]) for i in range(size)):
+                out.append(combo)
+    return tuple(sorted(out))
+
+
+def euler_characteristic(cc):
+    """Alternating sum of the chain ranks of a ChainComplex."""
+    return sum((-1) ** d * n for d, n in zip(cc.degrees, cc.dims))
+
+
 def faces_by_size(K, verts):
     """Faces of K inside a vertex set, keyed by face cardinality."""
     verts = sorted(verts)
     out = {0: [()]}
     for size in range(1, len(verts) + 1):
-        hits = [c for c in it.combinations(verts, size) if K.has_face(c)]
+        hits = [c for c in it.combinations(verts, size) if has_face(K, c)]
         if not hits:
             break
         out[size] = hits
@@ -275,7 +308,7 @@ def is_cocycle(K, c, p=None):
         return values.get(mask, 0)
 
     for tau in it.combinations(verts, c.degree + 2):
-        if not K.has_face(tau):
+        if not has_face(K, tau):
             continue
         acc = sum(
             (-1) ** pos * val(tau[:pos] + tau[pos + 1 :])
@@ -540,7 +573,7 @@ def reference_products(K, classes):
 
 
 def reference_component_pairs(components):
-    """products._component_pairs by scanning every later component for
+    """products._sorted_pairs by scanning every later component for
     each component: (first, second, target) keys, in list order."""
     present = set(components)
     for a, (I, d1) in enumerate(components):
@@ -550,6 +583,24 @@ def reference_component_pairs(components):
             target = (I | J, d1 + d2 + 1)
             if target in present:
                 yield (I, d1), (J, d2), target
+
+
+def reference_deletion_candidates(K, bound=MAX_FIELD_PRIME):
+    """classify._deletion_candidates from reference_component_pairs: the
+    vertices outside some target the scan reaches over Q or over F_p for
+    a torsion prime p of K, or every vertex when a torsion prime is past
+    bound."""
+    full = (1 << K.m) - 1
+    torsion = hochster_table(K, INT).torsion_primes
+    if any(p > bound for p in torsion):
+        return full
+    found = 0
+    for field in (RAT, *map(PRIME, torsion)):
+        table = hochster_table(K, field)
+        components = [(I, d) for I, prof in table.subsets if I for d in prof.degrees()]
+        for _, _, (S, _) in reference_component_pairs(components):
+            found |= full & ~S
+    return found
 
 
 def reference_product_table(K, coeffs, basis):

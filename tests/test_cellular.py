@@ -23,6 +23,7 @@ from helpers import (
     RP2_FACETS,
     boundary_squares_to_zero,
     direct_field_profile,
+    euler_characteristic,
     trim,
 )
 
@@ -33,7 +34,7 @@ def test_cell_counts():
     cc = zk_chain_complex(polygon(4))
     # each face sigma contributes 2^(m - |sigma|) cells
     assert sum(cc.dims) == 16 + 4 * 8 + 4 * 4
-    assert cc.euler_characteristic() == 0
+    assert euler_characteristic(cc) == 0
     rc = rk_chain_complex(polygon(4))
     assert sum(rc.dims) == 16 + 4 * 8 + 4 * 4
     assert rc.degrees == (0, 1, 2)
@@ -70,7 +71,7 @@ def test_zk_torsion():
     rp2 = from_facets(6, RP2_FACETS)
     prof = homology_profile(zk_chain_complex(rp2))
     # the full-subset Z/2 lands in degree m + 1 + 1
-    assert prof.torsion_at(8) == (2,)
+    assert dict(prof.torsion).get(8) == (2,)
     b2 = zk_betti(rp2, PRIME(2))
     bq = zk_betti(rp2, RAT)
     assert trim(b2) != trim(bq)

@@ -5,6 +5,7 @@ import pytest
 from momangle import classify, hochster, products
 from momangle import (
     INT,
+    PRIME,
     RAT,
     EmptySubset,
     HochsterTable,
@@ -24,6 +25,7 @@ from momangle import (
     simplex,
     stacked_sphere,
     tfae_check,
+    tor_basis,
     verify_theorem_1_1,
     verify_theorem_1_2,
     verify_theorem_4_2,
@@ -36,6 +38,7 @@ from helpers import (
     RP2_STELLAR_FACETS,
     TWO_TRIANGLES,
     benchmark_inputs,
+    reference_deletion_candidates,
     reference_gorenstein,
     reference_gram_rank,
     reference_mng,
@@ -146,6 +149,33 @@ def test_mng_reads_a_product_over_f2_only_off_the_table():
     assert (rep.value, rep.witness_vertex, rep.witness["field"]) == (False, 8, "f2")
 
 
+def test_deletion_candidates_are_the_complements_of_split_targets(
+    corpus, monkeypatch
+):
+    # The candidates are the vertices outside a target that the scan over
+    # every pair of components reaches, over Q and each torsion prime;
+    # with the field bound lowered below 2, every vertex of a K with
+    # 2-torsion is one.
+    variants = [K for K in rp2_variants() if K.m <= 11]
+    cases = [
+        *corpus,
+        *variants,
+        *map(polygon, range(4, 11)),
+        *(stacked_sphere(2, n) for n in range(7)),
+    ]
+    kinds = set()
+    for K in cases:
+        mask = classify._deletion_candidates(K)
+        assert mask == reference_deletion_candidates(K), K
+        kinds.add("none" if not mask else "all" if mask == (1 << K.m) - 1 else "some")
+    assert kinds == {"none", "some", "all"}
+    monkeypatch.setattr(classify, "MAX_FIELD_PRIME", 1)
+    for K in variants:
+        assert hochster_table(K, INT).torsion_primes == (2,)
+        assert classify._deletion_candidates(K) == (1 << K.m) - 1, K
+        assert reference_deletion_candidates(K, bound=1) == (1 << K.m) - 1
+
+
 @pytest.mark.parametrize(
     "K, restricts, searches, witness_vertex",
     [
@@ -194,6 +224,24 @@ def test_mng_tries_every_deletion_past_the_field_bound(monkeypatch):
         assert rep.to_dict() == reference_mng(K).to_dict()
     finally:
         _cold_caches()  # no report of the lowered bound stays cached
+
+
+def test_the_package_builds_no_table_pairs():
+    # Every caller reads the components off a table's index: no table it
+    # caches builds its (mask, profile) pairs, HochsterTable.subsets.
+    _cold_caches()
+    rp2 = from_facets(6, RP2_FACETS)
+    for K in (polygon(6), cone(polygon(5)), rp2, cone(rp2), stacked_sphere(2, 3)):
+        for coeffs in (RAT, PRIME(2)):
+            assert tor_basis(K, coeffs) and product_table(K, coeffs)
+        tfae_check(K, K.core_vertices())
+        is_gorenstein_star(K)
+        is_minimally_non_golod(K)
+        recognize_connected_sum(K)
+        for verify in (verify_theorem_1_1, verify_theorem_1_2, verify_theorem_4_2):
+            verify(K)
+    assert len(hochster._TABLES) > 10
+    assert [t for t in hochster._TABLES.values() if "subsets" in vars(t)] == []
 
 
 def test_mng_report_dict():
@@ -323,6 +371,15 @@ def test_tfae_on_cone_apex():
     assert rep.agree and rep.value is False
     rep = tfae_check(PYRAMID, [1, 2, 3, 4, 5])
     assert rep.agree and rep.value is True
+
+
+def test_tfae_agrees_where_a_subset_carries_only_torsion():
+    # RP^2 on 1..6 carries Z/2 and no rank, and condition (a) reads the
+    # ranks: a vertex outside I that is no cone vertex still shows, in a
+    # minimal non-face, whose full subcomplex is a sphere
+    for K in rp2_variants()[:2]:
+        for mask in range(1, 1 << K.m):
+            assert tfae_check(K, vertices_of(mask)).agree, (K, mask)
 
 
 def test_tfae_without_cone_vertices():

@@ -1,5 +1,8 @@
+import inspect
 import json
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -29,8 +32,8 @@ from momangle import (
 from momangle import hochster, products
 from momangle.products import (
     CUP_CAVEAT,
-    _component_pairs,
     _iter_nonzero_products,
+    _sorted_pairs,
     cochain_class_coords,
 )
 
@@ -287,10 +290,66 @@ def test_golod_stacked_spheres():
     assert is_cup_golod(stacked_sphere(2, 0)).verdict == "CUP_GOLOD"
 
 
+def _decoded_pairs(components):
+    """_sorted_pairs unpacked into (first, second, target) keys."""
+    n = len(components)
+    for packed in _sorted_pairs(components):
+        (I, d1), (J, d2) = components[packed // n], components[packed % n]
+        yield (I, d1), (J, d2), (I | J, d1 + d2 + 1)
+
+
+def _seeded_components(rng, vertices, count, degrees):
+    """count or a few more (subset, degree) keys on the given number of
+    vertices, most of them two disjoint components and their target."""
+    keys = set()
+    while len(keys) < count:
+        I = rng.randrange(1, 1 << vertices)
+        J = rng.randrange(1, 1 << vertices) & ~I
+        d1, d2 = rng.randrange(degrees), rng.randrange(degrees)
+        keys.add((I, d1))
+        if J:
+            keys |= {(J, d2), (I | J, d1 + d2 + 1)}
+    return sorted(keys)
+
+
+def _branches_taken(lists):
+    """Which searches of products._splits run while the pairs of lists
+    are listed: over a degree's components, or over the splits of S."""
+    code = products._splits.__code__
+    lines, first = inspect.getsourcelines(products._splits)
+    marks = {
+        first + n: branch
+        for n, line in enumerate(lines)
+        for text, branch in (("for I in A:", "components"), ("while J:", "splits"))
+        if line.strip() == text
+    }
+    assert len(marks) == 2
+    taken = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line" and frame.f_lineno in marks:
+            taken.add(marks[frame.f_lineno])
+        return tracer
+
+    before = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for components in lists:
+            _sorted_pairs(components)
+    finally:
+        sys.settrace(before)
+    return taken
+
+
 def test_component_pairs_match_the_full_scan(corpus):
-    """The degree-indexed pair scan yields the pairs of the scan over
-    every later component, in the same order, on the corpus tables and on
-    seeded random component lists spread over four degrees."""
+    """The pairs listed from the targets' splits and sorted are the pairs
+    of the scan over every later component, in the same order, on the
+    corpus tables, on seeded random component lists spread over four
+    degrees, and on seeded lists that take each search of _splits: few
+    components a degree on 12 vertices, against targets with more
+    splits, and many on 5 vertices, against targets with fewer."""
     lists = []
     for K in corpus:
         for coeffs in (RAT, PRIME(2)):
@@ -302,10 +361,30 @@ def test_component_pairs_match_the_full_scan(corpus):
     for _ in range(200):
         keys = {(rng.randrange(1, 64), rng.randrange(4)) for _ in range(30)}
         lists.append(sorted(keys))
-    assert sum(1 for c in lists if next(_component_pairs(c), None)) > 100
+    sparse = [_seeded_components(rng, 12, 30, 3) for _ in range(50)]
+    dense = [_seeded_components(rng, 5, 60, 2) for _ in range(50)]
+    assert "components" in _branches_taken(sparse)
+    assert "splits" in _branches_taken(dense)
+    lists += sparse + dense
+    assert sum(1 for c in lists if _sorted_pairs(c)) > 100
     for components in lists:
         want = list(reference_component_pairs(components))
-        assert list(_component_pairs(components)) == want, components
+        assert list(_decoded_pairs(components)) == want, components
+
+
+def test_the_sorted_pairs_are_packed():
+    # a memory bound, not a timing: the 169,650 Q pairs of two disjoint
+    # copies of RP^2 are held in 8 bytes each; the sorted list of packed
+    # ints that the array replaces held 6.5 MB
+    keys = list(products._component_spans(hochster_table(rp2_variants()[2], RAT)))
+    tracemalloc.start()
+    try:
+        pairs = _sorted_pairs(keys)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 169_650
+    assert held < 2 * 1024 * 1024 and peak < 10 * 1024 * 1024
 
 
 def test_golod_disjoint_points_scans_no_pairs():
