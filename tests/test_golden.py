@@ -37,7 +37,11 @@ their witnesses, Gorenstein*, recognition), is stored the same way.
 --json` on `polygon 11`, are stored the same way too: on these the
 minimally non-Golod test once searched every vertex deletion.  So is
 `gorenstein --json` on `boundary_simplex 13`, whose 16,383 face links
-the Gorenstein* test once built one by one.
+the Gorenstein* test once built one by one.  `mng --json` on
+`stacked_sphere 2 11` and `analyze --json` on `stacked_sphere 2 9` are
+stored as well: their minimally non-Golod test lists K's component pairs
+for the Golod search and reads the candidate deletions off the same
+pairs.
 
 To record the files again (only when the outputs are meant to change):
 
@@ -84,7 +88,10 @@ LARGE_CASES = {
 }
 
 # inputs of LARGE_VERDICTS alone
-VERDICT_CASES = {"polygon11": ["--gen", "polygon", "11"]}
+VERDICT_CASES = {
+    "polygon11": ["--gen", "polygon", "11"],
+    "stacked2_11": ["--gen", "stacked_sphere", "2", "11"],
+}
 
 # commands without --field whose exit code is recorded with the output
 VERDICTS = {
@@ -99,13 +106,17 @@ VERDICTS = {
 LARGE_COMMANDS = {**VERDICTS, "gorenstein": ["gorenstein"]}
 
 # (verdict, case) pairs on which every vertex deletion used to be
-# searched, and the Gorenstein* test on the boundary of the 13-simplex,
-# whose 16,383 face links it once built one by one; pinned like VERDICTS
+# searched, the Gorenstein* test on the boundary of the 13-simplex,
+# whose 16,383 face links it once built one by one, and two stacked
+# spheres whose Golod search and deletion candidates read one pair
+# listing; pinned like VERDICTS
 LARGE_VERDICTS = [
     ("mng", "stacked2_9"),
     ("mng", "polygon11"),
     ("analyze", "polygon11"),
     ("gorenstein", "boundary_simplex13"),
+    ("mng", "stacked2_11"),
+    ("analyze", "stacked2_9"),
 ]
 
 RUNS = [
