@@ -22,13 +22,7 @@ from .complexes import SimplicialComplex, from_facets, mask_of, vertices_of
 from .errors import EmptySubset, InternalInvariant, OutOfRange
 from .hochster import _links_are_spheres, cached_integral_table, hochster_table
 from .linalg import INT, MAX_FIELD_PRIME, PRIME, RAT, Echelon, reduced_homology
-from .products import (
-    _by_degree,
-    _component_spans,
-    _splits,
-    is_cup_golod,
-    product_table,
-)
+from .products import _component_spans, _listing, is_cup_golod, product_table
 
 # -- minimal non-Golodness ----------------------------------------------------
 
@@ -62,9 +56,9 @@ def is_minimally_non_golod(K: SimplicialComplex) -> MNGReport:
     outside S, and its factors are components (I, d1) and (S - I,
     d - d1 - 1) of K's table.  The deletions are tried in vertex order,
     each restricted and searched as is_cup_golod does, but only for the
-    v outside some target that has such a split over Q or over F_p for
-    a torsion prime p of K (those of K - v are among them); the split is
-    the first one that the product search's split generator yields.
+    v outside the target of some pair that K's own product search lists
+    over Q or over F_p for a torsion prime p of K (those of K - v are
+    among them); Q's listing is the one K's Golod test has just read.
     Every other K - v is product-free.  A torsion prime beyond
     MAX_FIELD_PRIME makes every vertex a candidate.
     """
@@ -101,12 +95,10 @@ def is_minimally_non_golod(K: SimplicialComplex) -> MNGReport:
 def _deletion_candidates(K: SimplicialComplex) -> int:
     """Mask of the vertices v whose deletion K - v may carry a product.
 
-    v is one when some component (S, d) of K's table over Q or over F_p,
-    p a torsion prime of K, has d >= 1, v outside S, and has a split
-    into components (I, d1) and (S - I, d - d1 - 1): the first one that
-    the product search's _splits yields; all vertices are when a torsion
-    prime is beyond MAX_FIELD_PRIME.  A target is skipped when every
-    vertex outside it is a candidate already.
+    v is one when it lies outside the target I u J of some pair of
+    components (I, d1), (J, d2) that the product search lists for K over
+    Q or over F_p, p a torsion prime of K; all vertices are when a
+    torsion prime is beyond MAX_FIELD_PRIME.
     """
     full = (1 << K.m) - 1
     torsion = hochster_table(K, INT).torsion_primes
@@ -114,11 +106,12 @@ def _deletion_candidates(K: SimplicialComplex) -> int:
         return full
     found = 0
     for field in (RAT, *map(PRIME, torsion)):
-        keys = list(_component_spans(hochster_table(K, field)))
-        by_degree = _by_degree(keys)
-        for S, d in keys:
-            if d >= 1 and full & ~S & ~found and next(_splits(S, d, by_degree), 0):
-                found |= full & ~S
+        table, pairs = _listing(K, field)
+        subsets = [I for I, _ in _component_spans(table)]
+        n = len(subsets)
+        for packed in pairs:
+            a, b = divmod(packed, n)
+            found |= full & ~(subsets[a] | subsets[b])
     return found
 
 

@@ -23,9 +23,10 @@ component's basis is built when a pair first reaches it.
 
 A nonzero product of classes on (I, d1) and (J, d2) lands in the target
 component (I u J, d1 + d2 + 1), so the search lists the splits of each
-target into two components and sorts them into pairs.  One generator,
-_splits, lists them; the minimally-non-Golod test asks it for the first
-split of a target, to see which vertex deletions may carry a product.
+target into two components and sorts them into pairs.  The listing is
+kept per complex and field, beside the cached table: the product search,
+product_table, the Golod test and the minimally-non-Golod test's choice
+of vertex deletions all read the one listing.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ def product_table(
     outright; the remaining products are resolved into basis coordinates.
     """
     classes = tuple(c for c in tor_basis(K, coeffs) if c.subset)
-    search = _iter_nonzero_products(K, hochster_table(K, coeffs))
+    search = _iter_nonzero_products(K, coeffs)
     return ProductTable(K, coeffs, classes, tuple(e for *_, e in search))
 
 
@@ -263,19 +264,12 @@ def _component_spans(table: HochsterTable) -> dict:
     return spans
 
 
-def _by_degree(keys) -> dict[int, dict[int, int]]:
-    """degree -> {subset: position in keys} for the component keys."""
-    by_degree: dict[int, dict[int, int]] = {}
-    for pos, (I, d) in enumerate(keys):
-        by_degree.setdefault(d, {})[I] = pos
-    return by_degree
-
-
 def _splits(S: int, d: int, by_degree: dict[int, dict[int, int]]):
-    """Yield the splits ((I, d1), (S - I, d - d1 - 1)) of the target
-    (S, d) into two components of by_degree, with I holding S's lowest
-    vertex.  Each pair of degrees is searched over the smaller of its
-    component sets and the 2^(|S| - 1) splits of S."""
+    """Yield the positions of the components (I, d1) and (S - I,
+    d - d1 - 1) of by_degree that split the target (S, d), each unordered
+    split once.  by_degree maps a degree to {subset: position}.  Each
+    pair of degrees is searched over the smaller of its component sets
+    and the 2^(|S| - 1) splits of S."""
     low = S & -S
     for d1 in range((d + 1) // 2):  # d1 <= d2
         d2 = d - d1 - 1
@@ -283,24 +277,22 @@ def _splits(S: int, d: int, by_degree: dict[int, dict[int, int]]):
         if not A or not B:
             continue
         if len(B) < len(A):
-            A, B, d1, d2 = B, A, d2, d1
+            A, B = B, A
         if len(A) < 1 << (S.bit_count() - 1):
             for I in A:
                 J = S ^ I
                 if I & ~S or J not in B:
                     continue
-                if I & low:
-                    yield (I, d1), (J, d2)
-                elif d1 != d2:  # else (J, d2), (I, d1) is met at J
-                    yield (J, d2), (I, d1)
+                if d1 != d2 or I & low:  # else the split is met at J
+                    yield A[I], B[J]
             continue
         rest = J = S ^ low  # J runs over the nonempty submasks without low
         while J:
             I = S ^ J
             if I in A and J in B:
-                yield (I, d1), (J, d2)
+                yield A[I], B[J]
             if d1 != d2 and J in A and I in B:
-                yield (I, d2), (J, d1)
+                yield A[J], B[I]
             J = (J - 1) & rest
 
 
@@ -315,35 +307,47 @@ def _sorted_pairs(keys) -> array:
     are sorted, by first component and then by second, into an array of
     machine integers (8 bytes a pair, where the sorted list takes 36).
     """
-    n, by_degree = len(keys), _by_degree(keys)
-    pairs = []
-    for S, d in keys:
-        for (I, d1), (J, d2) in _splits(S, d, by_degree):
-            a, b = by_degree[d1][I], by_degree[d2][J]
-            pairs.append(a * n + b if a < b else b * n + a)
-    pairs.sort()
+    n, by_degree = len(keys), {}
+    for pos, (I, d) in enumerate(keys):
+        by_degree.setdefault(d, {})[I] = pos
+    pairs = sorted(
+        a * n + b if a < b else b * n + a
+        for S, d in keys
+        for a, b in _splits(S, d, by_degree)
+    )
     return array("q", pairs)
 
 
-def _iter_nonzero_products(K: SimplicialComplex, table: HochsterTable):
+@lru_cache(maxsize=64)
+def _listing(
+    K: SimplicialComplex, coeffs: Coefficients
+) -> tuple[HochsterTable, array]:
+    """K's table over the field and the packed pairs of its components,
+    listed once per complex and field.  Only the array is kept beside the
+    cached table; the components are read off the table again."""
+    table = hochster_table(K, coeffs)
+    return table, _sorted_pairs(list(_component_spans(table)))
+
+
+def _iter_nonzero_products(K: SimplicialComplex, coeffs: Coefficients):
     """Yield (x, y, (i, j, coords)) for the nonzero products of classes.
 
-    table is K's Hochster table over a field; i and j index the
-    positive-degree classes in tor_basis order, as running sums of the
-    table's ranks.  The pairs of _sorted_pairs, read off the splits of
-    each target, are multiplied in increasing (i, j) order, grouped by
+    i and j index the positive-degree classes in tor_basis order, as
+    running sums of the ranks of K's table over the field.  The pairs of
+    K's listing are multiplied in increasing (i, j) order, grouped by
     first component, and a component's basis is built when a pair first
     reaches it.
     """
+    table, pairs = _listing(K, coeffs)  # first: one component map at a time
     spans = _component_spans(table)
     keys = list(spans)
     n = len(keys)
 
     def indexed(key):
         start, rank = spans[key]
-        return enumerate(_classes(K, *key, rank, table.coeffs), start)
+        return enumerate(_classes(K, *key, rank, coeffs), start)
 
-    for a, group in groupby(_sorted_pairs(keys), key=lambda packed: packed // n):
+    for a, group in groupby(pairs, key=lambda packed: packed // n):
         I, d1 = first = keys[a]
         partners = []
         for packed in group:
@@ -419,7 +423,7 @@ def is_cup_golod(K: SimplicialComplex) -> GolodReport:
         # no p-torsion: H*(Z_K; F_p) = H*(Z_K; Z) mod p has no product Q lacks
         if field.kind == "prime" and field.p not in torsion:
             continue
-        found = next(_iter_nonzero_products(K, hochster_table(K, field)), None)
+        found = next(_iter_nonzero_products(K, field), None)
         if found is not None:
             x, y, (_, _, coords) = found
             witness = {

@@ -34,6 +34,10 @@ with no cell removed first: the oracle for the homology kernel, which
 reads K_I off K's facet masks and coreduces before its Smith form, and
 the homology reference_integral_table asks of every subset.
 
+package_caches lists every lru cache the package defines, and
+cold_caches empties them and the table cache, so that a test counts the
+work of a run from nothing cached.
+
 smith_normal_form and boundary_matrix are dense oracles for the sparse
 integer elimination and the chain complexes, and dense_rank, dense_rref
 and dense_nullspace for the sparse field elimination.  These compute in
@@ -71,6 +75,7 @@ from momangle import (
     disjoint_points,
     from_facets,
     from_json,
+    hochster,
     hochster_table,
     homology_profile,
     is_cup_golod,
@@ -85,6 +90,26 @@ from momangle.products import (
     _iter_nonzero_products,
     cochain_class_coords,
 )
+
+PACKAGE = Path(hochster.__file__).resolve().parent
+
+
+def package_caches():
+    """(module name, attribute, cache) for every lru cache defined in a
+    module of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"momangle.{path.stem}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                yield path.stem, name, value
+
+
+def cold_caches():
+    """Empty the table cache and every lru cache of the package."""
+    hochster._TABLES.clear()
+    for *_, cache in package_caches():
+        cache.cache_clear()
+
 
 # 6-vertex triangulation of the real projective plane: 10 facets, every
 # edge in exactly two triangles, Euler characteristic 1, H~_1 = Z/2
@@ -628,7 +653,7 @@ def reference_golod(K):
     checked = []
     for field in battery:
         checked.append(str(field))
-        found = next(_iter_nonzero_products(K, hochster_table(K, field)), None)
+        found = next(_iter_nonzero_products(K, field), None)
         if found is not None:
             x, y, (_, _, coords) = found
             witness = {

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -31,6 +34,7 @@ from momangle import (
     verify_theorem_4_2,
     vertices_of,
 )
+from momangle.cli import main
 
 from helpers import (
     PINCHED,
@@ -38,6 +42,7 @@ from helpers import (
     RP2_STELLAR_FACETS,
     TWO_TRIANGLES,
     benchmark_inputs,
+    cold_caches,
     reference_deletion_candidates,
     reference_gorenstein,
     reference_gram_rank,
@@ -47,12 +52,6 @@ from helpers import (
 
 PYRAMID = from_facets(5, [(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)])
 PATH3 = from_facets(3, [(1, 2), (2, 3)])
-
-
-def _cold_caches():
-    for name in ("_component", "_relabelled_basis", "is_cup_golod"):
-        getattr(products, name).cache_clear()
-    hochster._TABLES.clear()
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -107,7 +106,7 @@ def test_mng_builds_one_basis_per_relabelled_full_subcomplex(monkeypatch):
     # second and target components, from cold caches.
     K = polygon(9)
     calls = _count_calls(monkeypatch, products, "cocycle_basis")
-    _cold_caches()
+    cold_caches()
     rep = is_minimally_non_golod(K)
     assert rep.value is True
     x, y = rep.witness["x"], rep.witness["y"]
@@ -176,30 +175,73 @@ def test_deletion_candidates_are_the_complements_of_split_targets(
         assert reference_deletion_candidates(K, bound=1) == (1 << K.m) - 1
 
 
+def _count_listings(monkeypatch):
+    """Count the pair listings of every (complex, field): each lists the
+    components of the table that products.hochster_table gave last."""
+    asked, listed = [], Counter()
+    table, sorted_pairs = products.hochster_table, products._sorted_pairs
+
+    def counted_table(K, coeffs=INT):
+        asked.append((K, coeffs))
+        return table(K, coeffs)
+
+    def counted_pairs(keys):
+        listed[asked[-1]] += 1
+        return sorted_pairs(keys)
+
+    monkeypatch.setattr(products, "hochster_table", counted_table)
+    monkeypatch.setattr(products, "_sorted_pairs", counted_pairs)
+    return listed
+
+
 @pytest.mark.parametrize(
-    "K, restricts, searches, witness_vertex",
+    "K, restricts, listings, witness_vertex",
     [
-        (polygon(9), 0, 0, None),
-        (stacked_sphere(2, 6), 0, 219, None),
-        (cone(polygon(6)), 1, 1, 7),
+        (polygon(9), 0, 1, None),
+        (stacked_sphere(2, 6), 0, 1, None),
+        (cone(polygon(6)), 1, 2, 7),
     ],
     ids=["polygon9", "stacked_sphere2_6", "cone_polygon6"],
 )
 def test_mng_restricts_only_the_candidate_deletions(
-    K, restricts, searches, witness_vertex, monkeypatch
+    K, restricts, listings, witness_vertex, monkeypatch
 ):
     # From cold caches: a deletion is restricted and searched only when a
-    # target of positive degree avoiding it splits into two components.
+    # pair that K's Golod search lists has a target avoiding it, and the
+    # candidates read that listing: each (complex, field) is listed once.
     # polygon(9)'s one such target is K; the cone's is the base polygon,
-    # so only the apex, the witness, is tried.
-    _cold_caches()
+    # so only the apex, the witness, is tried, and K - 7 is listed too.
+    cold_caches()
     restrict = _count_calls(monkeypatch, HochsterTable, "restrict")
-    split = _count_calls(monkeypatch, classify, "_splits")
+    listed = _count_listings(monkeypatch)
     rep = is_minimally_non_golod(K)
-    assert (rep.witness_vertex, len(restrict), len(split)) == (
-        witness_vertex, restricts, searches
-    )
+    assert (rep.witness_vertex, len(restrict)) == (witness_vertex, restricts)
+    assert (K, RAT) in listed
+    assert (len(listed), set(listed.values())) == (listings, {1})
     assert rep.to_dict() == reference_mng(K).to_dict()
+
+
+def test_analyze_lists_each_complex_and_field_once(monkeypatch, tmp_path):
+    # From cold caches, analyze asks for K's pairs over Q in the Golod
+    # test, the deletion candidates and recognition's product table, and
+    # over F_2 as well for RP^2's 2-torsion; deletions it searches are
+    # complexes of their own.  Every (complex, field) is listed once.
+    rp2 = from_facets(6, RP2_FACETS)
+    for K, fields in [
+        (polygon(7), {RAT}),
+        (cone(polygon(5)), {RAT}),
+        (stacked_sphere(2, 4), {RAT}),
+        (rp2, {RAT, PRIME(2)}),
+    ]:
+        cold_caches()
+        listed = _count_listings(monkeypatch)
+        path = tmp_path / "k.json"
+        path.write_text(K.to_json())
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["analyze", str(path), "--json"]) == 0
+        assert {f for L, f in listed if L == K} == fields, K
+        assert set(listed.values()) == {1}, K
+        monkeypatch.undo()
 
 
 def test_mng_tries_every_deletion_past_the_field_bound(monkeypatch):
@@ -209,27 +251,27 @@ def test_mng_tries_every_deletion_past_the_field_bound(monkeypatch):
     # field bound lowered below 2, the Z/2 cannot be tested: every
     # deletion is tried, K - 7 is undecided, and so is K.
     K = from_facets(7, [*RP2_FACETS, (1, 4, 7), (2, 4, 7), (2, 6, 7), (4, 6, 7)])
-    _cold_caches()
+    cold_caches()
     restrict = _count_calls(monkeypatch, HochsterTable, "restrict")
     assert is_minimally_non_golod(K).value is True
     assert len(restrict) == 0
     monkeypatch.setattr(classify, "MAX_FIELD_PRIME", 1)
     monkeypatch.setattr(products, "MAX_FIELD_PRIME", 1)
     try:
-        _cold_caches()
+        cold_caches()
         assert classify._deletion_candidates(K) == (1 << 7) - 1
         rep = is_minimally_non_golod(K)
         assert (rep.value, len(restrict)) == (None, 7)
         assert "not tested: 2" in rep.caveats[-1]
         assert rep.to_dict() == reference_mng(K).to_dict()
     finally:
-        _cold_caches()  # no report of the lowered bound stays cached
+        cold_caches()  # no report of the lowered bound stays cached
 
 
 def test_the_package_builds_no_table_pairs():
     # Every caller reads the components off a table's index: no table it
     # caches builds its (mask, profile) pairs, HochsterTable.subsets.
-    _cold_caches()
+    cold_caches()
     rp2 = from_facets(6, RP2_FACETS)
     for K in (polygon(6), cone(polygon(5)), rp2, cone(rp2), stacked_sphere(2, 3)):
         for coeffs in (RAT, PRIME(2)):
@@ -590,11 +632,11 @@ def test_hypotheses_derive_no_field_table_before_it_is_needed(monkeypatch):
     )
     rp2 = from_facets(6, RP2_FACETS)
     for K in (rp2, disjoint_points(4)):
-        _cold_caches()
+        cold_caches()
         assert recognize_connected_sum(K).kind == "NONE"
-        _cold_caches()
+        cold_caches()
         assert verify_theorem_4_2(K).status == "HYPOTHESIS_NOT_MET"
     assert derived == []
-    _cold_caches()
+    cold_caches()
     assert recognize_connected_sum(polygon(6)).kind == "CONNECTED_SUM"
     assert derived == [RAT]

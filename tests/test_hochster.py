@@ -37,6 +37,7 @@ from helpers import (
     TORUS7,
     benchmark_inputs,
     brute_hochster_betti,
+    cold_caches,
     reference_aggregates,
     reference_dominated,
     reference_field_table,
@@ -271,14 +272,6 @@ def _homology_work(monkeypatch):
     return work
 
 
-def _cold_caches():
-    """Empty the table cache and the homology and link caches that the
-    walk's duality gate reads."""
-    _TABLES.clear()
-    linalg.reduced_homology.cache_clear()
-    hochster._is_sphere_by_links.cache_clear()
-
-
 def test_walk_settles_subsets_without_the_smith_form(monkeypatch):
     # work counts from empty caches.  Each of these is a sphere, so the
     # subsets through its last vertex are filled by Alexander duality from
@@ -297,7 +290,7 @@ def test_walk_settles_subsets_without_the_smith_form(monkeypatch):
         (stacked_sphere(2, 9), 88, 5),
         (boundary_simplex(13), 0, 13),
     ]:
-        _cold_caches()
+        cold_caches()
         work.update(kernel=0, links=0, smith=0)
         hochster_table(K, INT)
         want = {"kernel": calls, "links": links, "smith": 0, "built": 0}
@@ -326,7 +319,7 @@ def test_walk_builds_traces_only_for_connected_non_faces(monkeypatch):
     dominated, dominates = hochster._dominated, hochster._dominates
     monkeypatch.setattr(hochster, "_dominated", counted_step)
     monkeypatch.setattr(hochster, "_dominates", counted_test)
-    _cold_caches()
+    cold_caches()
     K = polygon(14)
     hochster_table(K, INT)
     assert len(steps) == 66
@@ -372,10 +365,10 @@ def test_walk_neighbourhood_tests_stay_few(monkeypatch):
 
     dominates = hochster._dominates
     monkeypatch.setattr(hochster, "_dominates", counted_test)
-    _cold_caches()
+    cold_caches()
     hochster_table(stacked_sphere(2, 9), INT)
     assert len(tests) == 271
-    _cold_caches()
+    cold_caches()
     tests.clear()
     work.update(kernel=0, links=0, smith=0)
     for K in benchmark_inputs("walk"):

@@ -29,7 +29,7 @@ from momangle import (
     stacked_sphere,
     tor_basis,
 )
-from momangle import hochster, products
+from momangle import products
 from momangle.products import (
     CUP_CAVEAT,
     _iter_nonzero_products,
@@ -39,6 +39,7 @@ from momangle.products import (
 
 from helpers import (
     RP2_FACETS,
+    cold_caches,
     dense_rank,
     is_cocycle,
     reference_component_pairs,
@@ -49,12 +50,6 @@ from helpers import (
 )
 
 PYRAMID = from_facets(5, [(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)])
-
-
-def _cold_caches():
-    for name in ("_component", "_relabelled_basis", "is_cup_golod"):
-        getattr(products, name).cache_clear()
-    hochster._TABLES.clear()
 
 
 def _positive_classes(K, coeffs):
@@ -233,7 +228,7 @@ def test_golod_matches_the_battery_oracle(corpus):
     vertices) and on RP^2 and its cone.  The 11- and 12-vertex RP^2
     variants are left out: the oracle takes about 49 s on the disjoint
     pair alone."""
-    _cold_caches()
+    cold_caches()
     rp2, cone_rp2, *_ = rp2_variants()
     members = [*corpus, rp2, cone_rp2]
     assert max(K.m for K in corpus) <= 8
@@ -262,7 +257,7 @@ def test_golod_searches_a_prime_field_only_for_its_torsion(monkeypatch):
         (polygon(9).delete_vertex(1), ["int", "q"]),
     ]
     for K, want in cases:
-        _cold_caches()
+        cold_caches()
         asked.clear()
         is_cup_golod(K)
         assert asked == want, K
@@ -280,7 +275,7 @@ def test_a_product_free_battery_builds_no_basis(monkeypatch):
     build = products.cocycle_basis
     monkeypatch.setattr(products, "cocycle_basis", counted)
     for K in (boundary_simplex(3), disjoint_points(6), polygon(9).delete_vertex(1)):
-        _cold_caches()
+        cold_caches()
         assert is_cup_golod(K).verdict == "CUP_GOLOD", K
     assert calls == []
 
@@ -416,7 +411,7 @@ def test_table_driven_products_match_full_enumeration(corpus, coeffs):
         ref = reference_product_table(K, coeffs, basis)
         assert tor_basis(K, coeffs) == basis, K
         assert product_table(K, coeffs).to_dict() == ref.to_dict(), K
-        found = next(_iter_nonzero_products(K, hochster_table(K, coeffs)), None)
+        found = next(_iter_nonzero_products(K, coeffs), None)
         if ref.products:
             x, y, first = found
             i, j, _ = first

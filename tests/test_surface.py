@@ -17,6 +17,8 @@ from pathlib import Path
 
 from momangle import INT, RAT, hochster, hochster_table, linalg, polygon
 
+from helpers import PACKAGE, package_caches
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -38,9 +40,6 @@ def test_traced_names_resolve():
         assert callable(owner), (layer, attr)
     # the traced run checks its reduced_homology calls against cache_info()
     assert linalg.reduced_homology.cache_info().maxsize
-
-
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "momangle"
 
 
 def _unused_imports(path):
@@ -96,14 +95,14 @@ def test_caches_are_bounded(monkeypatch):
     """Every lru_cache of the package that takes arguments has a finite
     maxsize, and the table cache, which the walk and restrict both fill,
     never holds more than TABLE_CACHE_SIZE tables."""
-    caches = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        module = importlib.import_module(f"momangle.{path.stem}")
-        for name, value in vars(module).items():
-            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
-                if inspect.signature(value.__wrapped__).parameters:
-                    caches.append((path.stem, name, value.cache_info().maxsize))
-    assert ("products", "_relabelled_basis") in {c[:2] for c in caches}
+    caches = [
+        (module, name, cache.cache_info().maxsize)
+        for module, name, cache in package_caches()
+        if inspect.signature(cache.__wrapped__).parameters
+    ]
+    assert {("products", "_relabelled_basis"), ("products", "_listing")} <= {
+        c[:2] for c in caches
+    }
     assert all(size is not None for *_, size in caches), caches
     monkeypatch.setattr(hochster, "TABLE_CACHE_SIZE", 3)
     monkeypatch.setattr(hochster, "_TABLES", {})
