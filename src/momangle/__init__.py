@@ -61,7 +61,6 @@ from .hochster import (
 )
 from .linalg import (
     INT,
-    MAX_FIELD_PRIME,
     PRIME,
     RAT,
     ChainComplex,

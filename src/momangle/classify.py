@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 from .complexes import SimplicialComplex, from_facets, mask_of, vertices_of
 from .errors import EmptySubset, InternalInvariant, OutOfRange
 from .hochster import _links_are_spheres, cached_integral_table, hochster_table
-from .linalg import INT, MAX_FIELD_PRIME, PRIME, RAT, Echelon, reduced_homology
-from .products import _component_spans, _listing, is_cup_golod, product_table
+from .linalg import INT, RAT, Echelon, reduced_homology
+from .products import _deletion_candidates, is_cup_golod, product_table
 
 # -- minimal non-Golodness ----------------------------------------------------
 
@@ -56,11 +56,9 @@ def is_minimally_non_golod(K: SimplicialComplex) -> MNGReport:
     outside S, and its factors are components (I, d1) and (S - I,
     d - d1 - 1) of K's table.  The deletions are tried in vertex order,
     each restricted and searched as is_cup_golod does, but only for the
-    v outside the target of some pair that K's own product search lists
-    over Q or over F_p for a torsion prime p of K (those of K - v are
-    among them); Q's listing is the one K's Golod test has just read.
-    Every other K - v is product-free.  A torsion prime beyond
-    MAX_FIELD_PRIME makes every vertex a candidate.
+    candidates products._deletion_candidates reads off the pairs K's own
+    Golod test lists (those of K - v are among them); every other K - v
+    is product-free.
     """
     own = is_cup_golod(K)
     caveats = own.caveats
@@ -90,29 +88,6 @@ def is_minimally_non_golod(K: SimplicialComplex) -> MNGReport:
     if undecided:
         return MNGReport(None, caveats=caveats)
     return MNGReport(True, witness=own.witness, caveats=caveats)
-
-
-def _deletion_candidates(K: SimplicialComplex) -> int:
-    """Mask of the vertices v whose deletion K - v may carry a product.
-
-    v is one when it lies outside the target I u J of some pair of
-    components (I, d1), (J, d2) that the product search lists for K over
-    Q or over F_p, p a torsion prime of K; all vertices are when a
-    torsion prime is beyond MAX_FIELD_PRIME.
-    """
-    full = (1 << K.m) - 1
-    torsion = hochster_table(K, INT).torsion_primes
-    if any(p > MAX_FIELD_PRIME for p in torsion):
-        return full
-    found = 0
-    for field in (RAT, *map(PRIME, torsion)):
-        table, pairs = _listing(K, field)
-        subsets = [I for I, _ in _component_spans(table)]
-        n = len(subsets)
-        for packed in pairs:
-            a, b = divmod(packed, n)
-            found |= full & ~(subsets[a] | subsets[b])
-    return found
 
 
 # -- Gorenstein* ---------------------------------------------------------------
@@ -240,8 +215,9 @@ def tfae_check(K: SimplicialComplex, subset) -> TFAEReport:
 
     # a vertex outside I that is no cone vertex lies in a minimal non-face
     # M, and K_M is a sphere: the ranks alone decide (a)
-    spans = _component_spans(hochster_table(K, INT))
-    a = all(mask & ~imask == 0 for mask, _ in spans)
+    a = all(
+        mask & ~imask == 0 for mask, _ in hochster_table(K, INT).components()
+    )
 
     b = mask_of(K.core_vertices()) & ~imask == 0
 
@@ -338,8 +314,7 @@ def recognize_connected_sum(K: SimplicialComplex) -> RecognitionReport:
                 reason="a product of middle classes lands below the top",
             )
     ranks = _gram_ranks(pt, N)
-    half = N // 2 if N % 2 == 0 else (N - 1) // 2
-    for k in range(3, half + 1):
+    for k in range(3, N // 2 + 1):
         if not b[k]:
             continue
         if ranks[k] != b[k]:

@@ -39,6 +39,13 @@ from .hochster import duality_check, format_poincare, hochster_table
 from .linalg import INT, coefficients_from_token
 from .products import is_cup_golod, product_table
 
+# the statements `verify` checks: its argument choices and its dispatch
+THEOREMS = {
+    "thm1.1": verify_theorem_1_1,
+    "thm1.2": verify_theorem_1_2,
+    "thm4.2": verify_theorem_4_2,
+}
+
 
 def _parse_gen(tokens: list[str]):
     if not tokens:
@@ -153,9 +160,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_input_args(p)
 
     p = sub.add_parser("verify", help="check one theorem on one complex")
-    p.add_argument(
-        "theorem", choices=["thm1.1", "thm1.2", "thm4.2"], help="statement to check"
-    )
+    p.add_argument("theorem", choices=THEOREMS, help="statement to check")
     _add_input_args(p)
 
     p = sub.add_parser("gen", help="print a generated complex as JSON")
@@ -325,12 +330,7 @@ def _cmd_recognize(args) -> int:
 
 def _cmd_verify(args) -> int:
     K = _load_complex(args)
-    fn = {
-        "thm1.1": verify_theorem_1_1,
-        "thm1.2": verify_theorem_1_2,
-        "thm4.2": verify_theorem_4_2,
-    }[args.theorem]
-    rep = fn(K)
+    rep = THEOREMS[args.theorem](K)
     lines = [f"{rep.theorem}: {rep.status}"]
     if rep.status == "HYPOTHESIS_NOT_MET":
         for key, val in rep.hypothesis.items():

@@ -23,7 +23,7 @@ import itertools as it
 import json
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import (
     BadParams,
@@ -198,18 +198,6 @@ class SimplicialComplex:
             f | (g << self.m) for f in self.facets for g in other.facets
         ]
         return from_facets(self.m + other.m, map(vertices_of, facets))
-
-    def relabel(self, new_labels: Sequence[int]) -> SimplicialComplex:
-        """Rename vertex i to new_labels[i-1]; must be a bijection on 1..m."""
-        if sorted(new_labels) != list(range(1, self.m + 1)):
-            raise BadParams("relabeling must be a bijection onto 1..m")
-        return _from_masks(
-            self.m,
-            [
-                mask_of(new_labels[v - 1] for v in vertices_of(f))
-                for f in self.facets
-            ],
-        )
 
     # -- serialization ---------------------------------------------------
 

@@ -155,6 +155,19 @@ class HochsterTable:
             return self.profiles[self.index[subset_mask]]
         return self.profiles[0]
 
+    def components(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """(subset, degree) -> (first class, rank) for the nonzero
+        components on nonempty subsets, in increasing order: the classes
+        of a component are numbered by running sums of the ranks, read
+        off the index and profiles when asked, and not kept."""
+        spans, n = {}, 0
+        index = self.index[1:]
+        for mask, k in compress(enumerate(index, 1), index):
+            for degree, rank in self.profiles[k].ranks:
+                spans[mask, degree] = n, rank
+                n += rank
+        return spans
+
     @cached_property
     def bigraded(self) -> dict[tuple[int, int], int]:
         """Ranks keyed by (|I|, d): subset size and reduced degree, from one

@@ -316,10 +316,6 @@ class Echelon:
                 self._sub(combo, a, self.combos[c])
         return w
 
-    def reduce(self, v: Mapping) -> dict:
-        """Normal form of v modulo the span of the rows."""
-        return self._eliminate(v, None)
-
     def express(self, v: Mapping) -> tuple[dict, dict]:
         """(normal form of v, combination over the tags): v is the normal
         form plus that combination of the tagged vectors, modulo the
@@ -455,14 +451,6 @@ class HomologyProfile:
     @property
     def is_trivial(self) -> bool:
         return not self.ranks and not self.torsion
-
-    def degrees(self) -> tuple[int, ...]:
-        ds = {d for d, _ in self.ranks} | {d for d, _ in self.torsion}
-        return tuple(sorted(ds))
-
-    def top_degree(self) -> int | None:
-        ds = self.degrees()
-        return ds[-1] if ds else None
 
     def betti_vector(self, lo: int, hi: int) -> tuple[int, ...]:
         return tuple(self.rank(d) for d in range(lo, hi + 1))

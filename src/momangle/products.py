@@ -26,7 +26,9 @@ component (I u J, d1 + d2 + 1), so the search lists the splits of each
 target into two components and sorts them into pairs.  The listing is
 kept per complex and field, beside the cached table: the product search,
 product_table, the Golod test and the minimally-non-Golod test's choice
-of vertex deletions all read the one listing.
+of vertex deletions all read the one listing.  This module alone packs
+and unpacks its pairs, and _golod_fields alone decides which fields the
+Golod test lists, searches, skips or cannot test.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ import json
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, groupby
+from itertools import groupby, repeat
+from operator import itemgetter
 
 from .complexes import SimplicialComplex, _lift_mask, vertices_of
 from .errors import FieldMismatch, InternalInvariant, NotAField
@@ -138,14 +141,14 @@ def tor_basis(
     subsets and degrees where the reduced homology over the field is
     nonzero.  Classes are ordered by (subset mask, degree, basis index);
     the unit is the empty-subset class in total degree 0, and the rest
-    are the components of _component_spans.
+    are numbered as the table's components.
     """
     if not coeffs.is_field:
         raise NotAField("cup products need field coefficients")
-    spans = _component_spans(hochster_table(K, coeffs))
+    components = hochster_table(K, coeffs).components()
     return _classes(K, 0, -1, 1, coeffs) + tuple(
         c
-        for (mask, degree), (_, rank) in spans.items()
+        for (mask, degree), (_, rank) in components.items()
         for c in _classes(K, mask, degree, rank, coeffs)
     )
 
@@ -250,20 +253,6 @@ def product_table(
     return ProductTable(K, coeffs, classes, tuple(e for *_, e in search))
 
 
-def _component_spans(table: HochsterTable) -> dict:
-    """(subset, degree) -> (first class, rank) for the nonzero components
-    of the table on nonempty subsets, in increasing order: the classes of
-    a component are numbered by running sums of the ranks, read off the
-    table's index and profiles."""
-    spans, n = {}, 0
-    index = table.index[1:]  # the nonempty subsets, read off the index
-    for mask, k in compress(enumerate(index, 1), index):
-        for degree, rank in table.profiles[k].ranks:
-            spans[mask, degree] = n, rank
-            n += rank
-    return spans
-
-
 def _splits(S: int, d: int, by_degree: dict[int, dict[int, int]]):
     """Yield the positions of the components (I, d1) and (S - I,
     d - d1 - 1) of by_degree that split the target (S, d), each unordered
@@ -305,7 +294,8 @@ def _sorted_pairs(keys) -> array:
     of a target component; the splits of every target are listed.  The
     pair at positions a < b is packed as a * len(keys) + b, and the pairs
     are sorted, by first component and then by second, into an array of
-    machine integers (8 bytes a pair, where the sorted list takes 36).
+    machine integers (8 bytes a pair, where the sorted list takes 36);
+    _unpacked reads them back.
     """
     n, by_degree = len(keys), {}
     for pos, (I, d) in enumerate(keys):
@@ -318,6 +308,11 @@ def _sorted_pairs(keys) -> array:
     return array("q", pairs)
 
 
+def _unpacked(pairs: array, n: int):
+    """The (first, second) positions of packed pairs of n components."""
+    return map(divmod, pairs, repeat(n))
+
+
 @lru_cache(maxsize=64)
 def _listing(
     K: SimplicialComplex, coeffs: Coefficients
@@ -326,7 +321,28 @@ def _listing(
     listed once per complex and field.  Only the array is kept beside the
     cached table; the components are read off the table again."""
     table = hochster_table(K, coeffs)
-    return table, _sorted_pairs(list(_component_spans(table)))
+    return table, _sorted_pairs(list(table.components()))
+
+
+def _deletion_candidates(K: SimplicialComplex) -> int:
+    """Mask of the vertices v whose deletion K - v may carry a product.
+
+    v is one when it lies outside the target I u J of some listed pair of
+    components (I, d1), (J, d2) over a field the Golod test searches;
+    all vertices are when it cannot test a torsion prime of K.
+    """
+    full = (1 << K.m) - 1
+    battery, untestable = _golod_fields(K)
+    if untestable:
+        return full
+    found = 0
+    for field, searched in battery:
+        if searched:
+            table, pairs = _listing(K, field)
+            subsets = [I for I, _ in table.components()]
+            for a, b in _unpacked(pairs, len(subsets)):
+                found |= full & ~(subsets[a] | subsets[b])
+    return found
 
 
 def _iter_nonzero_products(K: SimplicialComplex, coeffs: Coefficients):
@@ -339,20 +355,19 @@ def _iter_nonzero_products(K: SimplicialComplex, coeffs: Coefficients):
     reaches it.
     """
     table, pairs = _listing(K, coeffs)  # first: one component map at a time
-    spans = _component_spans(table)
-    keys = list(spans)
-    n = len(keys)
+    components = table.components()
+    keys = list(components)
 
     def indexed(key):
-        start, rank = spans[key]
+        start, rank = components[key]
         return enumerate(_classes(K, *key, rank, coeffs), start)
 
-    for a, group in groupby(pairs, key=lambda packed: packed // n):
+    for a, group in groupby(_unpacked(pairs, len(keys)), key=itemgetter(0)):
         I, d1 = first = keys[a]
         partners = []
-        for packed in group:
-            J, d2 = second = keys[packed % n]
-            partners.append((second, spans[I | J, d1 + d2 + 1][0]))
+        for _, b in group:
+            J, d2 = second = keys[b]
+            partners.append((second, components[I | J, d1 + d2 + 1][0]))
         for i, x in indexed(first):
             for second, t in partners:
                 for j, y in indexed(second):
@@ -389,6 +404,23 @@ class GolodReport:
         }
 
 
+def _golod_fields(K: SimplicialComplex) -> tuple[list, list[int]]:
+    """The Golod test's battery as (field, searched) pairs, in battery
+    order, and the torsion primes of K beyond MAX_FIELD_PRIME, which it
+    cannot test.  Q is searched, and an F_p only when p is a torsion prime
+    of K's integral table."""
+    torsion = hochster_table(K, INT).torsion_primes
+    battery = list(GOLOD_FIELDS)
+    battery += [
+        PRIME(p)
+        for p in torsion
+        if p <= MAX_FIELD_PRIME and PRIME(p) not in GOLOD_FIELDS
+    ]
+    untestable = [p for p in torsion if p > MAX_FIELD_PRIME]
+    # no p-torsion: H*(Z_K; F_p) = H*(Z_K; Z) mod p has no product Q lacks
+    return [(f, f.kind == "rat" or f.p in torsion) for f in battery], untestable
+
+
 @lru_cache(maxsize=10_000)
 def is_cup_golod(K: SimplicialComplex) -> GolodReport:
     """Cup-level Golod test over a fixed battery of fields.
@@ -406,11 +438,7 @@ def is_cup_golod(K: SimplicialComplex) -> GolodReport:
     whose table has no pair of disjoint components with a nonzero target
     component builds none.  Reports are cached per complex.
     """
-    torsion = hochster_table(K, INT).torsion_primes
-    battery = list(GOLOD_FIELDS)
-    have = {c.p for c in battery if c.kind == "prime"}
-    battery += [PRIME(p) for p in torsion if p not in have and p <= MAX_FIELD_PRIME]
-    untestable = [p for p in torsion if p > MAX_FIELD_PRIME]
+    battery, untestable = _golod_fields(K)
     caveats = [CUP_CAVEAT]
     if untestable:
         caveats.append(
@@ -418,10 +446,9 @@ def is_cup_golod(K: SimplicialComplex) -> GolodReport:
             + ", ".join(map(str, untestable))
         )
     checked = []
-    for field in battery:
+    for field, searched in battery:
         checked.append(str(field))
-        # no p-torsion: H*(Z_K; F_p) = H*(Z_K; Z) mod p has no product Q lacks
-        if field.kind == "prime" and field.p not in torsion:
+        if not searched:
             continue
         found = next(_iter_nonzero_products(K, field), None)
         if found is not None:

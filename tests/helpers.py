@@ -62,7 +62,6 @@ from momangle import (
     GolodReport,
     GorensteinReport,
     INT,
-    MAX_FIELD_PRIME,
     MNGReport,
     PRIME,
     RAT,
@@ -84,7 +83,13 @@ from momangle import (
     vertices_of,
 )
 from momangle.complexes import _compress, _lift_mask
-from momangle.linalg import Echelon, make_profile, rank_mod_p, reduced_homology
+from momangle.linalg import (
+    MAX_FIELD_PRIME,
+    Echelon,
+    make_profile,
+    rank_mod_p,
+    reduced_homology,
+)
 from momangle.products import (
     CUP_CAVEAT,
     _iter_nonzero_products,
@@ -240,6 +245,20 @@ def dense_nullspace(rows, ncols, p=None):
 def has_face(K, vertices):
     """Whether the vertex collection spans a face of K."""
     return K.contains_mask(mask_of(vertices))
+
+
+def relabel(K, new_labels):
+    """K with vertex i renamed new_labels[i-1]; a bijection on 1..m."""
+    if sorted(new_labels) != list(range(1, K.m + 1)):
+        raise BadParams("relabeling must be a bijection onto 1..m")
+    return from_facets(
+        K.m, [[new_labels[v - 1] for v in vertices_of(f)] for f in K.facets]
+    )
+
+
+def profile_degrees(prof):
+    """The degrees where a HomologyProfile has rank or torsion, sorted."""
+    return tuple(sorted({d for d, _ in prof.ranks} | {d for d, _ in prof.torsion}))
 
 
 def f_vector(K):
@@ -611,7 +630,7 @@ def reference_component_pairs(components):
 
 
 def reference_deletion_candidates(K, bound=MAX_FIELD_PRIME):
-    """classify._deletion_candidates from reference_component_pairs: the
+    """products._deletion_candidates from reference_component_pairs: the
     vertices outside some target the scan reaches over Q or over F_p for
     a torsion prime p of K, or every vertex when a torsion prime is past
     bound."""
@@ -622,7 +641,9 @@ def reference_deletion_candidates(K, bound=MAX_FIELD_PRIME):
     found = 0
     for field in (RAT, *map(PRIME, torsion)):
         table = hochster_table(K, field)
-        components = [(I, d) for I, prof in table.subsets if I for d in prof.degrees()]
+        components = [
+            (I, d) for I, prof in table.subsets if I for d in profile_degrees(prof)
+        ]
         for _, _, (S, _) in reference_component_pairs(components):
             found |= full & ~S
     return found

@@ -143,7 +143,7 @@ def test_mng_reads_a_product_over_f2_only_off_the_table():
     # before it are candidates too, and searched, and product-free
     K = _stellar_rp2_beside(disjoint_points(1))
     assert products.is_cup_golod(K.delete_vertex(8)).witness["field"] == "f2"
-    assert classify._deletion_candidates(K) == 0b10111111
+    assert products._deletion_candidates(K) == 0b10111111
     rep = is_minimally_non_golod(K)
     assert (rep.value, rep.witness_vertex, rep.witness["field"]) == (False, 8, "f2")
 
@@ -164,14 +164,14 @@ def test_deletion_candidates_are_the_complements_of_split_targets(
     ]
     kinds = set()
     for K in cases:
-        mask = classify._deletion_candidates(K)
+        mask = products._deletion_candidates(K)
         assert mask == reference_deletion_candidates(K), K
         kinds.add("none" if not mask else "all" if mask == (1 << K.m) - 1 else "some")
     assert kinds == {"none", "some", "all"}
-    monkeypatch.setattr(classify, "MAX_FIELD_PRIME", 1)
+    monkeypatch.setattr(products, "MAX_FIELD_PRIME", 1)
     for K in variants:
         assert hochster_table(K, INT).torsion_primes == (2,)
-        assert classify._deletion_candidates(K) == (1 << K.m) - 1, K
+        assert products._deletion_candidates(K) == (1 << K.m) - 1, K
         assert reference_deletion_candidates(K, bound=1) == (1 << K.m) - 1
 
 
@@ -255,11 +255,10 @@ def test_mng_tries_every_deletion_past_the_field_bound(monkeypatch):
     restrict = _count_calls(monkeypatch, HochsterTable, "restrict")
     assert is_minimally_non_golod(K).value is True
     assert len(restrict) == 0
-    monkeypatch.setattr(classify, "MAX_FIELD_PRIME", 1)
     monkeypatch.setattr(products, "MAX_FIELD_PRIME", 1)
     try:
         cold_caches()
-        assert classify._deletion_candidates(K) == (1 << 7) - 1
+        assert products._deletion_candidates(K) == (1 << 7) - 1
         rep = is_minimally_non_golod(K)
         assert (rep.value, len(restrict)) == (None, 7)
         assert "not tested: 2" in rep.caveats[-1]

@@ -234,6 +234,63 @@ def test_verify_rejects_unknown_theorem(capsys):
         main(["verify", "thm9.9", "--gen", "polygon", "4"])
 
 
+# the help texts at 80 columns; the theorem choices are the keys of
+# cli.THEOREMS, which also dispatches them
+MAIN_HELP = """\
+usage: momangle [-h]
+                {hochster,betti-zk,betti-rk,products,golod,mng,core,gorenstein,recognize,verify,gen,analyze}
+                ...
+
+Cohomology rings of moment-angle complexes
+
+positional arguments:
+  {hochster,betti-zk,betti-rk,products,golod,mng,core,gorenstein,recognize,verify,gen,analyze}
+    hochster            subset-sum cohomology table of Z_K
+    betti-zk            Betti numbers of Z_K from the Hochster table
+    betti-rk            Betti numbers of R_K from the Hochster table
+    products            nonzero cup products over a field
+    golod               cup-level Golod test over a field battery
+    mng                 minimally non-Golod test
+    core                cone vertices and the core subcomplex
+    gorenstein          Gorenstein* test via face links
+    recognize           match H*(Z_K; Q) against connected sums of sphere
+                        products
+    verify              check one theorem on one complex
+    gen                 print a generated complex as JSON
+    analyze             run the full battery on one complex
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+VERIFY_HELP = """\
+usage: momangle verify [-h] [--gen TOKEN [TOKEN ...]] [--json]
+                       {thm1.1,thm1.2,thm4.2} [input]
+
+positional arguments:
+  {thm1.1,thm1.2,thm4.2}
+                        statement to check
+  input                 complex JSON file, or - for stdin
+
+options:
+  -h, --help            show this help message and exit
+  --gen TOKEN [TOKEN ...]
+                        build a complex inline: FAMILY ARGS (cone/join nest)
+  --json                emit JSON
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, text", [(["--help"], MAIN_HELP), (["verify", "--help"], VERIFY_HELP)]
+)
+def test_help_text_is_pinned(capsys, monkeypatch, argv, text):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == text
+
+
 def test_max_vertices_cap(capsys):
     for argv in (
         ["hochster", "--gen", "polygon", "21"],

@@ -34,6 +34,7 @@ from momangle.products import (
     CUP_CAVEAT,
     _iter_nonzero_products,
     _sorted_pairs,
+    _unpacked,
     cochain_class_coords,
 )
 
@@ -42,6 +43,7 @@ from helpers import (
     cold_caches,
     dense_rank,
     is_cocycle,
+    profile_degrees,
     reference_component_pairs,
     reference_golod,
     reference_product_table,
@@ -287,9 +289,8 @@ def test_golod_stacked_spheres():
 
 def _decoded_pairs(components):
     """_sorted_pairs unpacked into (first, second, target) keys."""
-    n = len(components)
-    for packed in _sorted_pairs(components):
-        (I, d1), (J, d2) = components[packed // n], components[packed % n]
+    for a, b in _unpacked(_sorted_pairs(components), len(components)):
+        (I, d1), (J, d2) = components[a], components[b]
         yield (I, d1), (J, d2), (I | J, d1 + d2 + 1)
 
 
@@ -350,7 +351,12 @@ def test_component_pairs_match_the_full_scan(corpus):
         for coeffs in (RAT, PRIME(2)):
             table = hochster_table(K, coeffs)
             lists.append(
-                [(I, d) for I, prof in table.subsets if I for d in prof.degrees()]
+                [
+                    (I, d)
+                    for I, prof in table.subsets
+                    if I
+                    for d in profile_degrees(prof)
+                ]
             )
     rng = random.Random(5)
     for _ in range(200):
@@ -371,7 +377,7 @@ def test_the_sorted_pairs_are_packed():
     # a memory bound, not a timing: the 169,650 Q pairs of two disjoint
     # copies of RP^2 are held in 8 bytes each; the sorted list of packed
     # ints that the array replaces held 6.5 MB
-    keys = list(products._component_spans(hochster_table(rp2_variants()[2], RAT)))
+    keys = list(hochster_table(rp2_variants()[2], RAT).components())
     tracemalloc.start()
     try:
         pairs = _sorted_pairs(keys)
