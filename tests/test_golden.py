@@ -57,7 +57,7 @@ import pytest
 from momangle import from_facets
 from momangle.cli import main
 
-from helpers import RP2_FACETS
+from helpers import RP2_FACETS, RP2_STELLAR_FACETS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIELDS = {
@@ -119,6 +119,31 @@ LARGE_VERDICTS = [
     ("analyze", "stacked2_9"),
 ]
 
+# text-mode.txt: each command variant on each case, then gen
+TEXT_CASES = {
+    "polygon5": ["--gen", "polygon", "5"],
+    "cone_polygon4": ["--gen", "cone", "polygon", "4"],
+    "stacked2_3": ["--gen", "stacked_sphere", "2", "3"],
+    "rp2": CASES["rp2"],
+    "rp2_stellar": from_facets(7, RP2_STELLAR_FACETS),
+    "disjoint_points3": ["--gen", "disjoint_points", "3"],
+}
+TEXT_COMMANDS = [
+    ["hochster"],
+    ["betti-zk"],
+    ["betti-rk"],
+    *(["products", "--field", field] for field in FIELDS["products"]),
+    ["golod"],
+    ["mng"],
+    ["core"],
+    ["gorenstein"],
+    ["recognize"],
+    *(["verify", theorem] for theorem in ("thm1.1", "thm1.2", "thm4.2")),
+    ["analyze"],
+]
+TEXT_GEN = [["gen", "polygon", "5"], ["gen", "cone", "polygon", "4"]]
+TEXT_GOLDEN = GOLDEN / "text-mode.txt"
+
 RUNS = [
     (command, name, field)
     for command, fields in FIELDS.items()
@@ -127,16 +152,35 @@ RUNS = [
 ] + [("hochster", name, "int") for name in sorted(LARGE_CASES)]
 
 
-def _run(argv: list[str], name: str, tmp_dir: Path) -> tuple[int, str]:
-    source = (CASES | LARGE_CASES | VERDICT_CASES)[name]
+def _main(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _run(
+    argv: list[str], name: str, tmp_dir: Path, emit: tuple = ("--json",)
+) -> tuple[int, str]:
+    source = (CASES | LARGE_CASES | VERDICT_CASES | TEXT_CASES)[name]
     if not isinstance(source, list):
         path = tmp_dir / f"{name}.json"
         path.write_text(source.to_json())
         source = [str(path)]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main([*argv, *source, "--json"])
-    return code, out.getvalue()
+    return _main([*argv, *source, *emit])
+
+
+def _text_transcript(tmp_dir: Path) -> str:
+    """One block per text-mode run: the command, its stdout, its exit code."""
+    runs = [
+        (f"{' '.join(argv)} {name}", _run(argv, name, tmp_dir, emit=()))
+        for name in TEXT_CASES
+        for argv in TEXT_COMMANDS
+    ] + [(" ".join(argv), _main(argv)) for argv in TEXT_GEN]
+    return "".join(
+        f"$ momangle {command}\n{out}[exit {code}]\n\n"
+        for command, (code, out) in runs
+    )
 
 
 def _stdout(command: str, name: str, field: str, tmp_dir: Path) -> str:
@@ -192,6 +236,10 @@ def test_large_verdicts_match_golden(verdict, name, tmp_path):
     assert _run(LARGE_COMMANDS[verdict], name, tmp_path) == want
 
 
+def test_text_output_matches_golden(tmp_path):
+    assert _text_transcript(tmp_path) == TEXT_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -206,3 +254,4 @@ if __name__ == "__main__":
                 old.unlink()
             code, text = _run(LARGE_COMMANDS[verdict], name, Path(tmp))
             (GOLDEN / f"{verdict}-{name}-exit{code}.json").write_text(text)
+        TEXT_GOLDEN.write_text(_text_transcript(Path(tmp)))
