@@ -6,6 +6,13 @@ or built inline with --gen, e.g.
     momangle hochster --gen cone polygon 4
     momangle recognize complex.json --json
 
+Each subcommand is declared once, in ``SUBCOMMANDS``: its help text, its
+--field default and its handler.  A handler maps the loaded complex and
+the parsed arguments to the JSON payload, the text lines and the exit
+code; ``_run`` loads the complex, prints the payload (--json) or the
+lines, and returns the code.  ``gen`` prints the complex it builds and
+has no handler.
+
 Exit codes: 0 success (or predicate true / theorem confirmed), 1 a false
 predicate or unmet hypothesis, 2 bad input, 3 a vertex cap was exceeded,
 4 an internal invariant failed (including a theorem violation, which for
@@ -86,101 +93,27 @@ def _gen_complex(tokens: list[str]) -> SimplicialComplex:
 
 
 def _load_complex(args) -> SimplicialComplex:
-    if getattr(args, "gen", None):
+    if args.gen:
         return _gen_complex(args.gen)
-    path = getattr(args, "input", None)
-    if not path:
+    if not args.input:
         raise BadParams("provide a complex file or --gen FAMILY ARGS")
     try:
-        if path == "-":
+        if args.input == "-":
             text = sys.stdin.read()
         else:
-            with open(path, encoding="utf-8") as fh:
+            with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8 text: {exc.reason}") from None
     return from_json(text)
 
 
-def _add_input_args(p):
-    p.add_argument("input", nargs="?", help="complex JSON file, or - for stdin")
-    p.add_argument(
-        "--gen",
-        nargs="+",
-        metavar="TOKEN",
-        help="build a complex inline: FAMILY ARGS (cone/join nest)",
-    )
-    p.add_argument("--json", action="store_true", help="emit JSON")
-
-
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused."""
-    ap = argparse.ArgumentParser(
-        prog="momangle",
-        description="Cohomology rings of moment-angle complexes",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("hochster", help="subset-sum cohomology table of Z_K")
-    _add_input_args(p)
-    p.add_argument("--field", default="int", help="int, q, or f<p> (default int)")
-
-    p = sub.add_parser(
-        "betti-zk", help="Betti numbers of Z_K from the Hochster table"
-    )
-    _add_input_args(p)
-    p.add_argument("--field", default="int", help="int, q, or f<p> (default int)")
-
-    p = sub.add_parser(
-        "betti-rk", help="Betti numbers of R_K from the Hochster table"
-    )
-    _add_input_args(p)
-    p.add_argument("--field", default="int", help="int, q, or f<p> (default int)")
-
-    p = sub.add_parser("products", help="nonzero cup products over a field")
-    _add_input_args(p)
-    p.add_argument("--field", default="q", help="q or f<p> (default q)")
-
-    p = sub.add_parser("golod", help="cup-level Golod test over a field battery")
-    _add_input_args(p)
-
-    p = sub.add_parser("mng", help="minimally non-Golod test")
-    _add_input_args(p)
-
-    p = sub.add_parser("core", help="cone vertices and the core subcomplex")
-    _add_input_args(p)
-
-    p = sub.add_parser("gorenstein", help="Gorenstein* test via face links")
-    _add_input_args(p)
-
-    p = sub.add_parser(
-        "recognize", help="match H*(Z_K; Q) against connected sums of sphere products"
-    )
-    _add_input_args(p)
-
-    p = sub.add_parser("verify", help="check one theorem on one complex")
-    p.add_argument("theorem", choices=THEOREMS, help="statement to check")
-    _add_input_args(p)
-
-    p = sub.add_parser("gen", help="print a generated complex as JSON")
-    p.add_argument("tokens", nargs="+", metavar="TOKEN")
-
-    p = sub.add_parser("analyze", help="run the full battery on one complex")
-    _add_input_args(p)
-    return ap
-
-
 def _field(args):
     return coefficients_from_token(args.field)
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+# how a verdict reads in text output
+_WORDS = {True: "true", False: "false", None: "undecided"}
 
 
 def _fmt_pairs(pairs) -> str:
@@ -195,8 +128,7 @@ def _fmt_pairs(pairs) -> str:
     )
 
 
-def _cmd_hochster(args) -> int:
-    K = _load_complex(args)
+def _hochster(K, args):
     table = hochster_table(K, _field(args))
     lines = [
         f"vertices: {table.m}  dim: {K.dim}  coeffs: {table.coeffs}",
@@ -215,26 +147,19 @@ def _cmd_hochster(args) -> int:
         f"duality through degree {n}: "
         + ("ok" if duality_check(table) else "fails")
     )
-    _emit(args, table.to_dict(), lines)
-    return 0
+    return table.to_dict(), lines, 0
 
 
-def _cmd_betti(args) -> int:
-    K = _load_complex(args)
+def _betti(K, args):
     coeffs = _field(args)
     kind = args.command[-2:]  # betti-zk or betti-rk
     table = hochster_table(K, coeffs)
     b = table.betti if kind == "zk" else table.rk_betti
-    _emit(
-        args,
-        {"coeffs": str(coeffs), "betti": list(b)},
-        [f"{kind} betti: " + " ".join(map(str, b))],
-    )
-    return 0
+    payload = {"coeffs": str(coeffs), "betti": list(b)}
+    return payload, [f"{kind} betti: " + " ".join(map(str, b))], 0
 
 
-def _cmd_products(args) -> int:
-    K = _load_complex(args)
+def _products(K, args):
     pt = product_table(K, _field(args))
     lines = [f"field: {pt.coeffs}", f"classes: {len(pt.classes)}"]
     for t, c in enumerate(pt.classes):
@@ -249,12 +174,10 @@ def _cmd_products(args) -> int:
         for i, j, coords in pt.products:
             rhs = " + ".join(f"{v}*[{t}]" for t, v in coords)
             lines.append(f"  [{i}]*[{j}] = {rhs}")
-    _emit(args, pt.to_dict(), lines)
-    return 0
+    return pt.to_dict(), lines, 0
 
 
-def _cmd_golod(args) -> int:
-    K = _load_complex(args)
+def _golod(K, args):
     rep = is_cup_golod(K)
     lines = [f"verdict: {rep.verdict}"]
     lines.append("fields checked: " + " ".join(rep.fields_checked))
@@ -266,25 +189,20 @@ def _cmd_golod(args) -> int:
         )
     for c in rep.caveats:
         lines.append(f"caveat: {c}")
-    _emit(args, rep.to_dict(), lines)
-    return 0 if rep.verdict == "CUP_GOLOD" else 1
+    return rep.to_dict(), lines, 0 if rep.verdict == "CUP_GOLOD" else 1
 
 
-def _cmd_mng(args) -> int:
-    K = _load_complex(args)
+def _mng(K, args):
     rep = is_minimally_non_golod(K)
-    value = {True: "true", False: "false", None: "undecided"}[rep.value]
-    lines = [f"minimally non-Golod: {value}"]
+    lines = [f"minimally non-Golod: {_WORDS[rep.value]}"]
     if rep.witness_vertex is not None:
         lines.append(f"witness vertex: {rep.witness_vertex}")
     for c in rep.caveats:
         lines.append(f"caveat: {c}")
-    _emit(args, rep.to_dict(), lines)
-    return 0 if rep.value else 1
+    return rep.to_dict(), lines, 0 if rep.value else 1
 
 
-def _cmd_core(args) -> int:
-    K = _load_complex(args)
+def _core(K, args):
     cone_verts, core = K.core()
     core_verts = K.core_vertices()
     payload = {
@@ -301,20 +219,16 @@ def _cmd_core(args) -> int:
             "{" + ",".join(map(str, vertices_of(f))) + "}" for f in core.facets
         ),
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def _cmd_gorenstein(args) -> int:
-    K = _load_complex(args)
+def _gorenstein(K, args):
     rep = is_gorenstein_star(K)
-    lines = [f"Gorenstein*: {'true' if rep.value else 'false'}", rep.reason]
-    _emit(args, rep.to_dict(), lines)
-    return 0 if rep.value else 1
+    lines = [f"Gorenstein*: {_WORDS[rep.value]}", rep.reason]
+    return rep.to_dict(), lines, 0 if rep.value else 1
 
 
-def _cmd_recognize(args) -> int:
-    K = _load_complex(args)
+def _recognize(K, args):
     rep = recognize_connected_sum(K)
     lines = [f"kind: {rep.kind}"]
     if rep.kind == "SPHERE":
@@ -324,37 +238,24 @@ def _cmd_recognize(args) -> int:
         lines.append("sphere products: " + _fmt_pairs(rep.pairs))
     else:
         lines.append(f"reason: {rep.reason}")
-    _emit(args, rep.to_dict(), lines)
-    return 0 if rep.kind != "NONE" else 1
+    return rep.to_dict(), lines, 0 if rep.kind != "NONE" else 1
 
 
-def _cmd_verify(args) -> int:
-    K = _load_complex(args)
+def _verify(K, args):
     rep = THEOREMS[args.theorem](K)
     lines = [f"{rep.theorem}: {rep.status}"]
     if rep.status == "HYPOTHESIS_NOT_MET":
         for key, val in rep.hypothesis.items():
             if isinstance(val, (bool, int, str)):
                 lines.append(f"  {key}: {val}")
-    if rep.details:
-        for key, val in rep.details.items():
-            if isinstance(val, (bool, int, str, list)):
-                lines.append(f"  {key}: {val}")
-    _emit(args, rep.to_dict(), lines)
-    if rep.status == "CONFIRMED":
-        return 0
-    if rep.status == "VIOLATION":
-        return 4
-    return 1
+    for key, val in rep.details.items():
+        if isinstance(val, (bool, int, str, list)):
+            lines.append(f"  {key}: {val}")
+    code = {"CONFIRMED": 0, "VIOLATION": 4}.get(rep.status, 1)
+    return rep.to_dict(), lines, code
 
 
-def _cmd_gen(args) -> int:
-    print(_gen_complex(args.tokens).to_json())
-    return 0
-
-
-def _cmd_analyze(args) -> int:
-    K = _load_complex(args)
+def _analyze(K, args):
     table = hochster_table(K, INT)
     cone_verts = K.cone_vertices()
     golod = is_cup_golod(K)
@@ -374,7 +275,6 @@ def _cmd_analyze(args) -> int:
         "gorenstein_star": gor.to_dict(),
         "recognition": rec.to_dict(),
     }
-    mng_word = {True: "true", False: "false", None: "undecided"}[mng.value]
     lines = [
         f"vertices: {K.m}  dim: {K.dim}",
         "betti(Z_K): " + " ".join(map(str, table.betti)),
@@ -384,8 +284,8 @@ def _cmd_analyze(args) -> int:
         "cone vertices: "
         + (" ".join(map(str, cone_verts)) if cone_verts else "(none)"),
         f"golod: {golod.verdict}",
-        f"minimally non-Golod: {mng_word}",
-        f"Gorenstein*: {'true' if gor.value else 'false'}",
+        f"minimally non-Golod: {_WORDS[mng.value]}",
+        f"Gorenstein*: {_WORDS[gor.value]}",
         f"recognition: {rec.kind}"
         + (
             f" [{_fmt_pairs(rec.pairs)}]"
@@ -393,30 +293,86 @@ def _cmd_analyze(args) -> int:
             else ""
         ),
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-_COMMANDS = {
-    "hochster": _cmd_hochster,
-    "betti-zk": _cmd_betti,
-    "betti-rk": _cmd_betti,
-    "products": _cmd_products,
-    "golod": _cmd_golod,
-    "mng": _cmd_mng,
-    "core": _cmd_core,
-    "gorenstein": _cmd_gorenstein,
-    "recognize": _cmd_recognize,
-    "verify": _cmd_verify,
-    "gen": _cmd_gen,
-    "analyze": _cmd_analyze,
+# every subcommand, in --help order: its help text, its --field default
+# (None: no --field) and its handler, which maps (K, args) to (JSON
+# payload, text lines, exit code).  gen builds a complex from its tokens
+# and prints it, so it has no complex to hand to a handler.
+SUBCOMMANDS = {
+    "hochster": ("subset-sum cohomology table of Z_K", "int", _hochster),
+    "betti-zk": ("Betti numbers of Z_K from the Hochster table", "int", _betti),
+    "betti-rk": ("Betti numbers of R_K from the Hochster table", "int", _betti),
+    "products": ("nonzero cup products over a field", "q", _products),
+    "golod": ("cup-level Golod test over a field battery", None, _golod),
+    "mng": ("minimally non-Golod test", None, _mng),
+    "core": ("cone vertices and the core subcomplex", None, _core),
+    "gorenstein": ("Gorenstein* test via face links", None, _gorenstein),
+    "recognize": (
+        "match H*(Z_K; Q) against connected sums of sphere products",
+        None,
+        _recognize,
+    ),
+    "verify": ("check one theorem on one complex", None, _verify),
+    "gen": ("print a generated complex as JSON", None, None),
+    "analyze": ("run the full battery on one complex", None, _analyze),
 }
+
+# the --field help for each default
+_FIELD_HELP = {
+    "int": "int, q, or f<p> (default int)",
+    "q": "q or f<p> (default q)",
+}
+
+
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused."""
+    ap = argparse.ArgumentParser(
+        prog="momangle",
+        description="Cohomology rings of moment-angle complexes",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (text, field, handler) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if handler is None:
+            p.add_argument("tokens", nargs="+", metavar="TOKEN")
+            continue
+        if handler is _verify:
+            p.add_argument("theorem", choices=THEOREMS, help="statement to check")
+        p.add_argument("input", nargs="?", help="complex JSON file, or - for stdin")
+        p.add_argument(
+            "--gen",
+            nargs="+",
+            metavar="TOKEN",
+            help="build a complex inline: FAMILY ARGS (cone/join nest)",
+        )
+        p.add_argument("--json", action="store_true", help="emit JSON")
+        if field:
+            p.add_argument("--field", default=field, help=_FIELD_HELP[field])
+    return ap
+
+
+def _run(args) -> int:
+    """Run the parsed command: print its JSON payload or its text lines,
+    and return its exit code."""
+    handler = SUBCOMMANDS[args.command][2]
+    if handler is None:
+        print(_gen_complex(args.tokens).to_json())
+        return 0
+    payload, lines, code = handler(_load_complex(args), args)
+    if args.json:
+        print(json.dumps(payload, indent=2))
+    else:
+        print(*lines, sep="\n")
+    return code
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _run(args)
     except InternalInvariant as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 4

@@ -81,12 +81,12 @@ b_1 = b_2 = 0 for every complex.
 from __future__ import annotations
 
 import json
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import compress, repeat
 from operator import add, mul
-from struct import pack
 
 from .complexes import SimplicialComplex, mask_of, vertices_of
 from .errors import BadParams, TooManyVertices
@@ -385,10 +385,6 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
     return HochsterTable(K, INT, idx.toreadonly(), tuple(profiles))
 
 
-# masks per slice of the dual fill, which packs one chunk at a time
-FILL_CHUNK = 4096
-
-
 def _fill_by_duality(
     idx: memoryview, profiles: list[HomologyProfile], D: int
 ) -> None:
@@ -409,10 +405,7 @@ def _fill_by_duality(
         dual.append(k)
     top = len(idx) >> 1
     below = idx[top - 1 :: -1]  # below[j] is the complement of top + j
-    for lo in range(0, top, FILL_CHUNK):
-        part = below[lo : lo + FILL_CHUNK]
-        packed = pack(f"{len(part)}I", *map(dual.__getitem__, part))
-        idx[top + lo : top + lo + len(part)] = memoryview(packed).cast("I")
+    idx[top:] = memoryview(array("I", map(dual.__getitem__, below)))
 
 
 def _dual(prof: HomologyProfile, D: int) -> HomologyProfile:

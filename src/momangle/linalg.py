@@ -68,13 +68,16 @@ INT = Coefficients("int")
 RAT = Coefficients("rat")
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _least_prime_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division."""
     for q in range(2, isqrt(n) + 1):
         if n % q == 0:
-            return False
-    return True
+            return q
+    return n
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _least_prime_factor(n) == n
 
 
 def PRIME(p: int) -> Coefficients:
@@ -420,17 +423,13 @@ class ChainComplex:
 
 def _prime_powers(n: int) -> tuple[int, ...]:
     out = []
-    for p in [2] + list(range(3, isqrt(n) + 1, 2)):
-        if p * p > n:
-            break
-        e = 0
+    while n > 1:
+        p = q = _least_prime_factor(n)
+        n //= p
         while n % p == 0:
             n //= p
-            e += 1
-        if e:
-            out.append(p**e)
-    if n > 1:
-        out.append(n)
+            q *= p
+        out.append(q)
     return tuple(sorted(out))
 
 
@@ -456,16 +455,9 @@ class HomologyProfile:
         return tuple(self.rank(d) for d in range(lo, hi + 1))
 
     def torsion_primes(self) -> frozenset[int]:
-        primes = set()
-        for _, powers in self.torsion:
-            for q in powers:
-                p = q
-                for cand in range(2, isqrt(q) + 1):
-                    if q % cand == 0:
-                        p = cand
-                        break
-                primes.add(p)
-        return frozenset(primes)
+        return frozenset(
+            _least_prime_factor(q) for _, powers in self.torsion for q in powers
+        )
 
     def is_sphere(self, n: int) -> bool:
         """Integral reduced homology of S^n (n = -1 means the empty complex)."""
