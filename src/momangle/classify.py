@@ -6,6 +6,10 @@ may carry a product, Gorenstein*-ness recurses into vertex links, the
 join/TFAE checker compares five equivalent characterizations of
 cone-vertex subsets, and the recognizer matches the rational cohomology
 ring of Z_K against the ring of a connected sum of sphere products.
+The recognizer and the Gorenstein* test share one check on K's core;
+when it holds, Poincare duality settles the pairings into the top degree
+and only a product below the top is searched for, as the theorem 4.2
+harness searches H*(R_K; Q) for one.
 
 The verify_* harnesses evaluate an implication: status CONFIRMED means
 hypothesis and conclusion both hold, HYPOTHESIS_NOT_MET means the input
@@ -22,7 +26,12 @@ from .complexes import SimplicialComplex, from_facets, mask_of, vertices_of
 from .errors import EmptySubset, InternalInvariant, OutOfRange
 from .hochster import _links_are_spheres, cached_integral_table, hochster_table
 from .linalg import INT, RAT, Echelon, reduced_homology
-from .products import _deletion_candidates, is_cup_golod, product_table
+from .products import (
+    _deletion_candidates,
+    _iter_nonzero_products,
+    is_cup_golod,
+    product_table,
+)
 
 # -- minimal non-Golodness ----------------------------------------------------
 
@@ -134,7 +143,7 @@ def is_gorenstein_star(K: SimplicialComplex) -> GorensteinReport:
         if table is None
         else table.profile_of((1 << K.m) - 1)
     )
-    if whole.is_sphere(n) and _links_are_spheres(K, n):
+    if _is_sphere_with_sphere_links(K, whole):
         return GorensteinReport(True, "all face links are homology spheres")
     for face, prof in _link_homology(K, whole):
         size = face.bit_count()
@@ -152,6 +161,15 @@ def is_gorenstein_star(K: SimplicialComplex) -> GorensteinReport:
                 },
             )
     raise InternalInvariant("every face link of a non-Gorenstein* K is a sphere")
+
+
+def _is_sphere_with_sphere_links(K: SimplicialComplex, whole) -> bool:
+    """Whether K, whose reduced homology is whole, is a homology sphere of
+    its dimension with every vertex link Gorenstein* one dimension down:
+    for K with no cone vertex, whether K is Gorenstein*.  The walk of a
+    table that takes the duality fill has decided the links already, and
+    their recursion is memoized."""
+    return whole.is_sphere(K.dim) and _links_are_spheres(K, K.dim)
 
 
 def _link_homology(K: SimplicialComplex, whole):
@@ -273,8 +291,20 @@ def recognize_connected_sum(K: SimplicialComplex) -> RecognitionReport:
     a palindromic middle away from the top, no products dropping below
     the top degree, and nondegenerate complementary pairings.  The
     verdict is about the cohomology ring, not the homeomorphism type.
+
+    Z_K is Z_core x a disc, so the ring is the core's.  When the core is
+    Gorenstein*, Q[K] is a Gorenstein ring and its Tor-algebra, which is
+    H*(Z_K; Q) (Buchstaber-Panov, Toric Topology, AMS 2015), is a
+    Poincare duality algebra (Avramov-Golod, Math. Notes 9, 1971): every
+    pairing into the top degree is nondegenerate.  So once the Betti
+    numbers fit, only a nonzero product below the top can fail it, and
+    the product search runs over the pairs whose target lies below the
+    top, stopping at the first product; no product table is built.  Any
+    other core builds the rational product table once, scans it for a
+    product below the top and ranks the pairings into the top.
     """
-    b = hochster_table(K, INT).betti  # free ranks: the Betti numbers over Q
+    table = hochster_table(K, INT)
+    b = table.betti  # free ranks: the Betti numbers over Q
     N = max((k for k, v in enumerate(b) if v), default=0)
     if N == 0:
         return RecognitionReport(
@@ -304,25 +334,28 @@ def recognize_connected_sum(K: SimplicialComplex) -> RecognitionReport:
             N,
             reason="odd-rank middle degree cannot split into products",
         )
-    pt = product_table(K, RAT)
-    classes = pt.classes
-    for i, j, coords in pt.products:
-        if classes[i].total_degree + classes[j].total_degree < N:
-            return RecognitionReport(
-                "NONE",
-                N,
-                reason="a product of middle classes lands below the top",
-            )
-    ranks = _gram_ranks(pt, N)
-    for k in range(3, N // 2 + 1):
-        if not b[k]:
-            continue
-        if ranks[k] != b[k]:
-            return RecognitionReport(
-                "NONE",
-                N,
-                reason=f"degenerate pairing between degrees {k} and {N - k}",
-            )
+    below = RecognitionReport(
+        "NONE", N, reason="a product of middle classes lands below the top"
+    )
+    core_vertices = K.core_vertices()
+    whole = table.profile_of(mask_of(core_vertices))  # the core's homology
+    if _is_sphere_with_sphere_links(K.full_subcomplex(core_vertices), whole):
+        search = _iter_nonzero_products(
+            K, RAT, lambda S, d: S.bit_count() + d + 1 < N
+        )
+        if any(search):
+            return below
+    else:
+        pt = product_table(K, RAT)
+        classes = pt.classes
+        for i, j, coords in pt.products:
+            if classes[i].total_degree + classes[j].total_degree < N:
+                return below
+        ranks = _gram_ranks(pt, N)
+        for k in range(3, N // 2 + 1):
+            if b[k] and ranks[k] != b[k]:
+                reason = f"degenerate pairing between degrees {k} and {N - k}"
+                return RecognitionReport("NONE", N, reason=reason)
     pairs: list[tuple[int, int]] = []
     for k in range(3, (N - 1) // 2 + 1):
         pairs.extend([(k, N - k)] * b[k])
@@ -460,13 +493,11 @@ def _rk_product_below(K: SimplicialComplex, n: int) -> bool:
     lands below degree n.  H*(R_K) is the sum of the H~^d(K_I) as H*(Z_K)
     is, with the class on (I, d) in degree d + 1, and its products are
     those of H*(Z_K) up to sign (Cai, On products in real moment-angle
-    manifolds, J. Math. Soc. Japan 2017)."""
-    pt = product_table(K, RAT)
-    classes = pt.classes
-    return any(
-        classes[i].degree + classes[j].degree + 2 < n
-        for i, j, _ in pt.products
-    )
+    manifolds, J. Math. Soc. Japan 2017).  A product of classes on
+    (I, d1) and (J, d2) lands in R_K degree d1 + d2 + 2, the degree of its
+    target (I u J, d1 + d2 + 1), so the product search runs over the
+    pairs whose target sits below n and stops at the first product."""
+    return any(_iter_nonzero_products(K, RAT, lambda S, d: d + 1 < n))
 
 
 def verify_theorem_4_2(K: SimplicialComplex) -> VerificationReport:

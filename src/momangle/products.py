@@ -24,11 +24,15 @@ component's basis is built when a pair first reaches it.
 A nonzero product of classes on (I, d1) and (J, d2) lands in the target
 component (I u J, d1 + d2 + 1), so the search lists the splits of each
 target into two components and sorts them into pairs.  The listing is
-kept per complex and field, beside the cached table: the product search,
+kept per complex and field, beside the cached table, together with the
+component numbering it read off the table's index: the product search,
 product_table, the Golod test and the minimally-non-Golod test's choice
-of vertex deletions all read the one listing.  This module alone packs
-and unpacks its pairs, and _golod_fields alone decides which fields the
-Golod test lists, searches, skips or cannot test.
+of vertex deletions all read the one listing.  The search can be limited to the pairs whose target passes a
+test on its (subset, degree), in the same order; connected-sum
+recognition and the theorem 4.2 harness search only below a top degree
+that way.  This module alone packs and unpacks its pairs, and
+_golod_fields alone decides which fields the Golod test lists, searches,
+skips or cannot test.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from operator import itemgetter
 
 from .complexes import SimplicialComplex, _lift_mask, vertices_of
 from .errors import FieldMismatch, InternalInvariant, NotAField
-from .hochster import HochsterTable, hochster_table
+from .hochster import hochster_table
 from .linalg import (
     INT,
     MAX_FIELD_PRIME,
@@ -288,8 +292,9 @@ def _splits(S: int, d: int, by_degree: dict[int, dict[int, int]]):
 def _sorted_pairs(keys) -> array:
     """The pairs of components whose cup product can be nonzero.
 
-    keys lists the (subset, degree) keys of the nonzero components on
-    nonempty subsets, in increasing order.  Classes on (I, d1) and
+    keys holds the (subset, degree) keys of the nonzero components on
+    nonempty subsets, in increasing order, as a list or as a map keyed
+    by them.  Classes on (I, d1) and
     (J, d2) multiply into H~^(d1+d2+1)(K_{I u J}), so a pair is a split
     of a target component; the splits of every target are listed.  The
     pair at positions a < b is packed as a * len(keys) + b, and the pairs
@@ -316,12 +321,14 @@ def _unpacked(pairs: array, n: int):
 @lru_cache(maxsize=64)
 def _listing(
     K: SimplicialComplex, coeffs: Coefficients
-) -> tuple[HochsterTable, array]:
-    """K's table over the field and the packed pairs of its components,
-    listed once per complex and field.  Only the array is kept beside the
-    cached table; the components are read off the table again."""
-    table = hochster_table(K, coeffs)
-    return table, _sorted_pairs(list(table.components()))
+) -> tuple[dict[tuple[int, int], tuple[int, int]], array]:
+    """The components of K's table over the field, as
+    HochsterTable.components() numbers them, and the packed pairs of
+    those components, listed once per complex and field.  Every reader
+    of the pairs takes the components from here, so the table's index is
+    scanned once per listing."""
+    components = hochster_table(K, coeffs).components()
+    return components, _sorted_pairs(components)
 
 
 def _deletion_candidates(K: SimplicialComplex) -> int:
@@ -338,24 +345,29 @@ def _deletion_candidates(K: SimplicialComplex) -> int:
     found = 0
     for field, searched in battery:
         if searched:
-            table, pairs = _listing(K, field)
-            subsets = [I for I, _ in table.components()]
+            components, pairs = _listing(K, field)
+            subsets = [I for I, _ in components]
             for a, b in _unpacked(pairs, len(subsets)):
                 found |= full & ~(subsets[a] | subsets[b])
     return found
 
 
-def _iter_nonzero_products(K: SimplicialComplex, coeffs: Coefficients):
+def _iter_nonzero_products(
+    K: SimplicialComplex, coeffs: Coefficients, target=None
+):
     """Yield (x, y, (i, j, coords)) for the nonzero products of classes.
 
     i and j index the positive-degree classes in tor_basis order, as
     running sums of the ranks of K's table over the field.  The pairs of
     K's listing are multiplied in increasing (i, j) order, grouped by
     first component, and a component's basis is built when a pair first
-    reaches it.
+    reaches it.  target, when given, is a predicate on the (subset,
+    degree) of a pair's target component: only the pairs whose target
+    passes are multiplied, in the same order, so a search for a product
+    in some degrees reads the one listing and builds no basis for a
+    component whose every pair lands elsewhere.
     """
-    table, pairs = _listing(K, coeffs)  # first: one component map at a time
-    components = table.components()
+    components, pairs = _listing(K, coeffs)
     keys = list(components)
 
     def indexed(key):
@@ -367,7 +379,11 @@ def _iter_nonzero_products(K: SimplicialComplex, coeffs: Coefficients):
         partners = []
         for _, b in group:
             J, d2 = second = keys[b]
-            partners.append((second, components[I | J, d1 + d2 + 1][0]))
+            S, d = I | J, d1 + d2 + 1
+            if target is None or target(S, d):
+                partners.append((second, components[S, d][0]))
+        if not partners:
+            continue
         for i, x in indexed(first):
             for second, t in partners:
                 for j, y in indexed(second):

@@ -19,7 +19,10 @@ reference_mng restricts K's table to every vertex deletion and runs the
 Golod test on each, so it checks which deletions the minimally non-Golod
 test skips.  reference_gram_rank builds the Gram matrix of a degree by
 looking up every pair of classes, the check on the one pass over the
-products that recognition makes.  reference_gorenstein builds the link
+products that recognition makes; reference_recognize recognizes a
+connected sum from the whole rational product table and those ranks
+for every input, the check on recognition's Poincare-duality shortcut
+for Gorenstein* cores.  reference_gorenstein builds the link
 of every face in order and stops at the first that is not the right
 homology sphere, the check on the Gorenstein* test's vertex-link
 recursion and on the witness it names.
@@ -68,6 +71,7 @@ from momangle import (
     HochsterTable,
     HomologyProfile,
     ProductTable,
+    RecognitionReport,
     TorClass,
     cocycle_basis,
     cone,
@@ -80,6 +84,7 @@ from momangle import (
     is_cup_golod,
     mask_of,
     multiply,
+    product_table,
     vertices_of,
 )
 from momangle.complexes import _compress, _lift_mask
@@ -765,6 +770,53 @@ def reference_gram_rank(pt, N, k):
                 row[c] = coords[0][1]
         echelon.insert(row)
     return len(echelon)
+
+
+def reference_recognize(K):
+    """The RecognitionReport recognize_connected_sum(K) should give, from
+    the Betti checks, the whole product table over Q scanned for a
+    product below the top, and every pairing into the top ranked by
+    reference_gram_rank, whatever K's core is."""
+    b = hochster_table(K, INT).betti
+    N = max((k for k, v in enumerate(b) if v), default=0)
+    if N == 0:
+        return RecognitionReport(
+            "NONE", reason="the moment-angle complex is contractible"
+        )
+    if b[N] != 1:
+        return RecognitionReport(
+            "NONE", N, reason=f"top Betti number is {b[N]}, not 1"
+        )
+    if all(v == 0 for v in b[1:N]):
+        return RecognitionReport("SPHERE", N)
+    if N < 6:
+        reason = "no room for complementary middle classes"
+    elif b[N - 1] or b[N - 2]:
+        reason = "classes immediately below the top degree"
+    elif any(b[k] != b[N - k] for k in range(N + 1)):
+        reason = "Betti numbers are not palindromic"
+    elif N % 2 == 0 and b[N // 2] % 2:
+        reason = "odd-rank middle degree cannot split into products"
+    else:
+        reason = None
+    if reason:
+        return RecognitionReport("NONE", N, reason=reason)
+    pt = product_table(K, RAT)
+    degree = [c.total_degree for c in pt.classes]
+    if any(degree[i] + degree[j] < N for i, j, _ in pt.products):
+        return RecognitionReport(
+            "NONE", N, reason="a product of middle classes lands below the top"
+        )
+    for k in range(3, N // 2 + 1):
+        if b[k] and reference_gram_rank(pt, N, k) != b[k]:
+            reason = f"degenerate pairing between degrees {k} and {N - k}"
+            return RecognitionReport("NONE", N, reason=reason)
+    pairs = []
+    for k in range(3, (N - 1) // 2 + 1):
+        pairs += [(k, N - k)] * b[k]
+    if N % 2 == 0:
+        pairs += [(N // 2, N // 2)] * (b[N // 2] // 2)
+    return RecognitionReport("CONNECTED_SUM", N, tuple(pairs))
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from helpers import (
     reference_gorenstein,
     reference_gram_rank,
     reference_mng,
+    reference_recognize,
     rp2_variants,
 )
 
@@ -219,6 +220,18 @@ def test_mng_restricts_only_the_candidate_deletions(
     assert (K, RAT) in listed
     assert (len(listed), set(listed.values())) == (listings, {1})
     assert rep.to_dict() == reference_mng(K).to_dict()
+
+
+def test_mng_scans_each_listed_table_once(monkeypatch):
+    # The listing keeps the components it numbers, and the product search
+    # and the deletion candidates read them from there: from cold caches,
+    # HochsterTable.components() scans each listed table once.
+    cold_caches()
+    scans = _count_calls(monkeypatch, HochsterTable, "components")
+    listed = _count_listings(monkeypatch)
+    assert is_minimally_non_golod(stacked_sphere(2, 6)).value is True
+    assert Counter((t.complex, t.coeffs) for t, in scans) == listed
+    assert sum(listed.values()) == 1
 
 
 def test_analyze_lists_each_complex_and_field_once(monkeypatch, tmp_path):
@@ -497,17 +510,110 @@ def test_recognize_example_is_ring_level():
 
 def test_gram_ranks_match_the_pairwise_lookup(corpus):
     # the rows built in one pass over the products give the ranks that
-    # looking up every pair of classes gives, in every degree
+    # looking up every pair of classes gives, in every degree; every
+    # input is Gorenstein*, so by Poincare duality each pairing into the
+    # top has full rank, the fact recognition's shortcut rests on
     spheres = [K for K in corpus if is_gorenstein_star(K).value]
     assert len(spheres) >= 30
     for K in [*spheres, *map(polygon, range(4, 11))]:
-        N = hochster_table(K, INT).top_degree
+        table = hochster_table(K, INT)
+        N, b = table.top_degree, table.betti
         pt = product_table(K, RAT)
         ranks = classify._gram_ranks(pt, N)
         degrees = {c.total_degree for c in pt.classes}
         assert set(ranks) == {k for k in degrees if k <= N - k}, K
         for k, rank in ranks.items():
             assert rank == reference_gram_rank(pt, N, k), (K, k)
+            assert rank == b[k], (K, k)
+
+
+BELOW_THE_TOP = "a product of middle classes lands below the top"
+SPHERE_JOIN = boundary_simplex(2).join(boundary_simplex(3))
+
+
+def test_product_stage_outcomes_are_pinned():
+    # every input passes the Betti checks, so the products decide
+    rep = recognize_connected_sum(polygon(4).join(polygon(5)))
+    assert (rep.kind, rep.top_degree, rep.reason) == ("NONE", 13, BELOW_THE_TOP)
+    for K in (SPHERE_JOIN, cone(SPHERE_JOIN)):
+        rep = recognize_connected_sum(K)
+        assert (rep.kind, rep.top_degree, rep.pairs) == (
+            "CONNECTED_SUM", 12, ((5, 7),)
+        )
+    # R_K of the join of two squares has the Betti numbers 1, 4, 6, 4, 1
+    # of a connected sum, but its search finds a product below the top
+    rep = verify_theorem_4_2(polygon(4).join(polygon(4)))
+    assert rep.status == "HYPOTHESIS_NOT_MET"
+    assert rep.hypothesis["rk_betti"] == [1, 4, 6, 4, 1]
+    assert rep.hypothesis["pattern"] is False
+    for K in (polygon(6), stacked_sphere(2, 2), SPHERE_JOIN):
+        rep = verify_theorem_4_2(K)
+        assert (rep.status, rep.hypothesis["pattern"]) == ("CONFIRMED", True)
+        for verify in (verify_theorem_1_1, verify_theorem_1_2):
+            assert verify(K).status == "CONFIRMED", K
+
+
+def _gorenstein_cores():
+    bases = [
+        *map(polygon, range(4, 11)),
+        *(stacked_sphere(2, n) for n in range(6)),
+        SPHERE_JOIN,
+        polygon(4).join(polygon(5)),
+    ]
+    return [PYRAMID, *bases, *map(cone, bases)]
+
+
+def test_recognition_of_a_gorenstein_core_builds_no_product_table(monkeypatch):
+    # A Gorenstein* core pairs into the top nondegenerately (Poincare
+    # duality), so recognition only searches the pairs whose target lies
+    # below the top: no ProductTable is built and no pairing ranked, and
+    # the reports are those of the whole table and every pairing's rank.
+    # Every pair of the 9-gon lands in the top, so from cold caches its
+    # recognition builds no cocycle basis either.
+    inputs = _gorenstein_cores()
+    built = _count_calls(monkeypatch, products, "ProductTable")
+    ranked = _count_calls(monkeypatch, classify, "_gram_ranks")
+    cold_caches()
+    bases = _count_calls(monkeypatch, products, "cocycle_basis")
+    assert recognize_connected_sum(polygon(9)).kind == "CONNECTED_SUM"
+    assert bases == []
+    reports = [recognize_connected_sum(K) for K in inputs]
+    assert (built, ranked) == ([], [])
+    monkeypatch.undo()
+    assert reports == [reference_recognize(K) for K in inputs]
+    assert Counter(r.kind for r in reports) == {
+        "SPHERE": 2, "CONNECTED_SUM": 27, "NONE": 2
+    }
+    assert {r.reason for r in reports if r.kind == "NONE"} == {BELOW_THE_TOP}
+
+
+def test_recognition_of_any_other_core_ranks_one_product_table(monkeypatch):
+    # With the Gorenstein* gate shut, recognition builds one rational
+    # product table, multiplying what the reference's does, ranks its
+    # pairings once unless a product lands below the top, and reports
+    # the same.
+    monkeypatch.setattr(
+        classify, "_is_sphere_with_sphere_links", lambda K, whole: False
+    )
+    multiplied = _count_calls(monkeypatch, products, "multiply")
+    tables = _count_calls(monkeypatch, classify, "product_table")
+    ranked = _count_calls(monkeypatch, classify, "_gram_ranks")
+    for K in (
+        polygon(6),
+        stacked_sphere(2, 3),
+        PYRAMID,
+        SPHERE_JOIN,
+        polygon(4).join(polygon(5)),
+    ):
+        for calls in (multiplied, tables, ranked):
+            calls.clear()
+        want = reference_recognize(K)
+        products_built = len(multiplied)
+        multiplied.clear()
+        rep = recognize_connected_sum(K)
+        assert rep == want, K
+        assert (len(multiplied), len(tables)) == (products_built, 1), K
+        assert len(ranked) == (rep.kind == "CONNECTED_SUM"), K
 
 
 def test_recognize_report_dict():
@@ -623,7 +729,7 @@ def test_verification_report_json():
 
 def test_hypotheses_derive_no_field_table_before_it_is_needed(monkeypatch):
     # the Betti numbers of Z_K and R_K over Q are the integral table's free
-    # ranks; only the product table of a candidate connected sum needs Q
+    # ranks; only the product search of a candidate connected sum needs Q
     derived = []
     over = HochsterTable.over
     monkeypatch.setattr(
