@@ -24,10 +24,11 @@ component's basis is built when a pair first reaches it.
 A nonzero product of classes on (I, d1) and (J, d2) lands in the target
 component (I u J, d1 + d2 + 1), so the search lists the splits of each
 target into two components and sorts them into pairs.  The listing is
-kept per complex and field, beside the cached table, together with the
-component numbering it read off the table's index: the product search,
-product_table, the Golod test and the minimally-non-Golod test's choice
-of vertex deletions all read the one listing.  The search can be limited to the pairs whose target passes a
+kept per complex and field, beside the cached table, with the component
+numbering it read off the table's index in three compact arrays: the
+product search, product_table, the Golod test and the
+minimally-non-Golod test's choice of vertex deletions all read the one
+listing.  The search can be limited to the pairs whose target passes a
 test on its (subset, degree), in the same order; connected-sum
 recognition and the theorem 4.2 harness search only below a top degree
 that way.  This module alone packs and unpacks its pairs, and
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, repeat
@@ -292,9 +294,8 @@ def _splits(S: int, d: int, by_degree: dict[int, dict[int, int]]):
 def _sorted_pairs(keys) -> array:
     """The pairs of components whose cup product can be nonzero.
 
-    keys holds the (subset, degree) keys of the nonzero components on
-    nonempty subsets, in increasing order, as a list or as a map keyed
-    by them.  Classes on (I, d1) and
+    keys lists the (subset, degree) keys of the nonzero components on
+    nonempty subsets, in increasing order.  Classes on (I, d1) and
     (J, d2) multiply into H~^(d1+d2+1)(K_{I u J}), so a pair is a split
     of a target component; the splits of every target are listed.  The
     pair at positions a < b is packed as a * len(keys) + b, and the pairs
@@ -321,14 +322,31 @@ def _unpacked(pairs: array, n: int):
 @lru_cache(maxsize=64)
 def _listing(
     K: SimplicialComplex, coeffs: Coefficients
-) -> tuple[dict[tuple[int, int], tuple[int, int]], array]:
-    """The components of K's table over the field, as
-    HochsterTable.components() numbers them, and the packed pairs of
-    those components, listed once per complex and field.  Every reader
-    of the pairs takes the components from here, so the table's index is
-    scanned once per listing."""
-    components = hochster_table(K, coeffs).components()
-    return components, _sorted_pairs(components)
+) -> tuple[array, array, array, array]:
+    """K's components over the field and the packed pairs of them,
+    listed once per complex and field, so the table's index is scanned
+    once per listing.
+
+    Returns (subsets, degrees, starts, pairs).  Component p is
+    (subsets[p], degrees[p]), in the order of HochsterTable.components(),
+    and its classes are starts[p] to starts[p + 1] - 1; the three arrays
+    keep that map in 13 bytes a component, where the map takes about 200.
+    """
+    subsets, degrees, starts = array("I"), array("b"), array("q", [0])
+    for (I, d), (_, rank) in hochster_table(K, coeffs).components().items():
+        subsets.append(I)
+        degrees.append(d)
+        starts.append(starts[-1] + rank)
+    return subsets, degrees, starts, _sorted_pairs(list(zip(subsets, degrees)))
+
+
+def _position(subsets: array, degrees: array, S: int, d: int) -> int:
+    """The position of the listed component (S, d): subsets is sorted, and
+    a subset's degrees follow each other."""
+    p = bisect_left(subsets, S)
+    while degrees[p] != d:
+        p += 1
+    return p
 
 
 def _deletion_candidates(K: SimplicialComplex) -> int:
@@ -345,8 +363,7 @@ def _deletion_candidates(K: SimplicialComplex) -> int:
     found = 0
     for field, searched in battery:
         if searched:
-            components, pairs = _listing(K, field)
-            subsets = [I for I, _ in components]
+            subsets, _, _, pairs = _listing(K, field)
             for a, b in _unpacked(pairs, len(subsets)):
                 found |= full & ~(subsets[a] | subsets[b])
     return found
@@ -367,26 +384,27 @@ def _iter_nonzero_products(
     in some degrees reads the one listing and builds no basis for a
     component whose every pair lands elsewhere.
     """
-    components, pairs = _listing(K, coeffs)
-    keys = list(components)
+    subsets, degrees, starts, pairs = _listing(K, coeffs)
 
-    def indexed(key):
-        start, rank = components[key]
-        return enumerate(_classes(K, *key, rank, coeffs), start)
+    def indexed(p):
+        start = starts[p]
+        classes = _classes(
+            K, subsets[p], degrees[p], starts[p + 1] - start, coeffs
+        )
+        return enumerate(classes, start)
 
-    for a, group in groupby(_unpacked(pairs, len(keys)), key=itemgetter(0)):
-        I, d1 = first = keys[a]
+    for a, group in groupby(_unpacked(pairs, len(subsets)), key=itemgetter(0)):
+        I, d1 = subsets[a], degrees[a]
         partners = []
         for _, b in group:
-            J, d2 = second = keys[b]
-            S, d = I | J, d1 + d2 + 1
+            S, d = I | subsets[b], d1 + degrees[b] + 1
             if target is None or target(S, d):
-                partners.append((second, components[S, d][0]))
+                partners.append((b, starts[_position(subsets, degrees, S, d)]))
         if not partners:
             continue
-        for i, x in indexed(first):
-            for second, t in partners:
-                for j, y in indexed(second):
+        for i, x in indexed(a):
+            for b, t in partners:
+                for j, y in indexed(b):
                     prod = multiply(K, x, y)
                     if prod.is_zero:
                         continue

@@ -403,6 +403,14 @@ def test_golod_report_dict():
 
 ORACLE_FIELDS = (RAT, PRIME(2), PRIME(3))
 
+# A square beside the boundary of a tetrahedron: the square's 0-classes
+# multiply into degree 1 of the whole, whose subset also holds degrees 0
+# and 2, so a target is found among several degrees of its subset.
+SQUARE_BESIDE_SPHERE = from_facets(
+    8,
+    [(1, 2), (2, 3), (3, 4), (1, 4), (5, 6, 7), (5, 6, 8), (5, 7, 8), (6, 7, 8)],
+)
+
 
 @pytest.mark.parametrize("coeffs", ORACLE_FIELDS, ids=str)
 def test_table_driven_products_match_full_enumeration(corpus, coeffs):
@@ -410,7 +418,9 @@ def test_table_driven_products_match_full_enumeration(corpus, coeffs):
     exactly with enumerating every subset, degree and pair."""
     # Over Q the enumeration's dense Fraction elimination takes about 40 s
     # on the 19 members with 8 vertices, so those are checked over F_p only.
-    members = [K for K in corpus if coeffs != RAT or K.m <= 7]
+    members = [
+        K for K in [*corpus, SQUARE_BESIDE_SPHERE] if coeffs != RAT or K.m <= 7
+    ]
     assert len(members) >= 270
     for K in members:
         basis = reference_tor_basis(K, coeffs)
