@@ -6,10 +6,11 @@ may carry a product, Gorenstein*-ness recurses into vertex links, the
 join/TFAE checker compares five equivalent characterizations of
 cone-vertex subsets, and the recognizer matches the rational cohomology
 ring of Z_K against the ring of a connected sum of sphere products.
-The recognizer and the Gorenstein* test share one check on K's core;
-when it holds, Poincare duality settles the pairings into the top degree
-and only a product below the top is searched for, as the theorem 4.2
-harness searches H*(R_K; Q) for one.
+The recognizer reads only the filtered product search: first for a
+product below the top degree, as the theorem 4.2 harness searches
+H*(R_K; Q) for one, then, unless the check on K's core that it shares
+with the Gorenstein* test lets Poincare duality settle them, for the
+products into the top, whose pairings it ranks.
 
 The verify_* harnesses evaluate an implication: status CONFIRMED means
 hypothesis and conclusion both hold, HYPOTHESIS_NOT_MET means the input
@@ -26,12 +27,7 @@ from .complexes import SimplicialComplex, from_facets, mask_of, vertices_of
 from .errors import EmptySubset, InternalInvariant, OutOfRange
 from .hochster import _links_are_spheres, cached_integral_table, hochster_table
 from .linalg import INT, RAT, Echelon, reduced_homology
-from .products import (
-    _deletion_candidates,
-    _iter_nonzero_products,
-    is_cup_golod,
-    product_table,
-)
+from .products import _deletion_candidates, _iter_nonzero_products, is_cup_golod
 
 # -- minimal non-Golodness ----------------------------------------------------
 
@@ -297,11 +293,11 @@ def recognize_connected_sum(K: SimplicialComplex) -> RecognitionReport:
     H*(Z_K; Q) (Buchstaber-Panov, Toric Topology, AMS 2015), is a
     Poincare duality algebra (Avramov-Golod, Math. Notes 9, 1971): every
     pairing into the top degree is nondegenerate.  So once the Betti
-    numbers fit, only a nonzero product below the top can fail it, and
-    the product search runs over the pairs whose target lies below the
-    top, stopping at the first product; no product table is built.  Any
-    other core builds the rational product table once, scans it for a
-    product below the top and ranks the pairings into the top.
+    numbers fit, the product search runs over the pairs whose target
+    lies below the top and stops at the first product, and for such a
+    core that settles it.  Any other core goes on to the pairs whose
+    target is the top, and _gram_ranks ranks its pairings from what that
+    search yields; no product table is built for any core.
     """
     table = hochster_table(K, INT)
     b = table.betti  # free ranks: the Betti numbers over Q
@@ -334,26 +330,22 @@ def recognize_connected_sum(K: SimplicialComplex) -> RecognitionReport:
             N,
             reason="odd-rank middle degree cannot split into products",
         )
-    below = RecognitionReport(
-        "NONE", N, reason="a product of middle classes lands below the top"
+    below = _iter_nonzero_products(
+        K, RAT, lambda S, d: S.bit_count() + d + 1 < N
     )
-    core_vertices = K.core_vertices()
-    whole = table.profile_of(mask_of(core_vertices))  # the core's homology
-    if _is_sphere_with_sphere_links(K.full_subcomplex(core_vertices), whole):
-        search = _iter_nonzero_products(
-            K, RAT, lambda S, d: S.bit_count() + d + 1 < N
+    if any(below):
+        return RecognitionReport(
+            "NONE", N, reason="a product of middle classes lands below the top"
         )
-        if any(search):
-            return below
-    else:
-        pt = product_table(K, RAT)
-        classes = pt.classes
-        for i, j, coords in pt.products:
-            if classes[i].total_degree + classes[j].total_degree < N:
-                return below
-        ranks = _gram_ranks(pt, N)
+    core = K.core_vertices()
+    whole = table.profile_of(mask_of(core))  # the core's homology
+    if not _is_sphere_with_sphere_links(K.full_subcomplex(core), whole):
+        top = _iter_nonzero_products(
+            K, RAT, lambda S, d: S.bit_count() + d + 1 == N
+        )
+        ranks = _gram_ranks(top, N)
         for k in range(3, N // 2 + 1):
-            if b[k] and ranks[k] != b[k]:
+            if b[k] and ranks.get(k, 0) != b[k]:
                 reason = f"degenerate pairing between degrees {k} and {N - k}"
                 return RecognitionReport("NONE", N, reason=reason)
     pairs: list[tuple[int, int]] = []
@@ -364,35 +356,28 @@ def recognize_connected_sum(K: SimplicialComplex) -> RecognitionReport:
     return RecognitionReport("CONNECTED_SUM", N, tuple(pairs))
 
 
-def _gram_ranks(pt, N: int) -> dict[int, int]:
+def _gram_ranks(found, N: int) -> dict[int, int]:
     """Rank of the pairing of degree k with degree N - k, for each degree
-    k <= N - k that holds a class.
+    k <= N - k whose classes have a product in the top degree N.
 
-    Row i of degree k has, in the column of j's position among the
-    classes of degree N - k, the first coordinate of the stored product
-    of i and j; every row is built in one pass over the products, of
-    which those landing in degree N count.  Rows are kept for the
-    degrees k <= N - k only.
+    found yields the nonzero products into the top as the product search
+    does, (x, y, (i, j, coords)) with coords holding the one coordinate of
+    the top class.  Row i holds, in column j, that coordinate of the
+    product of classes i and j; rows are kept for the degrees k <= N - k
+    only, and each degree's rows go into one echelon.  A rank does not
+    depend on the order of the columns, so they are the class numbers
+    themselves, and a class with no product in the top would add a zero
+    row, so it gets none.
     """
-    degree = [c.total_degree for c in pt.classes]
-    by_degree: dict[int, list[int]] = {}
-    for t, k in enumerate(degree):
-        by_degree.setdefault(k, []).append(t)
-    column = {t: c for ts in by_degree.values() for c, t in enumerate(ts)}
-    rows: dict[int, dict[int, object]] = {}
-    for i, j, coords in pt.products:
-        if degree[i] + degree[j] == N:
-            for row, col in ((i, j), (j, i)):
-                if 2 * degree[row] <= N:
-                    rows.setdefault(row, {})[column[col]] = coords[0][1]
-    ranks = {}
-    for k, ts in by_degree.items():
-        if k <= N - k:
-            echelon = Echelon(pt.coeffs)
-            for i in ts:
-                echelon.insert(rows.get(i, {}))
-            ranks[k] = len(echelon)
-    return ranks
+    rows: dict[int, tuple[int, dict[int, object]]] = {}
+    for x, y, (i, j, coords) in found:
+        for row, col, k in ((i, j, x.total_degree), (j, i, y.total_degree)):
+            if 2 * k <= N:
+                rows.setdefault(row, (k, {}))[1][col] = coords[0][1]
+    echelons: dict[int, Echelon] = {}
+    for k, row in rows.values():
+        echelons.setdefault(k, Echelon(RAT)).insert(row)
+    return {k: len(echelon) for k, echelon in echelons.items()}
 
 
 # -- theorem harnesses ------------------------------------------------------------

@@ -26,14 +26,14 @@ component (I u J, d1 + d2 + 1), so the search lists the splits of each
 target into two components and sorts them into pairs.  The listing is
 kept per complex and field, beside the cached table, with the component
 numbering it read off the table's index in three compact arrays: the
-product search, product_table, the Golod test and the
-minimally-non-Golod test's choice of vertex deletions all read the one
-listing.  The search can be limited to the pairs whose target passes a
-test on its (subset, degree), in the same order; connected-sum
-recognition and the theorem 4.2 harness search only below a top degree
-that way.  This module alone packs and unpacks its pairs, and
-_golod_fields alone decides which fields the Golod test lists, searches,
-skips or cannot test.
+product search, product_table's classes, the Golod test and the
+minimally-non-Golod test's choice of vertex deletions all read it.  The
+search can be limited to the pairs whose target passes a test on its
+(subset, degree), in the same order; connected-sum recognition searches
+below its top degree that way (and at it, for a core that is not
+Gorenstein*), as the theorem 4.2 harness does below its top.  This module
+alone packs and unpacks its pairs, and _golod_fields alone decides which
+fields the Golod test lists, searches, skips or cannot test.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, repeat
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .complexes import SimplicialComplex, _lift_mask, vertices_of
 from .errors import FieldMismatch, InternalInvariant, NotAField
@@ -130,12 +130,14 @@ def _component(
     return basis, {a: col for col, a in enumerate(ambient)}, classes
 
 
-def _classes(K, subset, degree, rank, coeffs) -> tuple[TorClass, ...]:
-    """The component's classes, checked against its rank in the table."""
-    classes = _component(K, subset, degree, coeffs)[2]
-    if len(classes) != rank:
-        raise InternalInvariant(f"basis of rank {len(classes)}, table rank {rank}")
-    return classes
+def _classes(K, components, coeffs):
+    """Yield the classes of the (subset, degree, rank) components in turn,
+    each component's checked against its rank in the table."""
+    for subset, degree, rank in components:
+        classes = _component(K, subset, degree, coeffs)[2]
+        if len(classes) != rank:
+            raise InternalInvariant(f"basis of rank {len(classes)}, table rank {rank}")
+        yield from classes
 
 
 def tor_basis(
@@ -147,16 +149,13 @@ def tor_basis(
     subsets and degrees where the reduced homology over the field is
     nonzero.  Classes are ordered by (subset mask, degree, basis index);
     the unit is the empty-subset class in total degree 0, and the rest
-    are numbered as the table's components.
+    are numbered as the table's components.  No pair is listed.
     """
     if not coeffs.is_field:
         raise NotAField("cup products need field coefficients")
-    components = hochster_table(K, coeffs).components()
-    return _classes(K, 0, -1, 1, coeffs) + tuple(
-        c
-        for (mask, degree), (_, rank) in components.items()
-        for c in _classes(K, mask, degree, rank, coeffs)
-    )
+    ranks = hochster_table(K, coeffs).components().items()
+    listed = [(0, -1, 1), *((I, d, r) for (I, d), (_, r) in ranks)]
+    return tuple(_classes(K, listed, coeffs))
 
 
 def _inv(amask: int, bmask: int) -> int:
@@ -252,11 +251,16 @@ def product_table(
     """Multiply every disjoint-support pair of positive-degree classes.
 
     Pairs whose target component H~^d(K_{I u J}) is zero are skipped
-    outright; the remaining products are resolved into basis coordinates.
+    outright, and the rest resolved into basis coordinates.  The classes,
+    tor_basis's less the unit, are numbered from the search's listing.
     """
-    classes = tuple(c for c in tor_basis(K, coeffs) if c.subset)
-    search = _iter_nonzero_products(K, coeffs)
-    return ProductTable(K, coeffs, classes, tuple(e for *_, e in search))
+    if not coeffs.is_field:
+        raise NotAField("cup products need field coefficients")
+    subsets, degrees, starts, _ = _listing(K, coeffs)
+    ranks = zip(subsets, degrees, map(sub, starts[1:], starts))
+    classes = tuple(_classes(K, ranks, coeffs))
+    products = tuple(e for *_, e in _iter_nonzero_products(K, coeffs))
+    return ProductTable(K, coeffs, classes, products)
 
 
 def _splits(S: int, d: int, by_degree: dict[int, dict[int, int]]):
@@ -388,10 +392,8 @@ def _iter_nonzero_products(
 
     def indexed(p):
         start = starts[p]
-        classes = _classes(
-            K, subsets[p], degrees[p], starts[p + 1] - start, coeffs
-        )
-        return enumerate(classes, start)
+        listed = [(subsets[p], degrees[p], starts[p + 1] - start)]
+        return enumerate(_classes(K, listed, coeffs), start)
 
     for a, group in groupby(_unpacked(pairs, len(subsets)), key=itemgetter(0)):
         I, d1 = subsets[a], degrees[a]

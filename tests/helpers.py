@@ -18,14 +18,17 @@ Golod battery, so it checks which fields the Golod test skips;
 reference_mng restricts K's table to every vertex deletion and runs the
 Golod test on each, so it checks which deletions the minimally non-Golod
 test skips.  reference_gram_rank builds the Gram matrix of a degree by
-looking up every pair of classes, the check on the one pass over the
-products that recognition makes; reference_recognize recognizes a
-connected sum from the whole rational product table and those ranks
-for every input, the check on recognition's Poincare-duality shortcut
-for Gorenstein* cores.  reference_gorenstein builds the link
-of every face in order and stops at the first that is not the right
-homology sphere, the check on the Gorenstein* test's vertex-link
-recursion and on the witness it names.
+looking up every pair of classes of the product table, the check on the
+ranks recognition reads off its search into the top degree;
+reference_recognize recognizes a connected sum from the whole rational
+product table and those ranks for every input, the check on
+recognition's Poincare-duality shortcut for Gorenstein* cores and on its
+search for the others.  check_kunneth compares the product table of a
+join with its factors' by the Kunneth theorem, the check that the
+listing of pairs is complete across the factors.  reference_gorenstein
+builds the link of every face in order and stops at the first that is
+not the right homology sphere, the check on the Gorenstein* test's
+vertex-link recursion and on the witness it names.
 reference_restrict, reference_lift, reference_over and
 reference_aggregates work one (mask, profile) pair at a time: they are
 the references for the table's operations on its index array, and
@@ -817,6 +820,63 @@ def reference_recognize(K):
     if N % 2 == 0:
         pairs += [(N // 2, N // 2)] * (b[N // 2] // 2)
     return RecognitionReport("CONNECTED_SUM", N, tuple(pairs))
+
+
+def check_kunneth(K, L, coeffs):
+    """Assert that the product table of the join K * L over a field is
+    the tensor product of K's and L's, as Z_(K*L) = Z_K x Z_L makes
+    H*(Z_(K*L)) = H*(Z_K) (x) H*(Z_L) as rings (Buchstaber-Panov, Toric
+    Topology, 4.1), and return the numbers of positive-degree classes of
+    K and of L.
+
+    (a) The classes and products of K * L supported on one factor's
+    vertices are that factor's own product table: the same subsets (L's
+    shifted by m_K), degrees, indices, cocycles and coordinates.  (b)
+    Every positive-degree class x of K and y of L multiply to nonzero,
+    and these products are linearly independent.  The expectation is
+    the Kunneth theorem's, not the package's listing of pairs."""
+    pt = product_table(K.join(L), coeffs)
+    classes = pt.classes
+
+    def described(table, keep, shift):
+        """The classes of table numbered in keep, with their subsets and
+        faces shifted down by shift, and the products among them."""
+
+        def key(t):
+            c = table.classes[t]
+            return c.subset >> shift, c.degree, c.index
+
+        kept = set(keep)
+        return [
+            (key(t), tuple((f >> shift, v) for f, v in table.classes[t].values))
+            for t in keep
+        ], [
+            (key(i), key(j), tuple((key(t), v) for t, v in coords))
+            for i, j, coords in table.products
+            if i in kept and j in kept
+        ]
+
+    sides = []
+    for factor, shift in ((K, 0), (L, K.m)):
+        mask = ((1 << factor.m) - 1) << shift
+        on = [t for t, c in enumerate(classes) if not c.subset & ~mask]
+        own = product_table(factor, coeffs)
+        mine = range(len(own.classes))
+        assert described(pt, on, shift) == described(own, mine, 0), factor
+        sides.append(on)
+    # a product on I u J has its coordinates on that subset, so the
+    # products are independent when those on each subset are
+    lookup = {(i, j): coords for i, j, coords in pt.products}
+    echelons = {}
+    for i in sides[0]:
+        for j in sides[1]:
+            coords = lookup.get((i, j))
+            assert coords, (classes[i].describe(), classes[j].describe())
+            S = classes[i].subset | classes[j].subset
+            echelons.setdefault(S, Echelon(coeffs)).insert(dict(coords))
+    rank = sum(map(len, echelons.values()))
+    assert rank == len(sides[0]) * len(sides[1])
+    return len(sides[0]), len(sides[1])
 
 
 @dataclass(frozen=True)

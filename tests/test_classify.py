@@ -509,22 +509,28 @@ def test_recognize_example_is_ring_level():
 
 
 def test_gram_ranks_match_the_pairwise_lookup(corpus):
-    # the rows built in one pass over the products give the ranks that
-    # looking up every pair of classes gives, in every degree; every
-    # input is Gorenstein*, so by Poincare duality each pairing into the
-    # top has full rank, the fact recognition's shortcut rests on
+    # the ranks read off the search's products into the top are the ranks
+    # that looking up every pair of classes of the product table gives, in
+    # every degree; every input is Gorenstein*, so by Poincare duality each
+    # pairing into the top has full rank, the fact recognition's shortcut
+    # rests on
     spheres = [K for K in corpus if is_gorenstein_star(K).value]
     assert len(spheres) >= 30
     for K in [*spheres, *map(polygon, range(4, 11))]:
         table = hochster_table(K, INT)
         N, b = table.top_degree, table.betti
+        top = products._iter_nonzero_products(
+            K, RAT, lambda S, d: S.bit_count() + d + 1 == N
+        )
+        ranks = classify._gram_ranks(top, N)
         pt = product_table(K, RAT)
-        ranks = classify._gram_ranks(pt, N)
         degrees = {c.total_degree for c in pt.classes}
         assert set(ranks) == {k for k in degrees if k <= N - k}, K
-        for k, rank in ranks.items():
-            assert rank == reference_gram_rank(pt, N, k), (K, k)
-            assert rank == b[k], (K, k)
+        for k in degrees:
+            if k <= N - k:
+                rank = ranks.get(k, 0)
+                assert rank == reference_gram_rank(pt, N, k), (K, k)
+                assert rank == b[k], (K, k)
 
 
 BELOW_THE_TOP = "a product of middle classes lands below the top"
@@ -587,33 +593,74 @@ def test_recognition_of_a_gorenstein_core_builds_no_product_table(monkeypatch):
     assert {r.reason for r in reports if r.kind == "NONE"} == {BELOW_THE_TOP}
 
 
-def test_recognition_of_any_other_core_ranks_one_product_table(monkeypatch):
-    # With the Gorenstein* gate shut, recognition builds one rational
-    # product table, multiplying what the reference's does, ranks its
-    # pairings once unless a product lands below the top, and reports
-    # the same.
+def _gate_shut(monkeypatch):
+    """Make recognition treat every core as not Gorenstein*."""
     monkeypatch.setattr(
         classify, "_is_sphere_with_sphere_links", lambda K, whole: False
     )
+
+
+# A 2-sphere on 8 vertices whose listing holds six pairs with targets
+# below the top, each of whose products vanishes: it is a connected sum,
+# and recognition multiplies those pairs once, in its search below the top.
+DEAD_PAIRS_SPHERE = from_facets(
+    8,
+    [
+        (1, 2, 6), (1, 2, 7), (1, 3, 4), (1, 3, 7), (1, 4, 8), (1, 6, 8),
+        (2, 6, 7), (3, 4, 7), (4, 5, 6), (4, 5, 8), (4, 6, 7), (5, 6, 8),
+    ],
+)
+
+
+def test_recognition_of_any_other_core_ranks_the_top_search(monkeypatch):
+    # With the Gorenstein* gate shut, recognition builds no product table:
+    # it searches below the top and, when no product lands there, ranks
+    # the pairings from the search into the top once.  It multiplies no
+    # more than the reference's whole table (as much, when it ranks, as
+    # the two searches then cover every listed pair), and reports the same.
+    _gate_shut(monkeypatch)
     multiplied = _count_calls(monkeypatch, products, "multiply")
-    tables = _count_calls(monkeypatch, classify, "product_table")
+    tables = _count_calls(monkeypatch, products, "product_table")
+    built = _count_calls(monkeypatch, products, "ProductTable")
     ranked = _count_calls(monkeypatch, classify, "_gram_ranks")
     for K in (
         polygon(6),
         stacked_sphere(2, 3),
         PYRAMID,
         SPHERE_JOIN,
+        DEAD_PAIRS_SPHERE,
         polygon(4).join(polygon(5)),
     ):
-        for calls in (multiplied, tables, ranked):
-            calls.clear()
+        multiplied.clear()
         want = reference_recognize(K)
         products_built = len(multiplied)
-        multiplied.clear()
+        for calls in (multiplied, tables, built, ranked):
+            calls.clear()
         rep = recognize_connected_sum(K)
         assert rep == want, K
-        assert (len(multiplied), len(tables)) == (products_built, 1), K
-        assert len(ranked) == (rep.kind == "CONNECTED_SUM"), K
+        assert (tables, built) == ([], []), K
+        assert len(multiplied) <= products_built, K
+        assert len(ranked) == (want.reason != BELOW_THE_TOP), K
+        if ranked:
+            assert len(multiplied) == products_built, K
+
+
+def test_a_degenerate_pairing_is_named_at_its_lowest_degree(monkeypatch):
+    # The hexagon's ring has classes in degrees 3, 4 and 5 under its top
+    # degree 8.  With the gate shut and its pairings short of full rank
+    # in degrees 3 and 4, recognition names the lowest such degree first,
+    # with its complement.
+    K = polygon(6)
+    b = hochster_table(K, INT).betti
+    assert b == (1, 0, 0, 9, 16, 9, 0, 0, 1)
+    _gate_shut(monkeypatch)
+    monkeypatch.setattr(
+        classify, "_gram_ranks", lambda found, N: {3: b[3] - 1, 4: b[4] - 1}
+    )
+    rep = recognize_connected_sum(K)
+    assert (rep.kind, rep.top_degree, rep.reason) == (
+        "NONE", 8, "degenerate pairing between degrees 3 and 5"
+    )
 
 
 def test_recognize_report_dict():

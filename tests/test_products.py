@@ -12,6 +12,7 @@ from momangle import (
     RAT,
     Cochain,
     FieldMismatch,
+    HochsterTable,
     InternalInvariant,
     NotAField,
     TooManyVertices,
@@ -40,6 +41,7 @@ from momangle.products import (
 
 from helpers import (
     RP2_FACETS,
+    check_kunneth,
     cold_caches,
     dense_rank,
     is_cocycle,
@@ -84,6 +86,27 @@ def test_tor_basis_validation():
         tor_basis(polygon(21))
     with pytest.raises(TooManyVertices):
         product_table(disjoint_points(21), PRIME(2))
+    # the field is checked before anything is listed, also for a K
+    # whose table has no component to build classes for
+    with pytest.raises(NotAField):
+        product_table(simplex(2), INT)
+
+
+def test_product_table_scans_the_table_index_once(monkeypatch):
+    """product_table numbers its classes from the listing its search
+    reads, so from cold caches the table's components are read once."""
+    calls = []
+    components = HochsterTable.components
+
+    def counted(self):
+        calls.append(self)
+        return components(self)
+
+    monkeypatch.setattr(HochsterTable, "components", counted)
+    cold_caches()
+    pt = product_table(polygon(7), RAT)
+    assert len(calls) == 1
+    assert pt.classes == tuple(_positive_classes(polygon(7), RAT))
 
 
 def test_square_single_product():
@@ -471,3 +494,29 @@ def test_poincare_duality_pairing_is_perfect(corpus, coeffs):
                 for a in rows
             ]
             assert dense_rank(pairing, coeffs.p) == len(rows), (K, k)
+
+
+# Z of a join is the product of the factors' Z, so the join's ring is
+# the tensor product of theirs; these joins hold classes in several
+# degrees on each side, and torsion on one (RP^2)
+KUNNETH_JOINS = (
+    (polygon(4), polygon(4)),
+    (polygon(4), polygon(5)),
+    (polygon(5), polygon(5)),
+    (stacked_sphere(2, 1), polygon(4)),
+    (boundary_simplex(2), polygon(4)),
+    (from_facets(6, RP2_FACETS), disjoint_points(2)),
+)
+
+
+@pytest.mark.parametrize("coeffs", (RAT, PRIME(2)), ids=str)
+def test_join_rings_are_tensor_products(coeffs):
+    """Each factor's product table sits in the join's, and every pair of
+    positive-degree classes across the factors multiplies to independent
+    products (check_kunneth); so the join of two factors that both carry
+    such a class is not Golod."""
+    for K, L in KUNNETH_JOINS:
+        sizes = check_kunneth(K, L, coeffs)
+        assert all(sizes), (K, L)
+        assert is_cup_golod(K.join(L)).verdict == "NON_GOLOD", (K, L)
+

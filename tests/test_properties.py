@@ -7,7 +7,8 @@ failure reproduces.
 
 Beside the Smith-form oracle, the walk must respect two topological
 facts: Z of a cone is Z_K times a disk, and Z of a join is the product
-Z_K x Z_L, whose Poincare polynomial is the product of the two.  Tables
+Z_K x Z_L, whose Poincare polynomial is the product of the two and
+whose ring is the tensor product of the two over Q, F_2 and F_3.  Tables
 and the Golod and minimally non-Golod verdicts must not change when the
 vertices are renamed.  The walk's component and dominated-vertex rules
 are also checked subset by subset against oracles that look at K_I
@@ -60,6 +61,7 @@ from momangle.linalg import full_subcomplex_homology
 from helpers import (
     RP2_FACETS,
     RP2_STELLAR_FACETS,
+    check_kunneth,
     reference_component,
     reference_dominated,
     reference_gorenstein,
@@ -302,6 +304,25 @@ def test_join_multiplies_poincare_polynomials(K, L):
             hochster_table(K, coeffs).betti, hochster_table(L, coeffs).betti
         )
         assert hochster_table(K.join(L), coeffs).betti == want
+
+
+# a complex with two facets is no simplex, so it has a missing face M,
+# and the sphere K_M carries a positive-degree class over every field
+FACTORS = complexes(5).filter(lambda K: len(K.facets) > 1)
+
+
+@seed(SEED)
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(FACTORS, FACTORS)
+@example(from_facets(6, RP2_FACETS), polygon(4))
+@example(polygon(3), from_facets(7, RP2_STELLAR_FACETS))
+def test_join_rings_are_tensor_products(K, L):
+    # over each field, the join's product table holds each factor's and
+    # the independent products of every pair of classes across them
+    # (check_kunneth), so the join has a product
+    for coeffs in (RAT, PRIME(2), PRIME(3)):
+        assert all(check_kunneth(K, L, coeffs))
+    assert is_cup_golod(K.join(L)).verdict == "NON_GOLOD"
 
 
 @seed(SEED)
