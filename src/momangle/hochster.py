@@ -15,31 +15,29 @@ nothing of K is walked.
 Any other K has one walk over the 2^m subsets, over the integers.  Tables
 are cached per complex and coefficients; a complex is its face
 structure, so K_J of one complex and an equal complex built directly
-share one table.  The walk takes I in increasing order and keeps two
-arrays of 4 bytes a subset (8 MB at the vertex cap): the component of
-I's top vertex in K_I, and K_I's profile as an index into a list of
-distinct profiles (0 trivial, 1 the empty complex's).  The component C
-is read off smaller subsets: it is the top vertex plus every component
-of K_(I - top) that meets the top vertex's neighbours, and those are
-peeled off I - top one stored component at a time (graph components of
-K_I are its topological ones).  If C != I, K_I is the disjoint union of
-K_C and K_(I - C), both smaller and walked already: H~(K_I) is their
-sum plus Z in degree 0, computed once per pair of profile indices.  A
-connected I inside a facet is a face: K_I is contractible.  Only a
-connected non-face reads traces f & I.  If the maximal traces through
-some v all hold another vertex, v is dominated: K_I strong-collapses
-onto K_(I - v) (Barmak-Minian, Strong homotopy types, nerves and
-collapses, DCG 2012) and takes its profile index; a cone vertex
-dominates all others.  Every face through v lies in v's closed
-neighbourhood N(v), so whether v is dominated depends on J = I & N(v)
-alone: some w in J - v must make t + w a face for each trace t = f & J
-of a facet f through v.  Each answer is kept per tried vertex and J,
-one byte each in an array over the span of N(v), so subsets that agree
-near v share it.  Any dominated vertex will do, so the vertices are
-tried in one order per walk, fewest neighbours first: their J takes
-few values and their answers are reused most.  Only the rest goes to
-linalg.full_subcomplex_homology, which reads K_I off K's facet masks
-with no relabelled complex built; its profiles get one index per value.
+share one table.  The walk keeps one array of 4 bytes a subset (4 MB
+at the vertex cap): K_I's profile as an index into a list of distinct
+profiles, one per value (0 trivial, 1 the empty complex's).  It takes
+the subsets I = t + J, t the top vertex, in blocks of increasing t, and
+each block in cosets of S = J & N(t), the neighbours of t in I.  Every
+face of K_I through t lies in t + S, so if t is dominated in K_(t + S)
+(one other vertex lies in every maximal face through t), it is in K_I,
+and K_I strong-collapses onto K_J (Barmak-Minian, Strong homotopy
+types, nerves and collapses, DCG 2012).  So a block starts as a copy of
+the indices below it, the coset of S empty is rewritten as K_J plus a
+point, and a coset stays copied when t + S is a face or t is dominated
+in K_(t + S).  The rest is walked subset by subset, S and X = J - S in
+increasing submask order, so every I - v is settled before I.  If the
+maximal traces f & I through some v all hold another vertex, v is
+dominated, and K_I takes K_(I - v)'s index.  That depends on J = I &
+N(v) alone: some w in J - v must make s + w a face for each trace
+s = f & J of a facet f through v.  Each answer is kept per tried vertex
+and J, one byte each in an array over the span of N(v).  The vertices
+are tried fewest neighbours first, whose J takes few values.  Else a
+search over neighbour masks from t + S finds the component C of t in
+K_I; if C != I, H~(K_I) is the sum of K_C's and K_(I - C)'s plus Z in
+degree 0, once per pair of profile indices.  Only the rest goes to
+linalg.full_subcomplex_homology, which reads K_I off K's facet masks.
 
 The subsets through the last vertex m come last, and for a Gorenstein*
 K of dimension D on V they are not walked.  |K| is then a homology
@@ -103,6 +101,7 @@ HOCHSTER_MAX_VERTICES = 20
 # tables by (complex, coefficients), oldest first: walked, lifted from a
 # core, restricted, or derived over a field
 TABLE_CACHE_SIZE = 10_000
+_TRIVIAL, _EMPTY = make_profile(INT, {}), make_profile(INT, {-1: 1})
 _TABLES: dict[tuple[SimplicialComplex, Coefficients], HochsterTable] = {}
 
 
@@ -325,17 +324,19 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
     star = {1 << v: [f for f in K.facets if f >> v & 1] for v in range(K.m)}
     edges = {v: reduce(int.__or__, fs) for v, fs in star.items()}
     records = _records(star, edges)
-    # comp[I]: the component of I's top vertex in K_I, 4 bytes a subset
-    comp = memoryview(bytearray(4 << K.m)).cast("I")
     # idx[I]: K_I's profile as an index into profiles, 4 bytes a subset;
-    # 0 is trivial and 1 is K_0's, the empty complex
+    # one index per distinct profile (0 trivial, 1 the empty complex's),
+    # of a disjoint union per pair of summands, of K_X plus a point per K_X
     idx = memoryview(bytearray(4 << K.m)).cast("I")
     idx[0] = 1
-    profiles = [make_profile(INT, {}), make_profile(INT, {-1: 1})]
-    # the index of a disjoint union's profile per pair of summand indices,
-    # and of each other profile by value
-    sums: dict[tuple[int, int], int] = {}
-    found: dict[HomologyProfile, int] = {}
+    profiles = [_TRIVIAL, _EMPTY]
+    index_of = _Memo(lambda p: profiles.append(p) or len(profiles) - 1)
+    index_of.update({_TRIVIAL: 0, _EMPTY: 1})
+    sums = _Memo(
+        lambda ab: index_of[_disjoint_sum(profiles[ab[0]], profiles[ab[1]])]
+    )
+    plus = _Memo(lambda k: sums[k, 0])
+    plus[1] = 0
     last = 1 << K.m >> 1
     for top, near in edges.items():
         # the subsets through the last vertex are the complements of the
@@ -343,66 +344,85 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
         # Gorenstein*, K is a homology sphere and Alexander duality in it
         # gives their profiles
         if top == last and not idx[top - 1] and _links_are_spheres(K, K.dim):
-            _fill_by_duality(idx, profiles, K.dim)
+            _fill_by_duality(idx, profiles, index_of, K.dim)
             break
-        # I in increasing order, top the highest vertex bit of I; top
-        # joins the components of K_(I - top) that meet its edges, and
-        # those are peeled off I - top one comp at a time, until no
-        # neighbour of top is left
-        facets = star[top]
-        width = max(map(int.bit_count, facets))
-        for I in range(top, top << 1):
-            C, rest = top, I ^ top
-            while rest & near:
-                c = comp[rest]
-                if c & near:
-                    C |= c
-                rest ^= c
-            comp[I] = C
-            if C != I:  # K_I = K_C + K_(I - C), both walked already
-                a, b = idx[C], idx[I & ~C]
-                k = sums.get((a, b))
-                if k is None:
-                    k = sums[a, b] = len(profiles)
-                    profiles.append(_disjoint_sum(profiles[a], profiles[b]))
-                idx[I] = k
-                continue
-            # I is a face, and K_I contractible, if a facet through top
-            # holds it; none does once I outgrows them
-            if I.bit_count() <= width and _in_a_facet(I, facets):
-                continue
-            v = _dominated(I, records)
-            if v:
-                idx[I] = idx[I & ~v]
-                continue
-            prof = full_subcomplex_homology(I, K.facets)
-            if not prof.is_trivial:
-                k = found.get(prof)
-                if k is None:
-                    k = found[prof] = len(profiles)
-                    profiles.append(prof)
-                idx[I] = k
+        # I = top + S + X, S inside top's neighbours below it and X inside
+        # the rest: K_I starts as K_(I - top), or K_X plus a point if S = 0
+        below = near & (top - 1)
+        free = (top - 1) ^ below
+        idx[top : top << 1] = idx[:top]
+        for X in _submasks(free):
+            idx[top | X] = plus[idx[X]]
+        for base in _walked_cosets(top, below, free, star[top]):
+            for X in _submasks(free):
+                I = base | X
+                v = _dominated(I, records)
+                if v:
+                    idx[I] = idx[I & ~v]
+                    continue
+                C = _component(I, base, edges)
+                if C != I:  # K_I = K_C + K_(I - C), both walked already
+                    idx[I] = sums[idx[C], idx[I & ~C]]
+                else:
+                    idx[I] = index_of[full_subcomplex_homology(I, K.facets)]
     return HochsterTable(K, INT, idx.toreadonly(), tuple(profiles))
 
 
+class _Memo(dict):
+    """A dict that makes the value of a missing key by make(key), once."""
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
+
+
+def _walked_cosets(top: int, below: int, free: int, facets: list[int]):
+    """top + S for each S inside below, in increasing order, where top +
+    S is no face (sought only while no larger than a facet through top)
+    and top is not dominated in K_(top + S), tested only when the coset
+    top + S + X, X inside free, holds more than one subset."""
+    width = max(map(int.bit_count, facets))
+    for S in _submasks(below):
+        base = top | S
+        if base.bit_count() <= width and _in_a_facet(base, facets):
+            continue
+        if free and _dominates(top, base, facets):
+            continue
+        yield base
+
+
+def _submasks(mask: int):
+    """The submasks of mask, in increasing order."""
+    X = 0
+    while True:
+        yield X
+        if X == mask:
+            return
+        X = (X - mask) & mask
+
+
+def _component(I: int, base: int, edges: dict[int, int]) -> int:
+    """The component of K_I holding base, by a search over neighbours."""
+    C = new = base
+    while new:
+        v = new & -new
+        new ^= v
+        grow = edges[v] & I & ~C
+        C |= grow
+        new |= grow
+    return C
+
+
 def _fill_by_duality(
-    idx: memoryview, profiles: list[HomologyProfile], D: int
+    idx: memoryview, profiles: list[HomologyProfile], index_of, D: int
 ) -> None:
     """Fill the upper half of the index of a homology D-sphere K from
-    the lower half: the mask top + j is the complement of top - 1 - j.
-    Each profile is dualized once and looked up by value among all
-    profiles.
-    """
-    position: dict[HomologyProfile, int] = {}
-    for k, prof in enumerate(profiles):
-        position.setdefault(prof, k)
-    dual = []
-    for prof in profiles[:]:
-        flipped = _dual(prof, D)
-        k = position.setdefault(flipped, len(profiles))
-        if k == len(profiles):
-            profiles.append(flipped)
-        dual.append(k)
+    the lower half, top + j the complement of top - 1 - j; each profile
+    is dualized once and indexed by value by index_of."""
+    dual = [index_of[_dual(prof, D)] for prof in profiles[:]]
     top = len(idx) >> 1
     below = idx[top - 1 :: -1]  # below[j] is the complement of top + j
     idx[top:] = memoryview(array("I", map(dual.__getitem__, below)))

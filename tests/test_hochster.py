@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -141,9 +142,9 @@ def _fills(monkeypatch):
     on, one per table filled by duality."""
     fills = []
 
-    def fill(idx, profiles, D):
-        fills.append(D)
-        return plain_fill(idx, profiles, D)
+    def fill(*args):
+        fills.append(args[-1])
+        return plain_fill(*args)
 
     plain_fill = hochster._fill_by_duality
     monkeypatch.setattr(hochster, "_fill_by_duality", fill)
@@ -276,9 +277,10 @@ def test_walk_settles_subsets_without_the_smith_form(monkeypatch):
     # work counts from empty caches.  Each of these is a sphere, so the
     # subsets through its last vertex are filled by Alexander duality from
     # their complements, and only the subsets without it are walked.
-    # Each of those of a polygon is a face, a union of paths, or a path
-    # with a dominated end; those of a stacked sphere collapse likewise
-    # but for 88 graphs; those of the boundary of a simplex are faces.
+    # Each of those of a polygon is a point beside a smaller subset, or
+    # has its top vertex on an edge; those of a stacked sphere collapse
+    # likewise but for 88 graphs; those of the boundary of a simplex are
+    # faces.
     # The gate asks the homology of each distinct vertex link, and of
     # theirs in turn, once: S^0 and the empty complex for the polygon,
     # the 3-, 4- and 12-gon besides for the stacked sphere, and the
@@ -297,15 +299,21 @@ def test_walk_settles_subsets_without_the_smith_form(monkeypatch):
         assert work == want, K
 
 
-def test_walk_builds_traces_only_for_connected_non_faces(monkeypatch):
-    # the walked subsets of the 14-cycle are those without vertex 14, the
-    # rest being filled by duality.  Their connected non-faces are the 66
-    # paths on 3 to 13 vertices of 1..13; every other subset is a face or
-    # splits (a walk that reads the traces first builds them for all).
-    # The domination step runs once per connected non-face.  It tries the
-    # vertices v of I to the first dominated one, fewest neighbours first,
-    # then the narrowest neighbourhood span, then by label; the walk runs
-    # the neighbourhood test once per distinct (v, I & edges[v]).
+def test_walk_builds_traces_only_in_walked_cosets(monkeypatch):
+    # the walk takes the subsets top + S + X through each top vertex in
+    # cosets of S, top's neighbours below it, with X among its other
+    # vertices below it.  It reads traces only in the cosets where top + S
+    # is no face and top is not dominated in K_(top + S): the coset test
+    # runs once per non-face top + S with some X to vary, and the
+    # domination step once per subset of a walked coset.  That step tries
+    # the vertices v of I to the first dominated one, fewest neighbours
+    # first, then the narrowest neighbourhood span, then by label, and
+    # runs the neighbourhood test once per distinct (v, I & N(v)).  Both
+    # complexes are spheres, so the block through the last vertex is
+    # filled by duality.  Every coset of the 14-cycle is a point coset or
+    # an edge, so nothing is walked subset by subset (the walk that
+    # visited every subset took 66 steps and 32 tests); the apexes of the
+    # suspension of the 8-gon walk theirs.
     steps, tests = [], []
 
     def counted_step(I, *args):
@@ -319,10 +327,22 @@ def test_walk_builds_traces_only_for_connected_non_faces(monkeypatch):
     dominated, dominates = hochster._dominated, hochster._dominates
     monkeypatch.setattr(hochster, "_dominated", counted_step)
     monkeypatch.setattr(hochster, "_dominates", counted_test)
-    cold_caches()
-    K = polygon(14)
-    hochster_table(K, INT)
-    assert len(steps) == 66
+    suspension = polygon(8).join(disjoint_points(2))
+    for K, n_steps, n_tests in [(polygon(14), 0, 0), (suspension, 271, 28)]:
+        cold_caches()
+        steps.clear()
+        tests.clear()
+        hochster_table(K, INT)
+        want_steps, want_tests = _predicted_walk(K, 1 << K.m >> 1)
+        assert steps == want_steps, K
+        assert Counter(tests) == want_tests, K
+        assert (len(steps), len(tests)) == (n_steps, n_tests), K
+
+
+def _predicted_walk(K, visited):
+    """The subsets the walk of K below the mask visited takes one at a
+    time, in order, and the count of its neighbourhood tests per (v, J),
+    from reference_dominated and K's faces."""
     near = {  # N(v), the vertices of v's facets, per vertex bit v
         1 << (u - 1): mask_of(
             w for f in K.facets if f >> (u - 1) & 1 for w in vertices_of(f)
@@ -333,16 +353,25 @@ def test_walk_builds_traces_only_for_connected_non_faces(monkeypatch):
         v: (n.bit_count(), n // (n & -n), v) for v, n in near.items()
     }
     order = sorted(near, key=key.get)
-    tried = set()  # (v, I & N(v))
+    steps, tests, tried = [], Counter(), set()
+    for top in (1 << u for u in range(K.m) if 1 << u < visited):
+        below = near[top] & (top - 1)
+        free = (top - 1) ^ below
+        for S in range(1, below + 1):
+            if S & ~below or K.contains_mask(top | S):
+                continue
+            if free:
+                tests[top, top | S] += 1
+                if reference_dominated(K, top | S, top):
+                    continue
+            steps += [top | S | X for X in range(free + 1) if not X & ~free]
     for I in steps:
         for v in order:
-            if not I & v:
-                continue
-            tried.add((v, I & near[v]))
-            if reference_dominated(K, I, v):
-                break
-    assert len(tests) == len(tried) == 32
-    assert set(tests) == tried
+            if I & v:
+                tried.add((v, I & near[v]))
+                if reference_dominated(K, I, v):
+                    break
+    return steps, tests + Counter(tried)
 
 
 def test_walk_neighbourhood_tests_stay_few(monkeypatch):
@@ -350,8 +379,9 @@ def test_walk_neighbourhood_tests_stay_few(monkeypatch):
     # from empty caches.  Trying the fewest neighbours first lets the
     # memos hit; trying the lowest label first ran 8,247 tests on the
     # stacked sphere (its degree-12 apexes are vertices 1 and 2) and 8,413
-    # on the benchmark's walk inputs, and walking the subsets that duality
-    # fills ran 282 and 389.  The 89 subsets of those inputs no rule
+    # on the benchmark's walk inputs, walking the subsets that duality
+    # fills ran 282 and 389, and walking every subset past the coset rule
+    # ran 271 and 366.  The 89 subsets of those inputs no rule
     # settles go to the homology kernel, straight off K's facets: no K_I
     # is built and none reaches a Smith form.  The duality gate asks the
     # homology of 5 distinct links: S^0, the empty complex, and the 3-,
@@ -367,14 +397,33 @@ def test_walk_neighbourhood_tests_stay_few(monkeypatch):
     monkeypatch.setattr(hochster, "_dominates", counted_test)
     cold_caches()
     hochster_table(stacked_sphere(2, 9), INT)
-    assert len(tests) == 271
+    assert len(tests) == 224
     cold_caches()
     tests.clear()
     work.update(kernel=0, links=0, smith=0)
     for K in benchmark_inputs("walk"):
         hochster_table(K, INT)
-    assert len(tests) == 366
+    assert len(tests) == 320
     assert work == {"kernel": 89, "links": 5, "smith": 0, "built": 0}
+
+
+def test_walk_splits_disjoint_unions_before_the_kernel(monkeypatch):
+    # a walked K_I with no dominated vertex that falls apart is the
+    # disjoint union of the component of its top vertex, found by a
+    # search over neighbour masks, and the rest.  Two disjoint copies of
+    # RP^2 and the 5-gon beside the 6-gon send no more subsets to the
+    # kernel than the walk that stored every subset's component did (34
+    # and 2; 425 and 13 when nothing splits).
+    work = _homology_work(monkeypatch)
+    shifted = [[v + 5 for v in vertices_of(f)] for f in polygon(6).facets]
+    pentagon = map(vertices_of, polygon(5).facets)
+    polygons = from_facets(11, [*pentagon, *shifted])
+    for K, calls in [(rp2_variants()[2], 34), (polygons, 2)]:
+        want = reference_integral_table(K)
+        cold_caches()
+        work.update(kernel=0)
+        assert hochster_table(K, INT) == want, K
+        assert work["kernel"] <= calls, K
 
 
 def _counted_walks(monkeypatch):

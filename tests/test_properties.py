@@ -111,17 +111,29 @@ def test_walk_equals_the_smith_form_of_every_subset(K):
 @example(boundary_simplex(3).join(disjoint_points(2)))
 @example(from_facets(6, RP2_FACETS))
 def test_walk_rules_agree_with_oracles_on_every_subset(K):
-    # the buffer under the walk's comp array, captured as the walk views
-    # it; the index is the table's
-    made = []
+    # the walk's rules, recorded as it takes them: the cosets top + S it
+    # visits subset by subset, and the component of the top vertex of
+    # each walked K_I that no dominated vertex settles; the index is the
+    # table's
+    walked, split = [], {}
 
-    def recorded(buffer):
-        made.append(buffer)
-        return memoryview(buffer)
+    def recorded_cosets(top, below, free, facets):
+        for base in plain_cosets(top, below, free, facets):
+            walked.append(base)
+            yield base
 
-    with mock.patch.object(hochster, "memoryview", recorded, create=True):
+    def recorded_component(I, base, edges):
+        split[I] = plain_component(I, base, edges)
+        return split[I]
+
+    plain_cosets = hochster._walked_cosets
+    plain_component = hochster._component
+    with mock.patch.multiple(
+        hochster,
+        _walked_cosets=recorded_cosets,
+        _component=recorded_component,
+    ):
         table = hochster._walk(K)
-    comp = memoryview(made[0]).cast("I")
     star = {1 << v: [f for f in K.facets if f >> v & 1] for v in range(K.m)}
     edges = {v: reduce(int.__or__, fs) for v, fs in star.items()}
     # the walk tries vertices with the fewest neighbours first, then the
@@ -134,17 +146,29 @@ def test_walk_rules_agree_with_oracles_on_every_subset(K):
     records = hochster._records(star, edges)
     assert [rec[0] for rec in records] == order
     # the subsets through the last vertex of a Gorenstein* K are filled by
-    # duality, not visited: their comp entries stay 0
+    # duality, not visited: no coset of its block is walked
     filled = reference_gorenstein(K).value
     visited = 1 << K.m >> 1 if filled else 1 << K.m
-    assert not any(comp[visited:])
+    assert all(base < visited for base in walked)
+    # a coset the walk copies from the block below has its top vertex
+    # dominated in K_(top + S), or top + S a face; one it walks has not,
+    # unless it is one subset
+    for top in (v for v in edges if v < visited):
+        below = edges[top] & (top - 1)
+        free = (top - 1) ^ below
+        for base in (top | S for S in range(1, below + 1) if not S & ~below):
+            copied = K.contains_mask(base) or (
+                free and reference_dominated(K, base, top)
+            )
+            assert copied == (base not in walked), base
+    for I, C in split.items():
+        assert C == reference_component(K, I), I
     for I in range(1, 1 << K.m):
         KI = K.full_subcomplex(vertices_of(I))
         assert table.profile_of(I) == smith_form_homology(KI), I
-        if I >= visited:
+        if I >= visited or K.contains_mask(I):
             continue
-        assert comp[I] == reference_component(K, I), I
-        if comp[I] != I or K.contains_mask(I):
+        if reference_component(K, I) != I:
             continue
         bits = [1 << (u - 1) for u in vertices_of(I)]
         want = [v for v in bits if reference_dominated(K, I, v)]
