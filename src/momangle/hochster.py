@@ -62,7 +62,9 @@ facets per ridge are checked first, as they are cheap.  Any other K
 walks its last block like the others.
 
 The index array is the table.  An aggregate counts the subsets per
-(size, index) once and reads each distinct profile once.  A table over
+(size, index) once and reads each distinct profile once; a table filled
+by duality counts its lower half and adds each count at (s, d) again at
+the complements' (m - s, D - 1 - d), exact over Z, Q and F_p.  A table over
 Q or F_p follows from the integral one by universal coefficients: it
 converts each distinct profile and shares the index.  Restricting to
 K_J deletes the bits outside J from every mask, and lifting a core
@@ -113,13 +115,17 @@ class HochsterTable:
     is trivial; index is read-only, and a mask past its end is trivial
     (the cone vertices on top of a core's labels add no entries).  The
     cohomology of Z_K in degree |I| + d + 1 collects the degree-d
-    entries.  Tables are equal when complex, coeffs and subsets are.
+    entries.  _sphere_dim is D when index's upper half was filled by
+    Alexander duality in a homology D-sphere (kept by over and by a lift
+    sharing index), else None; it only says which masks the aggregates
+    count, so tables are equal when complex, coeffs and subsets are.
     """
 
     complex: SimplicialComplex
     coeffs: Coefficients
     index: memoryview
     profiles: tuple[HomologyProfile, ...]
+    _sphere_dim: int | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HochsterTable):
@@ -170,15 +176,26 @@ class HochsterTable:
     @cached_property
     def bigraded(self) -> dict[tuple[int, int], int]:
         """Ranks keyed by (|I|, d): subset size and reduced degree, from one
-        count of the nontrivial subsets per key 32 * index[I] + |I|."""
-        index = self.index
+        count of the nontrivial subsets per key 32 * index[I] + |I|.  A
+        sphere counts its lower half and each rank again at the complement's
+        (m - |I|, D - 1 - d), m the index's bit count (no top apex's bit)."""
+        index, D = self._counted(), self._sphere_dim
         keys = map(add, _sizes(len(index)), map(mul, index, repeat(32)))
         out: dict[tuple[int, int], int] = {}
         for key, n in Counter(compress(keys, index)).items():
             s = key & 31
             for d, r in self.profiles[key >> 5].ranks:
                 out[s, d] = out.get((s, d), 0) + n * r
+        if D is not None:  # the upper half: the complements, dualized
+            m = len(self.index).bit_length() - 1
+            for (s, d), r in list(out.items()):
+                out[m - s, D - 1 - d] = out.get((m - s, D - 1 - d), 0) + r
         return out
+
+    def _counted(self) -> memoryview:
+        """The masks the aggregates count: a sphere's lower half, else all."""
+        index = self.index
+        return index if self._sphere_dim is None else index[: len(index) >> 1]
 
     @cached_property
     def betti(self) -> tuple[int, ...]:
@@ -209,7 +226,7 @@ class HochsterTable:
     def torsion_primes(self) -> tuple[int, ...]:
         torsion = {k for k, prof in enumerate(self.profiles) if prof.torsion}
         if torsion:  # a restricted table shares profiles it may not reach
-            torsion &= set(self.index)
+            torsion &= set(self._counted())
         primes: set[int] = set()
         for k in torsion:
             primes |= self.profiles[k].torsion_primes()
@@ -223,7 +240,8 @@ class HochsterTable:
         if coeffs.kind == "int":
             return self
         profiles = tuple(prof.over_field(coeffs) for prof in self.profiles)
-        return HochsterTable(self.complex, coeffs, self.index, profiles)
+        D = self._sphere_dim
+        return HochsterTable(self.complex, coeffs, self.index, profiles, D)
 
     def restrict(self, J: int) -> "HochsterTable":
         """Table of the full subcomplex K_J (the same K_I for I inside J,
@@ -315,7 +333,8 @@ def _integral(K: SimplicialComplex) -> HochsterTable:
     for b in range(K.m):
         if cones >> b & 1 and 1 << b < len(index):
             index = _copy_runs(len(index) << 1, index, 2 << b, 1 << b)
-    return _remember(HochsterTable(K, INT, index, core.profiles))
+    D = core._sphere_dim if index is core.index else None
+    return _remember(HochsterTable(K, INT, index, core.profiles, D))
 
 
 def _walk(K: SimplicialComplex) -> HochsterTable:
@@ -337,7 +356,7 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
     )
     plus = _Memo(lambda k: sums[k, 0])
     plus[1] = 0
-    last = 1 << K.m >> 1
+    last, D = 1 << K.m >> 1, None
     for top, near in edges.items():
         # the subsets through the last vertex are the complements of the
         # walked ones: when K - m is acyclic and every vertex link is
@@ -345,14 +364,14 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
         # gives their profiles
         if top == last and not idx[top - 1] and _links_are_spheres(K, K.dim):
             _fill_by_duality(idx, profiles, index_of, K.dim)
+            D = K.dim
             break
         # I = top + S + X, S inside top's neighbours below it and X inside
         # the rest: K_I starts as K_(I - top), or K_X plus a point if S = 0
         below = near & (top - 1)
         free = (top - 1) ^ below
         idx[top : top << 1] = idx[:top]
-        for X in _submasks(free):
-            idx[top | X] = plus[idx[X]]
+        _add_a_point(idx, top, free, plus)
         for base in _walked_cosets(top, below, free, star[top]):
             for X in _submasks(free):
                 I = base | X
@@ -365,7 +384,7 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
                     idx[I] = sums[idx[C], idx[I & ~C]]
                 else:
                     idx[I] = index_of[full_subcomplex_homology(I, K.facets)]
-    return HochsterTable(K, INT, idx.toreadonly(), tuple(profiles))
+    return HochsterTable(K, INT, idx.toreadonly(), tuple(profiles), D)
 
 
 class _Memo(dict):
@@ -392,6 +411,27 @@ def _walked_cosets(top: int, below: int, free: int, facets: list[int]):
         if free and _dominates(top, base, facets):
             continue
         yield base
+
+
+def _add_a_point(idx: memoryview, top: int, free: int, plus) -> None:
+    """idx[top + X] = plus[idx[X]] for every X inside free: a strided slice
+    per subset of free less a run of 3 bits or more (the longer of the
+    lowest such run and the top run), or one subset at a time if none."""
+    starts = free & free >> 1 & free >> 2  # where 3 bits of free start
+    if not starts:
+        for X in _submasks(free):
+            idx[top | X] = plus[idx[X]]
+        return
+    low = starts & -starts
+    n = ((free // low) ^ (free // low + 1)).bit_length() - 1
+    h = free.bit_length()
+    c = (((1 << h) - 1) ^ free).bit_length()
+    if h - c > n:
+        low, n = 1 << c, h - c
+    span, get = low << n, plus.__getitem__
+    for Y in _submasks(free & ~(span - low)):
+        I = top | Y
+        idx[I : I + span : low] = array("I", map(get, idx[Y : Y + span : low]))
 
 
 def _submasks(mask: int):

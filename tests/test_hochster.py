@@ -1,5 +1,7 @@
 import json
+import random
 import tracemalloc
+from array import array
 from collections import Counter
 from itertools import combinations_with_replacement
 
@@ -185,6 +187,64 @@ def test_sphere_tables_are_filled_by_duality(corpus, monkeypatch):
         table = hochster_table(K, INT)
         assert fills == [K.dim], K
         assert table == reference_integral_table(K), K
+        # the aggregates count the lower half and reflect it
+        for t in (table, table.over(RAT), table.over(PRIME(2))):
+            assert _aggregates(t) == reference_aggregates(t), (K, t.coeffs)
+
+
+def test_aggregates_count_the_walked_half_of_a_sphere(monkeypatch):
+    # a table filled by duality, its field tables and a lift that shares
+    # its index count the lower half of the index, one call of _sizes per
+    # aggregate; a re-laid lift and a table walked in full count every
+    # mask.  Dropping the sphere's dimension in over or in the lift shows
+    # here as a count.
+    counts = []
+
+    def sizes(n):
+        counts.append(n)
+        return plain_sizes(n)
+
+    plain_sizes = hochster._sizes
+    monkeypatch.setattr(hochster, "_sizes", sizes)
+    base, other = polygon(11), benchmark_inputs("walk")[-1]
+    assert other.m == 12
+    cases = [
+        (polygon(14), INT, 1 << 13),
+        (polygon(14), RAT, 1 << 13),
+        (stacked_sphere(2, 9), INT, 1 << 12),
+        (stacked_sphere(2, 9), RAT, 1 << 12),
+        (base, INT, 1 << 10),
+        (cone(base), INT, 1 << 10),  # the apex is the top label
+        (simplex(1).join(polygon(6)), INT, 1 << 8),
+        (from_facets(6, RP2_FACETS), INT, 1 << 6),
+        (other, INT, 1 << 12),
+    ]
+    _TABLES.clear()
+    for K, coeffs, want in cases:
+        table = hochster_table(K, coeffs)
+        counts.clear()
+        got = _aggregates(table)
+        assert counts == [want], (K, str(coeffs))
+        assert got == reference_aggregates(table), (K, str(coeffs))
+
+
+def test_point_coset_slices_match_the_subset_loop():
+    # _add_a_point writes idx[top + X] = plus[idx[X]] for X inside free
+    # as strided slices over a run of at least 3 of free's bits.  For
+    # every top up to 2^8 with every below, and random tops up to 2^11,
+    # it must leave the index the per-subset loop leaves.
+    rng = random.Random(0)
+    plus = {k: 7 * k + 1 for k in range(6)}
+    cases = [(1 << b, below) for b in range(9) for below in range(1 << b)]
+    cases += [(1 << b, rng.randrange(1 << b)) for b in (9, 10, 11) for _ in range(40)]
+    for top, below in cases:
+        free = (top - 1) ^ below
+        want = array("I", (rng.randrange(6) for _ in range(2 * top)))
+        got = memoryview(array("I", want))
+        for X in hochster._submasks(free):
+            want[top | X] = plus[want[X]]
+        hochster._add_a_point(got, top, free, plus)
+        assert got.tolist() == want.tolist(), (top, below)
 
 
 def test_manifolds_that_are_not_spheres_walk_every_subset(monkeypatch):
