@@ -100,16 +100,16 @@ def _maximal(masks: Iterable[int]) -> list[int]:
     return out
 
 
-def _from_masks(m: int, masks: Iterable[int]) -> SimplicialComplex:
-    """The complex on 1..m generated by facet masks, unchecked.
+def _from_masks(m: int, masks: list[int]) -> SimplicialComplex:
+    """The complex on 1..m with the given facet masks, unchecked.
 
-    Drops duplicates and faces contained in another facet and sorts the
-    rest lex; no masks give the empty complex.  The caller guarantees
-    that the masks cover 1..m and that m is within the vertex cap.
+    Sorts the list lex in place; no masks give the empty complex.  The caller
+    guarantees that the masks are the distinct inclusion-maximal ones
+    (as _maximal leaves them), that they cover 1..m and that m is within
+    the vertex cap.
     """
-    out = _maximal(masks)
-    out.sort(key=vertices_of)
-    return SimplicialComplex(m, tuple(out) or (0,))
+    masks.sort(key=vertices_of)
+    return SimplicialComplex(m, tuple(masks) or (0,))
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ def _relabeled_onto(
     facet_masks: Iterable[int], support: int
 ) -> SimplicialComplex:
     """Normalize generator masks onto contiguous labels over ``support``
-    (compressing keeps order, so contained masks can go first)."""
+    (compressing keeps containment, so contained masks go first, once)."""
     return _from_masks(
         support.bit_count(),
         [_compress(f, support) for f in _maximal(facet_masks)],
@@ -267,7 +267,7 @@ def from_facets(m: int, facets: Iterable[Iterable[int]]) -> SimplicialComplex:
             if not (1 <= v <= m):
                 raise OutOfRange(f"vertex {v} not in 1..{m}")
         masks.append(mask_of(vs))
-    K = _from_masks(m, masks)
+    K = _from_masks(m, _maximal(masks))
     covered = reduce(int.__or__, K.facets)
     full = (1 << m) - 1
     if covered != full:

@@ -56,10 +56,12 @@ With the first acyclic and the star a cone, Mayer-Vietoris gives
 H~_i(K) = H~_(i-1)(lk m), so K is a homology D-sphere whose face links
 are its vertex links' face links: K is Gorenstein*.  Conversely,
 Alexander duality on the vertex {m} makes K - m acyclic.  The vertex
-links are decided by one memoized recursion on the relabelled link and
-its dimension, which classify.is_gorenstein_star shares; purity and two
-facets per ridge are checked first, as they are cheap.  Any other K
-walks its last block like the others.
+links are decided by one memoized recursion on the relabelled link,
+its dimension and the coefficients, which classify shares.  The fill
+needs integral spheres, whose torsion Alexander duality moves, so the
+walk and is_gorenstein_star run it over Z; recognition runs it over Q.
+Purity and two facets per ridge are checked first, as they are cheap.
+Any other K walks its last block like the others.
 
 The index array is the table.  An aggregate counts the subsets per
 (size, index) once and reads each distinct profile once; a table filled
@@ -360,9 +362,13 @@ def _walk(K: SimplicialComplex) -> HochsterTable:
     for top, near in edges.items():
         # the subsets through the last vertex are the complements of the
         # walked ones: when K - m is acyclic and every vertex link is
-        # Gorenstein*, K is a homology sphere and Alexander duality in it
-        # gives their profiles
-        if top == last and not idx[top - 1] and _links_are_spheres(K, K.dim):
+        # Gorenstein* over Z, K is an integral homology sphere and
+        # Alexander duality in it gives their profiles
+        if (
+            top == last
+            and not idx[top - 1]
+            and _links_are_spheres(K, K.dim, INT)
+        ):
             _fill_by_duality(idx, profiles, index_of, K.dim)
             D = K.dim
             break
@@ -481,10 +487,10 @@ def _dual(prof: HomologyProfile, D: int) -> HomologyProfile:
     return make_profile(INT, ranks, torsion)
 
 
-def _links_are_spheres(K: SimplicialComplex, n: int) -> bool:
+def _links_are_spheres(K: SimplicialComplex, n: int, coeffs) -> bool:
     """Whether K is pure of dimension n, each ridge lies in two facets,
-    and every vertex link passes _is_sphere_by_links at n - 1; the two
-    counts are cheap and necessary, so they run first."""
+    and every vertex link passes _is_sphere_by_links at n - 1 over
+    coeffs; the two counts are cheap and necessary, so they run first."""
     ridges: Counter = Counter()
     for f in K.facets:
         if f.bit_count() != n + 1:
@@ -497,21 +503,26 @@ def _links_are_spheres(K: SimplicialComplex, n: int) -> bool:
     if any(c != 2 for c in ridges.values()):
         return False
     return all(
-        _is_sphere_by_links(K.link((v,)), n - 1) for v in range(1, K.m + 1)
+        _is_sphere_by_links(K.link((v,)), n - 1, coeffs)
+        for v in range(1, K.m + 1)
     )
 
 
 @lru_cache(maxsize=4096)
-def _is_sphere_by_links(L: SimplicialComplex, n: int) -> bool:
-    """Whether L is Gorenstein* of dimension n: H~(L) = H~(S^n), and every
-    vertex link passes at n - 1 (the empty complex at n = -1).
+def _is_sphere_by_links(L: SimplicialComplex, n: int, coeffs) -> bool:
+    """Whether L is Gorenstein* of dimension n over coeffs: H~(L; coeffs)
+    = H~(S^n; coeffs), and every vertex link passes at n - 1 (the empty
+    complex at n = -1).
 
     The link of a face s + v in L is the link of s in L's link of v, so
     this holds exactly when every face link of L is a homology sphere of
     dimension n - |face|, the empty face's being L.  Memoized per
-    relabelled complex and n, so equal links are decided once.
+    relabelled complex, n and coefficients, so equal links are decided
+    once per coefficient system.  coeffs has no default, as the cache
+    would key a call that leaves it out apart from one that passes it.
     """
-    return reduced_homology(L).is_sphere(n) and _links_are_spheres(L, n)
+    prof = reduced_homology(L).over_field(coeffs)
+    return prof.is_sphere(n) and _links_are_spheres(L, n, coeffs)
 
 
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"

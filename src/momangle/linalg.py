@@ -460,7 +460,8 @@ class HomologyProfile:
         )
 
     def is_sphere(self, n: int) -> bool:
-        """Integral reduced homology of S^n (n = -1 means the empty complex)."""
+        """Reduced homology of S^n over the profile's coefficients (n = -1
+        means the empty complex)."""
         return self.ranks == ((n, 1),) and not self.torsion
 
     def over_field(self, coeffs: Coefficients) -> "HomologyProfile":

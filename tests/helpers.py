@@ -18,12 +18,11 @@ Golod battery, so it checks which fields the Golod test skips;
 reference_mng restricts K's table to every vertex deletion and runs the
 Golod test on each, so it checks which deletions the minimally non-Golod
 test skips.  reference_gram_rank builds the Gram matrix of a degree by
-looking up every pair of classes of the product table, the check on the
-ranks recognition reads off its search into the top degree;
+looking up every pair of classes of the product table;
 reference_recognize recognizes a connected sum from the whole rational
 product table and those ranks for every input, the check on
-recognition's Poincare-duality shortcut for Gorenstein* cores and on its
-search for the others.  check_kunneth compares the product table of a
+recognition's settling of the pairings into the top by the core's
+Gorenstein* test over Q.  check_kunneth compares the product table of a
 join with its factors' by the Kunneth theorem, the check that the
 listing of pairs is complete across the factors.  reference_gorenstein
 builds the link of every face in order and stops at the first that is
@@ -812,7 +811,10 @@ def reference_recognize(K):
         )
     for k in range(3, N // 2 + 1):
         if b[k] and reference_gram_rank(pt, N, k) != b[k]:
-            reason = f"degenerate pairing between degrees {k} and {N - k}"
+            reason = (
+                "the core is not Gorenstein* over Q, so a pairing into the"
+                " top degree is degenerate"
+            )
             return RecognitionReport("NONE", N, reason=reason)
     pairs = []
     for k in range(3, (N - 1) // 2 + 1):

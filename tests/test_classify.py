@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -35,17 +36,20 @@ from momangle import (
     vertices_of,
 )
 from momangle.cli import main
+from momangle.linalg import make_profile
 
 from helpers import (
     PINCHED,
     RP2_FACETS,
     RP2_STELLAR_FACETS,
+    TORUS7,
     TWO_TRIANGLES,
     benchmark_inputs,
     cold_caches,
     reference_deletion_candidates,
     reference_gorenstein,
     reference_gram_rank,
+    reference_integral_table,
     reference_mng,
     reference_recognize,
     rp2_variants,
@@ -508,32 +512,11 @@ def test_recognize_example_is_ring_level():
     assert rep.pairs == ((3, 3),)
 
 
-def test_gram_ranks_match_the_pairwise_lookup(corpus):
-    # the ranks read off the search's products into the top are the ranks
-    # that looking up every pair of classes of the product table gives, in
-    # every degree; every input is Gorenstein*, so by Poincare duality each
-    # pairing into the top has full rank, the fact recognition's shortcut
-    # rests on
-    spheres = [K for K in corpus if is_gorenstein_star(K).value]
-    assert len(spheres) >= 30
-    for K in [*spheres, *map(polygon, range(4, 11))]:
-        table = hochster_table(K, INT)
-        N, b = table.top_degree, table.betti
-        top = products._iter_nonzero_products(
-            K, RAT, lambda S, d: S.bit_count() + d + 1 == N
-        )
-        ranks = classify._gram_ranks(top, N)
-        pt = product_table(K, RAT)
-        degrees = {c.total_degree for c in pt.classes}
-        assert set(ranks) == {k for k in degrees if k <= N - k}, K
-        for k in degrees:
-            if k <= N - k:
-                rank = ranks.get(k, 0)
-                assert rank == reference_gram_rank(pt, N, k), (K, k)
-                assert rank == b[k], (K, k)
-
-
 BELOW_THE_TOP = "a product of middle classes lands below the top"
+DEGENERATE = (
+    "the core is not Gorenstein* over Q, so a pairing into the top degree"
+    " is degenerate"
+)
 SPHERE_JOIN = boundary_simplex(2).join(boundary_simplex(3))
 
 
@@ -572,32 +555,24 @@ def _gorenstein_cores():
 def test_recognition_of_a_gorenstein_core_builds_no_product_table(monkeypatch):
     # A Gorenstein* core pairs into the top nondegenerately (Poincare
     # duality), so recognition only searches the pairs whose target lies
-    # below the top: no ProductTable is built and no pairing ranked, and
-    # the reports are those of the whole table and every pairing's rank.
-    # Every pair of the 9-gon lands in the top, so from cold caches its
-    # recognition builds no cocycle basis either.
+    # below the top: no ProductTable is built, and the reports are those
+    # of the whole table and every pairing's rank.  Every pair of the
+    # 9-gon lands in the top, so from cold caches its recognition builds
+    # no cocycle basis either.
     inputs = _gorenstein_cores()
     built = _count_calls(monkeypatch, products, "ProductTable")
-    ranked = _count_calls(monkeypatch, classify, "_gram_ranks")
     cold_caches()
     bases = _count_calls(monkeypatch, products, "cocycle_basis")
     assert recognize_connected_sum(polygon(9)).kind == "CONNECTED_SUM"
     assert bases == []
     reports = [recognize_connected_sum(K) for K in inputs]
-    assert (built, ranked) == ([], [])
+    assert built == []
     monkeypatch.undo()
     assert reports == [reference_recognize(K) for K in inputs]
     assert Counter(r.kind for r in reports) == {
         "SPHERE": 2, "CONNECTED_SUM": 27, "NONE": 2
     }
     assert {r.reason for r in reports if r.kind == "NONE"} == {BELOW_THE_TOP}
-
-
-def _gate_shut(monkeypatch):
-    """Make recognition treat every core as not Gorenstein*."""
-    monkeypatch.setattr(
-        classify, "_is_sphere_with_sphere_links", lambda K, whole: False
-    )
 
 
 # A 2-sphere on 8 vertices whose listing holds six pairs with targets
@@ -612,17 +587,71 @@ DEAD_PAIRS_SPHERE = from_facets(
 )
 
 
-def test_recognition_of_any_other_core_ranks_the_top_search(monkeypatch):
-    # With the Gorenstein* gate shut, recognition builds no product table:
-    # it searches below the top and, when no product lands there, ranks
-    # the pairings from the search into the top once.  It multiplies no
-    # more than the reference's whole table (as much, when it ranks, as
-    # the two searches then cover every listed pair), and reports the same.
-    _gate_shut(monkeypatch)
+def _pairing_stage(K):
+    """(reference report, product table over Q, top degree, Betti numbers)
+    when K passes the Betti checks, is no sphere and has no product below
+    the top, so that its pairings into the top decide; None otherwise."""
+    want = reference_recognize(K)
+    if want.kind != "CONNECTED_SUM" and want.reason != DEGENERATE:
+        return None
+    b = hochster_table(K, INT).betti
+    return want, product_table(K, RAT), want.top_degree, b
+
+
+def test_the_rational_gorenstein_gate_is_the_pairings_oracle(corpus):
+    # H*(Z_K; Q) is the Tor-algebra of Q[K], a Poincare duality algebra
+    # exactly when Q[K] is Gorenstein (Avramov-Golod), that is when the
+    # core is Gorenstein* over Q (Stanley): on every input whose pairings
+    # into the top decide, the gate agrees with ranking every pairing
+    # from the whole product table, and the report is the reference's
+    inputs = [
+        *_gorenstein_cores(),
+        *corpus,
+        *rp2_variants(),
+        TORUS7,
+        DEAD_PAIRS_SPHERE,
+        polygon(4).join(polygon(5)),
+    ]
+    staged = 0
+    for K in inputs:
+        stage = _pairing_stage(K)
+        if stage is None:
+            continue
+        staged += 1
+        want, pt, N, b = stage
+        core = K.core_vertices()
+        whole = hochster_table(K, INT).profile_of(mask_of(core))
+        gate = classify._is_sphere_with_sphere_links(
+            K.full_subcomplex(core), whole, RAT
+        )
+        full = all(
+            reference_gram_rank(pt, N, k) == b[k] for k in range(1, N) if b[k]
+        )
+        assert gate == full, K
+        assert recognize_connected_sum(K) == want, K
+    assert staged >= 50
+
+
+def _rational_gate_shut(monkeypatch):
+    """Make the Gorenstein* test over Q fail every core; over Z it runs."""
+    original = classify._is_sphere_with_sphere_links
+
+    def shut(K, whole, coeffs):
+        return coeffs != RAT and original(K, whole, coeffs)
+
+    monkeypatch.setattr(classify, "_is_sphere_with_sphere_links", shut)
+
+
+def test_a_core_that_fails_the_rational_gate_is_no_connected_sum(monkeypatch):
+    # With the rational gate shut, recognition reports a degenerate pairing
+    # once its search below the top finds no product, multiplying no more
+    # pairs than that search does and building no product table; a core
+    # with a product below the top keeps its report.
+    _rational_gate_shut(monkeypatch)
     multiplied = _count_calls(monkeypatch, products, "multiply")
     tables = _count_calls(monkeypatch, products, "product_table")
     built = _count_calls(monkeypatch, products, "ProductTable")
-    ranked = _count_calls(monkeypatch, classify, "_gram_ranks")
+    seen = Counter()
     for K in (
         polygon(6),
         stacked_sphere(2, 3),
@@ -631,36 +660,67 @@ def test_recognition_of_any_other_core_ranks_the_top_search(monkeypatch):
         DEAD_PAIRS_SPHERE,
         polygon(4).join(polygon(5)),
     ):
-        multiplied.clear()
         want = reference_recognize(K)
-        products_built = len(multiplied)
-        for calls in (multiplied, tables, built, ranked):
+        N = want.top_degree
+        multiplied.clear()
+        any(
+            products._iter_nonzero_products(
+                K, RAT, lambda S, d: S.bit_count() + d + 1 < N
+            )
+        )
+        searched = len(multiplied)
+        for calls in (multiplied, tables, built):
             calls.clear()
         rep = recognize_connected_sum(K)
-        assert rep == want, K
+        if want.reason == BELOW_THE_TOP:
+            assert rep == want, K
+        else:
+            assert want.kind == "CONNECTED_SUM", K
+            shut = replace(want, kind="NONE", pairs=(), reason=DEGENERATE)
+            assert rep == shut, K
         assert (tables, built) == ([], []), K
-        assert len(multiplied) <= products_built, K
-        assert len(ranked) == (want.reason != BELOW_THE_TOP), K
-        if ranked:
-            assert len(multiplied) == products_built, K
+        assert len(multiplied) <= searched, K
+        seen[rep.reason] += 1
+    assert seen == {DEGENERATE: 5, BELOW_THE_TOP: 1}
 
 
-def test_a_degenerate_pairing_is_named_at_its_lowest_degree(monkeypatch):
-    # The hexagon's ring has classes in degrees 3, 4 and 5 under its top
-    # degree 8.  With the gate shut and its pairings short of full rank
-    # in degrees 3 and 4, recognition names the lowest such degree first,
-    # with its complement.
+def test_recognition_asks_the_links_over_q_and_the_walk_over_z(monkeypatch):
+    # No input the suite makes is a core that is Gorenstein* over Q but not
+    # over Z, so hand the gate one: every vertex link of the hexagon gets a
+    # Z/2 in its homology.  The recursion over Q then passes and the one
+    # over Z fails, so recognition still finds a connected sum, while the
+    # Gorenstein* test and the walk's duality gate, which need integral
+    # spheres, reject it; the walk then fills nothing by duality and its
+    # table is still the Smith form's.
     K = polygon(6)
-    b = hochster_table(K, INT).betti
-    assert b == (1, 0, 0, 9, 16, 9, 0, 0, 1)
-    _gate_shut(monkeypatch)
-    monkeypatch.setattr(
-        classify, "_gram_ranks", lambda found, N: {3: b[3] - 1, 4: b[4] - 1}
-    )
-    rep = recognize_connected_sum(K)
-    assert (rep.kind, rep.top_degree, rep.reason) == (
-        "NONE", 8, "degenerate pairing between degrees 3 and 5"
-    )
+    link = K.link((1,))
+    plain = hochster.reduced_homology
+
+    def with_torsion(L):
+        prof = plain(L)
+        if L != link:
+            return prof
+        return make_profile(INT, dict(prof.ranks), {0: (2,)})
+
+    want = recognize_connected_sum(K)
+    assert want.kind == "CONNECTED_SUM"
+    assert hochster_table(K, INT)._sphere_dim == K.dim
+    cold_caches()
+    monkeypatch.setattr(hochster, "reduced_homology", with_torsion)
+    monkeypatch.setattr(classify, "reduced_homology", with_torsion)
+    try:
+        assert hochster._links_are_spheres(K, K.dim, RAT)
+        assert not hochster._links_are_spheres(K, K.dim, INT)
+        assert recognize_connected_sum(K) == want
+        table = hochster_table(K, INT)
+        assert table._sphere_dim is None
+        assert table == reference_integral_table(K)
+        rep = is_gorenstein_star(K)
+        assert rep.value is False
+        assert rep.witness["face"] == [1]
+    finally:
+        monkeypatch.undo()
+        cold_caches()
 
 
 def test_recognize_report_dict():

@@ -15,7 +15,9 @@ are also checked subset by subset against oracles that look at K_I
 alone.  The homology kernel that settles the rest keeps the Z/2 of
 RP^2 through disjoint unions and joins.  Beside or joined with a drawn
 complex, an RP^2 whose products are over F_2 only keeps the minimally
-non-Golod report equal to searching every vertex deletion.
+non-Golod report equal to searching every vertex deletion.  Recognition
+of a drawn complex, and of its join with a square, must be what ranking
+every pairing of the whole product table gives.
 
 Spheres built from polygons and boundaries of simplices by joins and
 stellar subdivisions have their tables filled by Alexander duality past
@@ -67,6 +69,7 @@ from helpers import (
     reference_gorenstein,
     reference_integral_table,
     reference_mng,
+    reference_recognize,
     relabel,
     smith_form_homology,
     trim,
@@ -298,6 +301,17 @@ def test_recognition_is_invariant_under_relabelling(data):
     L = relabel(K, data.draw(st.permutations(range(1, K.m + 1))))
     want, got = recognize_connected_sum(K), recognize_connected_sum(L)
     assert (got.kind, got.pairs) == (want.kind, want.pairs)
+
+
+@seed(SEED)
+@EXAMPLES
+@given(complexes(7))
+def test_recognition_matches_ranking_the_whole_product_table(K):
+    # the join with the square keeps K's ring as a tensor factor and
+    # shifts its Betti numbers up, so more drawn complexes reach the
+    # product stage
+    for L in (K, K.join(polygon(4))):
+        assert recognize_connected_sum(L) == reference_recognize(L), L
 
 
 @seed(SEED)
